@@ -34,7 +34,7 @@ from .entropy import (
     relative_entropy,
     split_mixed_term,
 )
-from .grids import Grid, default_half_width, derivative1, derivative2, integrate
+from .grids import Grid, default_half_width, derivative1, integrate
 from .profile import (
     ProblemData,
     ProfileSolution,

@@ -11,7 +11,6 @@ import json
 import logging
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -209,21 +208,8 @@ def cmd_conjugate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(config, key: str, value: float):
-    data = config.data
-    if key == "problem.A_plus":
-        data = replace(data, A_plus=value)
-    elif key == "problem.A_minus":
-        data = replace(data, A_minus=value)
-    elif key == "problem.k":
-        data = replace(data, k=value)
-    elif key == "problem.d1":
-        data = replace(data, d1=value)
-    elif key == "problem.d2":
-        data = replace(data, d2=value)
-    else:
-        raise ParseError(0, key, "unsupported sweep parameter")
-    cfg = replace(config, data=data)
+def _sweep_one(config, fld: str, value: float):
+    cfg = replace(config, data=replace(config.data, **{fld: value}))
     grid = cfg.make_grid()
     sol = solve_profile(cfg.data, grid, tol=cfg.profile_tol)
     report = compute_constants(sol, cfg.data, 1.0)
@@ -244,9 +230,9 @@ def _sweep_one(config, key: str, value: float):
 
 def cmd_sweep(args) -> int:
     config = _load_config(args.config)
+    fld = runio.sweep_field(args.param)
     values = [float(tok) for tok in args.values.split(",")] if args.values else []
-    with ThreadPoolExecutor(max_workers=max(1, args.threads)) as pool:
-        rows = list(pool.map(lambda v: _sweep_one(config, args.param, v), values))
+    rows = [_sweep_one(config, fld, v) for v in values]
     flagged = [row["value"] for row in rows if row["theta_ge_half"]]
     aggregate = {
         "param": args.param,
@@ -265,7 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", help="path to a key-value config file")
     common.add_argument("--out", default="out", help="output directory")
     common.add_argument("--quiet", action="store_true", help="suppress stdout reports")
-    common.add_argument("--threads", type=int, default=1, help="sweep parallelism")
 
     parser = argparse.ArgumentParser(prog="rdmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

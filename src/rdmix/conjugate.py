@@ -8,9 +8,10 @@ functions
     power kind:       phi(z) = (a/(p-1)) ((1+z)^((p-1)/p) - 1) ((1+z)^(a/p) - 1)
 
 (+inf for z <= -1).  Their Legendre transforms have no closed form; this
-module computes them numerically (log-grid sweep plus golden-section
-refinement) and provides the analytic upper bounds and the quadratic-bound
-constants used by the rate certificates.
+module computes them numerically with ``numeric_sup`` (a log-grid sweep plus
+golden-section refinement, shared with the entropy conjugates) and provides
+the analytic upper bounds and the quadratic-bound constants used by the rate
+certificates.
 """
 
 from __future__ import annotations
@@ -69,21 +70,33 @@ def _objective(fam: PhiFamily, xi: float, z: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(vals), vals, -np.inf)
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-10) -> float:
+def numeric_sup(f, z: np.ndarray, tol: float = 1e-10) -> float:
+    """Supremum of ``f`` by a sweep over the nodes ``z``, refined by golden section.
+
+    ``f`` maps an array of points to an array of values.  The refinement
+    searches the bracket between the neighbours of the best node until it is
+    ``tol`` wide relative to its ends; the result is the best value seen.
+    """
+    vals = f(z)
+    k = int(np.argmax(vals))
+    a, b = z[max(k - 1, 0)], z[min(k + 1, len(z) - 1)]
+
+    def f1(t: float) -> float:
+        return float(f(np.array([t]))[0])
+
     gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f1(c), f1(d)
     while b - a > tol * max(1.0, abs(a), abs(b)):
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - gr * (b - a)
-            fc = f(c)
+            fc = f1(c)
         else:
             a, c, fc = c, d, fd
             d = a + gr * (b - a)
-            fd = f(d)
-    return max(fc, fd)
+            fd = f1(d)
+    return max(float(vals[k]), fc, fd)
 
 
 def phi_conjugate_numeric(
@@ -109,13 +122,9 @@ def phi_conjugate_numeric(
             decades_down = 0
             best_tail = val
         top += 1.0
-    w = np.logspace(math.log10(_EDGE), top, base_points)
-    z = w - 1.0
-    vals = _objective(fam, xi, z)
-    k = int(np.argmax(vals))
-    lo, hi = z[max(k - 1, 0)], z[min(k + 1, len(z) - 1)]
-    result = _golden_max(lambda t: float(_objective(fam, xi, np.array([t]))[0]), lo, hi)
-    return max(result, 0.0, float(vals[k]))  # phi(0) = 0 makes the sup nonnegative
+    z = np.logspace(math.log10(_EDGE), top, base_points) - 1.0
+    sup = numeric_sup(lambda t: _objective(fam, xi, t), z)
+    return max(sup, 0.0)  # phi(0) = 0 makes the sup nonnegative
 
 
 def c_tilde(alpha: float) -> float:
@@ -171,16 +180,9 @@ def m_hat(p: float, alpha: float, base_points: int = 40_001) -> float:
             f"got p={p}, alpha={alpha}"
         )
     fam = PhiFamily("general_p_alpha", alpha, p)
-    w = np.logspace(-12, 12, base_points)
-    z = w - 1.0
+    z = np.logspace(-12, 12, base_points) - 1.0
     z = z[np.abs(z) > 1e-13]
-    ratio = _quadratic_ratio(fam, z)
-    k = int(np.argmax(ratio))
-    lo, hi = z[max(k - 1, 0)], z[min(k + 1, len(z) - 1)]
-    refined = _golden_max(
-        lambda t: float(_quadratic_ratio(fam, np.array([t]))[0]), lo, hi, tol=1e-13
-    )
-    candidates = [0.25, float(ratio[k]), refined]
+    candidates = [0.25, numeric_sup(lambda t: _quadratic_ratio(fam, t), z, tol=1e-13)]
     # growth-exponent-zero cases: finite limit at z -> inf
     if p < 1.0 and abs(alpha - 2.0 * p) < 1e-12:
         candidates.append(alpha * (1.0 - p) / (4.0 * p * p))

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .conjugate import numeric_sup
 from .errors import DomainError, UnsupportedEntropy
 from .grids import Grid, check_values, derivative1, integrate
 from .profile import ProfileSolution
@@ -22,6 +23,9 @@ from .profile import ProfileSolution
 # where the pairing is infinite; simulation enforces positivity, so hitting
 # the clamp is a diagnostic failure rather than a value.
 _DENSITY_CLAMP = 1e-300
+
+# sweep nodes of the numeric F_p conjugate
+_FP_SWEEP = np.logspace(-12.0, 12.0, 4001)
 
 
 @dataclass(frozen=True)
@@ -126,29 +130,7 @@ def F_p_conjugate(zeta: float, p: float, tol: float = 1e-10) -> float:
         return 2.0 * zeta / (2.0 - zeta)
     if p < 1 and zeta >= 1.0 / (1.0 - p):
         raise DomainError(f"conjugate of F_p is finite only for zeta < {1/(1-p):g}")
-    z = np.logspace(-12, 12, 4001)
-    vals = zeta * z - _F_p_arr(z, p)
-    k = int(np.argmax(vals))
-    lo, hi = z[max(k - 1, 0)], z[min(k + 1, len(z) - 1)]
-    obj = lambda t: zeta * t - F_p(t, p)
-    return _golden_max(obj, lo, hi, tol)
-
-
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > tol * max(1.0, abs(a), abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f(d)
-    return max(fc, fd)
+    return numeric_sup(lambda z: zeta * z - _F_p_arr(z, p), _FP_SWEEP, tol)
 
 
 def gamma_fn(a: float, b: float) -> float:

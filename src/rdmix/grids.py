@@ -70,17 +70,6 @@ def derivative1(grid: Grid, f: np.ndarray) -> np.ndarray:
     return out
 
 
-def derivative2(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """Second derivative: 3-point stencil inside, one-sided second order at the ends."""
-    f = check_values(grid, f)
-    h2 = grid.h * grid.h
-    out = np.empty_like(f)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) / h2
-    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) / h2
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) / h2
-    return out
-
-
 def integrate(grid: Grid, f: np.ndarray) -> float:
     """Trapezoid rule over [-L, L]."""
     f = check_values(grid, f)

@@ -11,6 +11,7 @@ import json
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -24,31 +25,41 @@ logger = logging.getLogger("rdmix")
 
 _REQUIRED = object()
 
-# key -> (converter, default); _REQUIRED keys must be present
+
+def comma_floats(text: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in text.split(","))
+
+
+# key -> (SimConfig field, converter, default); _REQUIRED keys must be present.
+# Fields under "data." and "ic." set the ProblemData and InitialConditionSpec
+# parts; a None value is left out of serialized text.
 _SCHEMA: dict[str, tuple] = {
-    "problem.alpha": (float, _REQUIRED),
-    "problem.beta": (float, _REQUIRED),
-    "problem.d1": (float, 1.0),
-    "problem.d2": (float, 1.0),
-    "problem.k": (float, 1.0),
-    "problem.A_minus": (float, _REQUIRED),
-    "problem.A_plus": (float, _REQUIRED),
-    "grid.L": (float, None),
-    "grid.n": (int, 2001),
-    "time.tau_end": (float, _REQUIRED),
-    "time.dtau": (float, 1e-3),
-    "time.dtau_min": (float, 1e-9),
-    "time.dtau_max": (float, 1e-2),
-    "output.sample_interval": (float, 0.02),
-    "output.path": (str, None),
-    "ic.kind": (str, "profile_exact"),
-    "ic.amplitude": (float, 0.0),
-    "ic.width": (float, 1.0),
-    "ic.center": (float, 0.0),
-    "ic.path": (str, None),
-    "entropy.p_list": (str, None),
-    "solver.tol": (float, 1e-8),
+    "problem.alpha": ("data.alpha", float, _REQUIRED),
+    "problem.beta": ("data.beta", float, _REQUIRED),
+    "problem.d1": ("data.d1", float, 1.0),
+    "problem.d2": ("data.d2", float, 1.0),
+    "problem.k": ("data.k", float, 1.0),
+    "problem.A_minus": ("data.A_minus", float, _REQUIRED),
+    "problem.A_plus": ("data.A_plus", float, _REQUIRED),
+    "grid.L": ("grid_half_width", float, None),
+    "grid.n": ("grid_n", int, 2001),
+    "time.tau_end": ("tau_end", float, _REQUIRED),
+    "time.dtau": ("dtau_initial", float, 1e-3),
+    "time.dtau_min": ("dtau_min", float, 1e-9),
+    "time.dtau_max": ("dtau_max", float, 1e-2),
+    "output.sample_interval": ("sample_interval", float, 0.02),
+    "ic.kind": ("ic.kind", str, "profile_exact"),
+    "ic.amplitude": ("ic.amplitude", float, 0.0),
+    "ic.width": ("ic.width", float, 1.0),
+    "ic.center": ("ic.center", float, 0.0),
+    "ic.path": ("ic.path", str, None),
+    "entropy.p_list": ("p_list", comma_floats, None),
+    "solver.tol": ("profile_tol", float, 1e-8),
 }
+
+# the reaction orders fix the species orientation, so they are validated and
+# normalized on parsing and cannot be swept
+_ORDERS = ("problem.alpha", "problem.beta")
 
 
 def parse_config(text: str) -> SimConfig:
@@ -72,112 +83,67 @@ def parse_config(text: str) -> SimConfig:
             raise ParseError(lineno, key, "duplicate key")
         raw[key] = (lineno, value)
 
-    values: dict[str, object] = {}
-    for key, (conv, default) in _SCHEMA.items():
+    parts: dict[str, dict[str, object]] = {"": {}, "data": {}, "ic": {}}
+    for key, (fld, conv, default) in _SCHEMA.items():
         if key in raw:
             lineno, text_value = raw[key]
             try:
-                values[key] = conv(text_value)
+                value = conv(text_value)
             except ValueError:
                 raise ParseError(lineno, key, f"cannot parse {text_value!r} as {conv.__name__}")
         elif default is _REQUIRED:
             raise ParseError(0, key, "required key missing")
         else:
-            values[key] = default
+            value = default
+        part, _, name = fld.rpartition(".")
+        parts[part][name] = value
 
-    def line_of(key: str) -> int:
-        return raw[key][0] if key in raw else 0
-
-    alpha, beta = values["problem.alpha"], values["problem.beta"]
-    if alpha < 1.0:
-        raise ParseError(line_of("problem.alpha"), "problem.alpha", "alpha must be >= 1")
-    if beta < 1.0:
-        raise ParseError(line_of("problem.beta"), "problem.beta", "beta must be >= 1")
-    d1, d2 = values["problem.d1"], values["problem.d2"]
-    if beta > alpha:
+    data = parts["data"]
+    for key in _ORDERS:
+        name = key.split(".")[1]
+        if data[name] < 1.0:
+            raise ParseError(raw[key][0] if key in raw else 0, key, f"{name} must be >= 1")
+    if data["beta"] > data["alpha"]:
         logger.info(
             "normalizing orientation: swapping species so alpha >= beta "
             "(alpha=%g, beta=%g, d1=%g, d2=%g -> alpha=%g, beta=%g, d1=%g, d2=%g)",
-            alpha, beta, d1, d2, beta, alpha, d2, d1,
+            data["alpha"], data["beta"], data["d1"], data["d2"],
+            data["beta"], data["alpha"], data["d2"], data["d1"],
         )
-        alpha, beta, d1, d2 = beta, alpha, d2, d1
+        data["alpha"], data["beta"] = data["beta"], data["alpha"]
+        data["d1"], data["d2"] = data["d2"], data["d1"]
 
     try:
-        data = ProblemData(
-            alpha=alpha,
-            beta=beta,
-            d1=d1,
-            d2=d2,
-            k=values["problem.k"],
-            A_minus=values["problem.A_minus"],
-            A_plus=values["problem.A_plus"],
-        )
+        problem = ProblemData(**data)
     except DomainError as exc:
         raise ParseError(0, "problem", str(exc))
-
-    p_list = None
-    if values["entropy.p_list"] is not None:
-        try:
-            p_list = tuple(float(tok) for tok in str(values["entropy.p_list"]).split(","))
-        except ValueError:
-            raise ParseError(line_of("entropy.p_list"), "entropy.p_list", "expected comma floats")
-
-    ic = InitialConditionSpec(
-        kind=values["ic.kind"],
-        amplitude=values["ic.amplitude"],
-        width=values["ic.width"],
-        center=values["ic.center"],
-        path=values["ic.path"],
-    )
+    ic = InitialConditionSpec(**parts["ic"])
     try:
-        return SimConfig(
-            data=data,
-            tau_end=values["time.tau_end"],
-            grid_n=values["grid.n"],
-            grid_half_width=values["grid.L"],
-            dtau_initial=values["time.dtau"],
-            dtau_min=values["time.dtau_min"],
-            dtau_max=values["time.dtau_max"],
-            sample_interval=values["output.sample_interval"],
-            ic=ic,
-            p_list=p_list,
-            profile_tol=values["solver.tol"],
-        )
+        return SimConfig(data=problem, ic=ic, **parts[""])
     except DomainError as exc:
         raise ParseError(0, "config", str(exc))
 
 
-def serialize_config(config: SimConfig, output_path: str | None = None) -> str:
+def sweep_field(key: str) -> str:
+    """The ProblemData field a sweepable config key sets; ParseError for any other key."""
+    fld = _SCHEMA.get(key, ("",))[0]
+    if key in _ORDERS or not fld.startswith("data."):
+        raise ParseError(0, key, "unsupported sweep parameter")
+    return fld.split(".", 1)[1]
+
+
+def serialize_config(config: SimConfig) -> str:
     """Config text whose parse reproduces ``config`` exactly."""
-    d = config.data
-    lines = [
-        f"problem.alpha = {d.alpha!r}",
-        f"problem.beta = {d.beta!r}",
-        f"problem.d1 = {d.d1!r}",
-        f"problem.d2 = {d.d2!r}",
-        f"problem.k = {d.k!r}",
-        f"problem.A_minus = {d.A_minus!r}",
-        f"problem.A_plus = {d.A_plus!r}",
-        f"grid.n = {config.grid_n}",
-        f"time.tau_end = {config.tau_end!r}",
-        f"time.dtau = {config.dtau_initial!r}",
-        f"time.dtau_min = {config.dtau_min!r}",
-        f"time.dtau_max = {config.dtau_max!r}",
-        f"output.sample_interval = {config.sample_interval!r}",
-        f"ic.kind = {config.ic.kind}",
-        f"ic.amplitude = {config.ic.amplitude!r}",
-        f"ic.width = {config.ic.width!r}",
-        f"ic.center = {config.ic.center!r}",
-        f"solver.tol = {config.profile_tol!r}",
-    ]
-    if config.grid_half_width is not None:
-        lines.insert(7, f"grid.L = {config.grid_half_width!r}")
-    if config.ic.path is not None:
-        lines.append(f"ic.path = {config.ic.path}")
-    if config.p_list is not None:
-        lines.append("entropy.p_list = " + ",".join(repr(p) for p in config.p_list))
-    if output_path is not None:
-        lines.append(f"output.path = {output_path}")
+    lines = []
+    for key, (fld, _, _) in _SCHEMA.items():
+        value = attrgetter(fld)(config)
+        if value is None:
+            continue
+        if isinstance(value, tuple):
+            value = ",".join(repr(v) for v in value)
+        elif not isinstance(value, str):
+            value = repr(value)
+        lines.append(f"{key} = {value}")
     return "\n".join(lines) + "\n"
 
 

@@ -216,6 +216,45 @@ class RunResult:
     wall_time: float = 0.0
 
 
+def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, State, int, int]:
+    """The sampling loop and step controller shared by ``run`` and ``run_linear``.
+
+    ``advance(state, dtau)`` returns the next state or raises PositivityLoss
+    or NewtonFailure, which rejects the step; ``sample(state)`` makes the
+    record of each sample instant.  Returns the records, the final state and
+    the accepted and rejected step counts.
+    """
+    records = [sample(state)]
+    dtau = config.dtau_initial
+    accepted = rejected = 0
+    streak = 0
+    sample_idx = 1
+    while state.tau < config.tau_end - 1e-12:
+        target = min(sample_idx * config.sample_interval, config.tau_end)
+        if target - state.tau < 1e-14:
+            sample_idx += 1
+            continue
+        dt = min(dtau, target - state.tau)
+        try:
+            state = advance(state, dt)
+        except (PositivityLoss, NewtonFailure):
+            if dtau <= config.dtau_min:
+                raise
+            dtau = max(0.5 * dtau, config.dtau_min)
+            streak = 0
+            rejected += 1
+            continue
+        accepted += 1
+        streak += 1
+        if streak >= 5:
+            dtau = min(1.2 * dtau, config.dtau_max)
+            streak = 0
+        if target - state.tau < 1e-12:
+            records.append(sample(state))
+            sample_idx += 1
+    return records, state, accepted, rejected
+
+
 def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
     """March the system to tau_end with adaptive step control and sampling.
 
@@ -234,38 +273,14 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
     ws = _StepWorkspace(grid, config.data)
     p_list = config.effective_p_list()
 
+    def advance(st: State, dt: float) -> State:
+        return step(st, profile, config.data, dt, ws)
+
     def sample(st: State) -> DiagnosticsRecord:
         dens = relative_densities(st, profile)
         return entropy.dissipation_total(dens, st, profile, 1.0, p_list)
 
-    records = [sample(state)]
-    dtau = config.dtau_initial
-    accepted = rejected = 0
-    streak = 0
-    sample_idx = 1
-    while state.tau < config.tau_end - 1e-12:
-        target = min(sample_idx * config.sample_interval, config.tau_end)
-        if target - state.tau < 1e-14:
-            sample_idx += 1
-            continue
-        dt = min(dtau, target - state.tau)
-        try:
-            state = step(state, profile, config.data, dt, ws)
-        except (PositivityLoss, NewtonFailure):
-            if dtau <= config.dtau_min:
-                raise
-            dtau = max(0.5 * dtau, config.dtau_min)
-            streak = 0
-            rejected += 1
-            continue
-        accepted += 1
-        streak += 1
-        if streak >= 5:
-            dtau = min(1.2 * dtau, config.dtau_max)
-            streak = 0
-        if target - state.tau < 1e-12:
-            records.append(sample(state))
-            sample_idx += 1
+    records, state, accepted, rejected = _march(config, state, advance, sample)
     fill_dissipation_residuals(records)
     return RunResult(
         records,
@@ -317,7 +332,7 @@ def run_linear(
 
     The initial datum is the linear profile plus an additive Gaussian bump of
     the configured amplitude; the state pair is (u, u) so the State container
-    can be reused.
+    can be reused.  Steps follow the same adaptive controller as ``run``.
     """
     grid = config.make_grid()
     y = grid.nodes
@@ -329,22 +344,14 @@ def run_linear(
         raise PositivityLoss("linear run needs positive profile and initial datum")
     solver = DriftDiffusionSolver(grid, D, A_minus, A_plus)
 
-    def e_phi(u_arr):
-        return integrate(grid, _phi_values(phi_kind, u_arr / U, p) * U)
+    def advance(st: State, dt: float) -> State:
+        u_new = solver.step(st.u, dt)
+        if np.min(u_new) <= 0.0:
+            raise PositivityLoss(f"diffusion step went nonpositive at tau={st.tau:.4g}")
+        return State(grid, u_new, u_new, st.tau + dt)
 
-    records = [LinearRecord(0.0, e_phi(u))]
-    tau = 0.0
-    dtau = config.dtau_initial
-    sample_idx = 1
-    while tau < config.tau_end - 1e-12:
-        target = min(sample_idx * config.sample_interval, config.tau_end)
-        if target - tau < 1e-14:
-            sample_idx += 1
-            continue
-        dt = min(dtau, target - tau)
-        u = solver.step(u, dt)
-        tau += dt
-        if target - tau < 1e-12:
-            records.append(LinearRecord(tau, e_phi(u)))
-            sample_idx += 1
-    return records, State(grid, u, u.copy(), tau)
+    def sample(st: State) -> LinearRecord:
+        return LinearRecord(st.tau, integrate(grid, _phi_values(phi_kind, st.u / U, p) * U))
+
+    records, state, _, _ = _march(config, State(grid, u, u, 0.0), advance, sample)
+    return records, State(grid, state.u, state.u.copy(), state.tau)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -254,8 +255,6 @@ def test_cmd_sweep(tmp_path):
             "problem.A_plus",
             "--values",
             "1.05,1.2",
-            "--threads",
-            "2",
             "--out",
             str(out),
             "--quiet",
@@ -273,6 +272,32 @@ def test_cmd_sweep(tmp_path):
     assert rc2 == 0
     agg2 = json.loads((out / "e" / "sweep.json").read_text())
     assert agg2["rows"] == []
+    # a reaction order or a non-problem key is not sweepable
+    for param in ("problem.alpha", "grid.n"):
+        argv = ["sweep", "--config", cfg, "--param", param, "--values", "1.5", "--quiet"]
+        assert main(argv + ["--out", str(out / "bad")]) == 3
+
+
+@pytest.mark.parametrize(
+    "param", ["problem.A_plus", "problem.A_minus", "problem.k", "problem.d1", "problem.d2"]
+)
+def test_cmd_sweep_sets_its_own_field(tmp_path, monkeypatch, param):
+    import rdmix.cli
+
+    seen = []
+    solve = rdmix.cli.solve_profile
+    def recording_solve(data, grid, tol):
+        seen.append(data)
+        return solve(data, grid, tol)
+
+    monkeypatch.setattr(rdmix.cli, "solve_profile", recording_solve)
+    cfg = _write(tmp_path, SMALL_SIM_CFG)
+    argv = ["sweep", "--config", cfg, "--param", param, "--values", "1.7", "--quiet"]
+    assert main(argv + ["--out", str(tmp_path / "sweep")]) == 0
+    base = dataclasses.asdict(runio.parse_config(SMALL_SIM_CFG).data)
+    (swept,) = seen
+    changed = {k: v for k, v in dataclasses.asdict(swept).items() if v != base[k]}
+    assert changed == {param.split(".")[1]: 1.7}
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -23,6 +23,8 @@ from rdmix import (
     solve_profile,
     split_mixed_term,
 )
+from rdmix.conjugate import numeric_sup
+from rdmix.entropy import _F_p_arr, _FP_SWEEP
 from rdmix.errors import DomainError, UnsupportedEntropy
 from tests.conftest import flat_profile
 
@@ -91,6 +93,17 @@ def test_F_p_conjugate_matches_grid_search():
         vals = zeta * z - ((z**p - p * z + p - 1.0) / (p * (p - 1.0)))
         brute = float(np.max(vals))
         assert F_p_conjugate(zeta, p) == pytest.approx(brute, abs=1e-6)
+
+
+def test_numeric_sup_matches_closed_form_conjugates():
+    # the objective of F_p_conjugate on its own sweep nodes, at the two p with
+    # a closed-form conjugate (p = 1/2 is short-circuited by F_p_conjugate)
+    for zeta in (-3.0, -1.0, 0.0, 0.5, 1.0, 1.5, 1.9):
+        sup = numeric_sup(lambda z: zeta * z - _F_p_arr(z, 0.5), _FP_SWEEP)
+        assert sup == pytest.approx(2.0 * zeta / (2.0 - zeta), rel=1e-12, abs=1e-12)
+    for zeta in (-0.9, -0.5, 0.0, 1.0, 3.0, 10.0):
+        sup = numeric_sup(lambda z: zeta * z - _F_p_arr(z, 2.0), _FP_SWEEP)
+        assert sup == pytest.approx(zeta + zeta**2 / 2.0, rel=1e-12, abs=1e-12)
 
 
 def test_F_p_conjugate_zero_at_origin():

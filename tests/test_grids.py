@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
-from scipy.special import erf
 
-from rdmix import Grid, default_half_width, derivative1, derivative2, integrate
+from rdmix import Grid, default_half_width, derivative1, integrate
 from rdmix.errors import DomainError
 
 
@@ -34,20 +33,6 @@ def test_derivative1_exact_on_quadratics():
     g = Grid(1.0, 101)
     err = derivative1(g, g.nodes**2) - 2.0 * g.nodes
     assert np.max(np.abs(err)) <= 1e-10
-
-
-def test_derivative2_quadratic_and_constant():
-    g = Grid(1.0, 101)
-    np.testing.assert_allclose(derivative2(g, g.nodes**2), 2.0, atol=1e-9)
-    np.testing.assert_allclose(derivative2(g, np.full(g.n, 7.0)), 0.0, atol=1e-9)
-
-
-def test_derivative2_matches_analytic_erf():
-    g = Grid(8.0, 4001)
-    y = g.nodes
-    f = erf(y / 2.0)
-    exact = -(y / 2.0) * (1.0 / np.sqrt(np.pi)) * np.exp(-(y**2) / 4.0)
-    assert np.max(np.abs(derivative2(g, f) - exact)) <= 1e-6
 
 
 def test_integrate_constant():

@@ -124,3 +124,15 @@ def test_linear_diffusion_profile():
     assert U[g.n // 2] == pytest.approx(1.0, abs=1e-14)
     resid = fdops.scalar_residual(g, 1.0 * U, U)
     assert np.max(np.abs(resid[1:-1])) <= 1e-6
+
+
+def test_fdops_derivatives_exact_on_low_degree_polynomials():
+    # every row of the stencil table, the one-sided end rows included, is
+    # exact on quadratics (first derivative) and cubics (second derivative)
+    g = Grid(2.0, 41)
+    y = g.nodes
+    np.testing.assert_allclose(fdops.diff1(g, 3.0 * y**2 - y + 2.0), 6.0 * y - 1.0, atol=1e-11)
+    np.testing.assert_allclose(fdops.diff2(g, y**3 - 2.0 * y**2), 6.0 * y - 4.0, atol=1e-10)
+    resid = fdops.scalar_residual(g, y**3, y**2)
+    np.testing.assert_allclose(resid[1:-1], 6.0 * y[1:-1] + y[1:-1] ** 2, atol=1e-10)
+    assert resid[0] == resid[-1] == 0.0

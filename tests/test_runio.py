@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from rdmix import ProblemData, RateCertificate, SimConfig, InitialConditionSpec
@@ -91,18 +91,34 @@ def test_config_round_trip():
     assert runio.parse_config(runio.serialize_config(cfg)) == cfg
 
 
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
 @given(
     st.floats(min_value=1.0, max_value=5.0),
     st.floats(min_value=0.1, max_value=4.0),
     st.floats(min_value=1e-4, max_value=1e-2),
+    st.none() | st.floats(min_value=1.0, max_value=64.0),
+    st.none() | st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4).map(tuple),
+    st.sampled_from(["profile_exact", "gaussian_bump", "shifted_erf", "file"]),
+    st.floats(min_value=-0.99, max_value=5.0),
+    _finite,
+    _finite,
+    st.none() | st.text("abcxyz0123456789/._-", min_size=1, max_size=12),
 )
-def test_config_round_trip_random(alpha, a_plus, dtau):
+def test_config_round_trip_random(
+    alpha, a_plus, dtau, half_width, p_list, kind, amp, width, center, path
+):
+    assume(kind != "file" or path is not None)
     cfg = SimConfig(
         data=ProblemData(alpha, 1.0, 1.0, 2.0, 1.0, 1.0, a_plus),
         tau_end=1.0,
+        grid_half_width=half_width,
         dtau_initial=dtau,
         dtau_min=min(dtau, 1e-9),
         dtau_max=max(dtau, 1e-2),
+        ic=InitialConditionSpec(kind, amplitude=amp, width=width, center=center, path=path),
+        p_list=p_list,
     )
     assert runio.parse_config(runio.serialize_config(cfg)) == cfg
 

@@ -59,6 +59,27 @@ def test_step_fixed_point_on_profile():
     assert np.max(np.abs(new.v - state.v)) <= 1e-10
 
 
+@pytest.mark.parametrize(
+    "data",
+    [
+        ProblemData(2, 2, 1, 3, 1, 1, 2),
+        ProblemData(2, 1, 1, 2, 1, 1, 1.2),
+        ProblemData(1.5, 1.5, 1, 3, 1, 1, 2),
+    ],
+)
+def test_step_drift_from_profile_decays(data):
+    # for d1 != d2 the split step does not fix the profile; its one-step
+    # drift follows the multiplier's forcing and decays as tau grows
+    grid = Grid(16.0, 2001)
+    prof = solve_profile(data, grid, tol=1e-10)
+    drifts = []
+    for tau in (0.0, 5.0, 10.0, 15.0):
+        new = step(State(grid, prof.U.copy(), prof.V.copy(), tau), prof, data, 1e-3)
+        drifts.append(max(np.max(np.abs(new.u - prof.U)), np.max(np.abs(new.v - prof.V))))
+    assert all(b < a for a, b in zip(drifts, drifts[1:]))
+    assert drifts[-1] <= 1e-2 * drifts[0]
+
+
 def test_step_constant_equilibrium_unchanged():
     data = ProblemData(2, 1, 1, 2, 1, 1, 1)
     grid = Grid(8.0, 401)
