@@ -115,6 +115,7 @@ def cmd_simulate(args) -> int:
         "samples": len(result.records),
         "steps_accepted": result.steps_accepted,
         "steps_rejected": result.steps_rejected,
+        "steps_rejected_by_cause": result.rejected_by_cause,
         "final": (
             {
                 "tau": result.records[-1].tau,
@@ -229,8 +230,9 @@ def _sweep_one(config, fld: str, value: float):
 
 
 def cmd_sweep(args) -> int:
-    config = _load_config(args.config)
-    fld = runio.sweep_field(args.param)
+    text = Path(args.config).read_text(encoding="utf-8")
+    config = runio.parse_config(text)
+    fld = runio.sweep_field(args.param, text)
     values = [float(tok) for tok in args.values.split(",")] if args.values else []
     rows = [_sweep_one(config, fld, v) for v in values]
     flagged = [row["value"] for row in rows if row["theta_ge_half"]]

@@ -17,7 +17,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import solve_banded
+from numpy.linalg import LinAlgError
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .grids import Grid
 
@@ -111,8 +112,10 @@ class DriftDiffusionSolver:
     """Backward-Euler operator for u_tau = d u_yy + (y/2) u_y with pinned ends.
 
     A step solves (I - dtau (d D2 + (y/2) D1)) u+ = u; the zero boundary rows
-    of the operators leave identity rows there (Dirichlet).  The banded
-    matrix is cached per step size.
+    of the operators leave identity rows there (Dirichlet).  The LAPACK
+    ``dgbtrf`` LU factors of that matrix and their pivots are cached per step
+    size, so a step is one ``dgbtrs`` solve; this is what
+    ``scipy.linalg.solve_banded((2, 2), ...)`` computes, bit for bit.
     """
 
     def __init__(self, grid: Grid, d: float, bc_left: float, bc_right: float):
@@ -120,21 +123,30 @@ class DriftDiffusionSolver:
         self.d = float(d)
         self.bc_left = float(bc_left)
         self.bc_right = float(bc_right)
-        self._cache: dict[float, np.ndarray] = {}
+        self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
 
-    def _matrix(self, dtau: float) -> np.ndarray:
-        ab = self._cache.get(dtau)
-        if ab is not None:
-            return ab
+    def _factors(self, dtau: float) -> tuple[np.ndarray, np.ndarray]:
+        lu_piv = self._cache.get(dtau)
+        if lu_piv is not None:
+            return lu_piv
         D2, _, Y1 = operators(self.grid)
-        ab = -(dtau * (D2 * self.d + Y1))
-        ab[2] += 1.0
+        # dgbtrf wants two extra rows on top for the fill-in of pivoting
+        ab = np.zeros((7, self.grid.n), order="F")
+        ab[2:] = -(dtau * (D2 * self.d + Y1))
+        ab[4] += 1.0
+        lu, piv, info = dgbtrf(np.asarray_chkfinite(ab), 2, 2, overwrite_ab=True)
+        if info != 0:
+            raise LinAlgError(f"banded LU factorization failed (dgbtrf info {info})")
         if len(self._cache) > 8:
             self._cache.clear()
-        self._cache[dtau] = ab
-        return ab
+        self._cache[dtau] = lu, piv
+        return lu, piv
 
     def step(self, f: np.ndarray, dtau: float) -> np.ndarray:
         rhs = f.copy()
         rhs[0], rhs[-1] = self.bc_left, self.bc_right
-        return solve_banded((2, 2), self._matrix(dtau), rhs)
+        lu, piv = self._factors(dtau)
+        x, info = dgbtrs(lu, 2, 2, np.asarray_chkfinite(rhs), piv, overwrite_b=True)
+        if info != 0:
+            raise ValueError(f"illegal value in argument {-info} of dgbtrs")
+        return x

@@ -69,20 +69,7 @@ def parse_config(text: str) -> SimConfig:
     (alpha >= beta) with a logged note; the swap exchanges the diffusivities
     and leaves the equilibria A+- unchanged.
     """
-    raw: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ParseError(lineno, stripped, "expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
-            raise ParseError(lineno, key, "unknown key")
-        if key in raw:
-            raise ParseError(lineno, key, "duplicate key")
-        raw[key] = (lineno, value)
-
+    raw = _read_lines(text)
     parts: dict[str, dict[str, object]] = {"": {}, "data": {}, "ic": {}}
     for key, (fld, conv, default) in _SCHEMA.items():
         if key in raw:
@@ -117,19 +104,45 @@ def parse_config(text: str) -> SimConfig:
         problem = ProblemData(**data)
     except DomainError as exc:
         raise ParseError(0, "problem", str(exc))
-    ic = InitialConditionSpec(**parts["ic"])
     try:
-        return SimConfig(data=problem, ic=ic, **parts[""])
+        return SimConfig(data=problem, ic=InitialConditionSpec(**parts["ic"]), **parts[""])
     except DomainError as exc:
         raise ParseError(0, "config", str(exc))
 
 
-def sweep_field(key: str) -> str:
-    """The ProblemData field a sweepable config key sets; ParseError for any other key."""
+def _read_lines(text: str) -> dict[str, tuple[int, str]]:
+    """The ``key -> (line number, value text)`` pairs of a config text."""
+    raw: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(lineno, stripped, "expected 'key = value'")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _SCHEMA:
+            raise ParseError(lineno, key, "unknown key")
+        if key in raw:
+            raise ParseError(lineno, key, "duplicate key")
+        raw[key] = (lineno, value)
+    return raw
+
+
+def sweep_field(key: str, text: str) -> str:
+    """The ProblemData field that holds a sweepable key of the config ``text``.
+
+    That is the key's own field, except that d1 and d2 trade places when
+    parsing swapped the species; ParseError for a key that cannot be swept.
+    ``text`` must be a config that parses.
+    """
     fld = _SCHEMA.get(key, ("",))[0]
     if key in _ORDERS or not fld.startswith("data."):
         raise ParseError(0, key, "unsupported sweep parameter")
-    return fld.split(".", 1)[1]
+    name = fld.split(".", 1)[1]
+    alpha, beta = (float(_read_lines(text)[k][1]) for k in _ORDERS)
+    if beta > alpha and name in ("d1", "d2"):
+        name = "d2" if name == "d1" else "d1"
+    return name
 
 
 def serialize_config(config: SimConfig) -> str:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,7 +124,12 @@ def _reaction_implicit(
     Solves x = u + scale * alpha (vv^beta - x^alpha) with vv = (m - beta x)/alpha
     and m = beta u + alpha v; the root is unique in (0, m/beta) because the
     residual is strictly increasing there.  Newton steps are safeguarded by
-    the bracket, so convergence is certain.
+    a bracket [lo, hi] that always holds the root: hi moves only to an
+    iterate with a positive residual, lo only to one with a negative
+    residual.  A Newton step that lands strictly outside the bracket is
+    replaced by its midpoint; one that lands on a bracket end is kept, so a
+    node at its root (zero residual, or roundoff) stays there.  Raises
+    NewtonFailure if the iterates have not settled after ``max_iter`` steps.
     """
     a, b = data.alpha, data.beta
     m = b * u + a * v
@@ -135,12 +140,11 @@ def _reaction_implicit(
     for _ in range(max_iter):
         vv = (m - b * x) / a
         f = x - u - scale * a * (vv**b - x**a)
-        pos = f > 0.0
-        hi = np.where(pos, x, hi)
-        lo = np.where(pos, lo, x)
+        hi = np.where(f > 0.0, x, hi)
+        lo = np.where(f < 0.0, x, lo)
         fp = 1.0 + scale * (b * b * vv ** (b - 1.0) + a * a * x ** (a - 1.0))
         xn = x - f / fp
-        outside = (xn <= lo) | (xn >= hi)
+        outside = (xn < lo) | (xn > hi)
         xn = np.where(outside, 0.5 * (lo + hi), xn)
         if np.max(np.abs(xn - x)) <= 1e-15 * float(np.max(np.abs(x)) + 1.0):
             x = xn
@@ -206,6 +210,10 @@ def fill_dissipation_residuals(
         records[i].dissipation_residual = abs(dE + D[i]) / den
 
 
+def _no_rejections() -> dict[str, int]:
+    return {"PositivityLoss": 0, "NewtonFailure": 0}
+
+
 @dataclass
 class RunResult:
     records: list[DiagnosticsRecord]
@@ -213,20 +221,23 @@ class RunResult:
     profile: ProfileSolution
     steps_accepted: int = 0
     steps_rejected: int = 0
+    # rejected steps by the name of the exception that rejected them
+    rejected_by_cause: dict[str, int] = field(default_factory=_no_rejections)
     wall_time: float = 0.0
 
 
-def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, State, int, int]:
+def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, State, int, dict]:
     """The sampling loop and step controller shared by ``run`` and ``run_linear``.
 
     ``advance(state, dtau)`` returns the next state or raises PositivityLoss
     or NewtonFailure, which rejects the step; ``sample(state)`` makes the
-    record of each sample instant.  Returns the records, the final state and
-    the accepted and rejected step counts.
+    record of each sample instant.  Returns the records, the final state,
+    the accepted step count and the rejected step counts by cause.
     """
     records = [sample(state)]
     dtau = config.dtau_initial
-    accepted = rejected = 0
+    accepted = 0
+    rejected = _no_rejections()
     streak = 0
     sample_idx = 1
     while state.tau < config.tau_end - 1e-12:
@@ -237,12 +248,12 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
         dt = min(dtau, target - state.tau)
         try:
             state = advance(state, dt)
-        except (PositivityLoss, NewtonFailure):
+        except (PositivityLoss, NewtonFailure) as exc:
             if dtau <= config.dtau_min:
                 raise
             dtau = max(0.5 * dtau, config.dtau_min)
             streak = 0
-            rejected += 1
+            rejected["PositivityLoss" if isinstance(exc, PositivityLoss) else "NewtonFailure"] += 1
             continue
         accepted += 1
         streak += 1
@@ -287,7 +298,8 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
         state,
         profile,
         steps_accepted=accepted,
-        steps_rejected=rejected,
+        steps_rejected=sum(rejected.values()),
+        rejected_by_cause=rejected,
         wall_time=time.perf_counter() - t_start,
     )
 

@@ -75,6 +75,9 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
     assert summary["verdicts"] and summary["verdicts"][0]["passed"]
+    causes = summary["steps_rejected_by_cause"]
+    assert causes == {"PositivityLoss": 0, "NewtonFailure": 0}
+    assert sum(causes.values()) == summary["steps_rejected"]
     assert summary["final"]["E_B"] < summary["verdicts"][0]["certificate"]["eta"]  # decayed well below 1/2
     # standalone verification against the emitted certificate
     rc2 = main(
@@ -278,10 +281,8 @@ def test_cmd_sweep(tmp_path):
         assert main(argv + ["--out", str(out / "bad")]) == 3
 
 
-@pytest.mark.parametrize(
-    "param", ["problem.A_plus", "problem.A_minus", "problem.k", "problem.d1", "problem.d2"]
-)
-def test_cmd_sweep_sets_its_own_field(tmp_path, monkeypatch, param):
+def _swept_data(tmp_path, monkeypatch, text, param, value):
+    """The ProblemData that ``rdmix sweep`` solves for one value of ``param``."""
     import rdmix.cli
 
     seen = []
@@ -291,13 +292,45 @@ def test_cmd_sweep_sets_its_own_field(tmp_path, monkeypatch, param):
         return solve(data, grid, tol)
 
     monkeypatch.setattr(rdmix.cli, "solve_profile", recording_solve)
-    cfg = _write(tmp_path, SMALL_SIM_CFG)
-    argv = ["sweep", "--config", cfg, "--param", param, "--values", "1.7", "--quiet"]
+    cfg = _write(tmp_path, text)
+    argv = ["sweep", "--config", cfg, "--param", param, "--values", value, "--quiet"]
     assert main(argv + ["--out", str(tmp_path / "sweep")]) == 0
-    base = dataclasses.asdict(runio.parse_config(SMALL_SIM_CFG).data)
     (swept,) = seen
+    return swept
+
+
+@pytest.mark.parametrize(
+    "param", ["problem.A_plus", "problem.A_minus", "problem.k", "problem.d1", "problem.d2"]
+)
+def test_cmd_sweep_sets_its_own_field(tmp_path, monkeypatch, param):
+    swept = _swept_data(tmp_path, monkeypatch, SMALL_SIM_CFG, param, "1.7")
+    base = dataclasses.asdict(runio.parse_config(SMALL_SIM_CFG).data)
     changed = {k: v for k, v in dataclasses.asdict(swept).items() if v != base[k]}
     assert changed == {param.split(".")[1]: 1.7}
+
+
+@pytest.mark.parametrize(
+    "param, value, expected",
+    [("problem.d1", "3", (2.0, 1.0, 7.0, 3.0)), ("problem.d2", "4", (2.0, 1.0, 4.0, 5.0))],
+)
+def test_cmd_sweep_swapped_species_sets_the_users_diffusivity(
+    tmp_path, monkeypatch, param, value, expected
+):
+    # beta > alpha: parsing swaps the species, so the user's d1 lives in d2
+    text = (
+        SMALL_SIM_CFG.replace("problem.alpha = 2", "problem.alpha = 1")
+        .replace("problem.d1 = 1", "problem.d1 = 5")
+        .replace("problem.d2 = 1", "problem.d2 = 7")
+    )
+    swept = _swept_data(tmp_path, monkeypatch, text, param, value)
+    assert (swept.alpha, swept.beta, swept.d1, swept.d2) == expected
+
+
+@pytest.mark.parametrize("ic_lines", ["ic.kind = bogus\n", "ic.kind = file\n"])
+def test_invalid_initial_condition_is_a_config_error(tmp_path, capsys, ic_lines):
+    cfg = _write(tmp_path, ORACLE_CFG + ic_lines)
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+    assert "config error" in capsys.readouterr().err
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -16,7 +16,8 @@ from rdmix import (
     solve_profile,
     step,
 )
-from rdmix.errors import DomainError, PositivityLoss
+from rdmix.errors import DomainError, NewtonFailure, PositivityLoss
+from rdmix.simulate import _march, _reaction_implicit, _StepWorkspace
 
 
 def _config(data, tau_end=0.2, **kw):
@@ -263,3 +264,62 @@ def test_rejection_on_positivity_loss():
     # a moderate dip stays positive at the default step
     mild = State(grid, np.maximum(prof.U * 0.01, 1e-3), prof.V.copy(), 0.0)
     assert np.min(step(mild, prof, data, 1e-3).u) > 0
+
+
+def _first_diffused_state(data, grid, dtau=1e-3):
+    """The certified-run state (bump 0.2, L 16) after the diffusion half of its first step."""
+    prof = solve_profile(data, grid)
+    cfg = _config(data, grid_n=grid.n, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    state = build_initial_state(cfg, prof)
+    ws = _StepWorkspace(grid, data)
+    return ws.solver_u.step(state.u, dtau), ws.solver_v.step(state.v, dtau)
+
+
+@pytest.mark.parametrize(
+    "data, exact",
+    [
+        (ProblemData(1, 1, 1, 3, 1, 1, 2), False),
+        (ProblemData(1.5, 1.5, 1, 3, 1, 1, 2), False),
+        (ProblemData(2, 2, 1, 3, 1, 1, 2), False),
+        (ProblemData(4, 4, 1, 3, 1, 1, 2), False),
+        (ProblemData(2, 2, 1, 1, 1, 1, 2), False),
+        (ProblemData(2, 1, 1, 2, 1, 1, 2), False),
+        # the profile itself, where the residual is exactly 0 at most nodes
+        (ProblemData(2, 2, 1, 1, 1, 1, 2), True),
+    ],
+)
+def test_reaction_solve_converges_like_newton(data, exact):
+    # a node whose residual is 0, or already at roundoff, must keep its
+    # Newton step instead of bisecting its whole bracket: a few iterations
+    # suffice where the bisecting safeguard needed about 50
+    grid = Grid(16.0, 2001)
+    if exact:
+        prof = solve_profile(data, grid)
+        u, v = prof.U.copy(), prof.V.copy()
+    else:
+        u, v = _first_diffused_state(data, grid)
+    dtau = 1e-3
+    scale = dtau * math.exp(dtau) * data.k
+    x, y = _reaction_implicit(u, v, data, scale, max_iter=8)
+    a, b = data.alpha, data.beta
+    m = b * u + a * v
+    assert np.max(np.abs(b * x + a * y - m)) <= 1e-14 * np.max(m)
+    residual = x - u - scale * a * (y**b - x**a)
+    assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(x))
+
+
+def test_march_counts_rejections_by_cause():
+    cfg = _config(ProblemData(2, 2, 1, 1, 1, 1, 2), tau_end=0.01, dtau_initial=1e-3)
+    grid = Grid(16.0, 11)
+    failures = [PositivityLoss("p"), NewtonFailure(3, 1.0), NewtonFailure(4, 1.0)]
+
+    def advance(st, dt):
+        if failures:
+            raise failures.pop(0)
+        return State(grid, st.u, st.v, st.tau + dt)
+
+    start = State(grid, np.ones(grid.n), np.ones(grid.n), 0.0)
+    _, end, accepted, rejected = _march(cfg, start, advance, lambda st: st.tau)
+    assert rejected == {"PositivityLoss": 1, "NewtonFailure": 2}
+    assert end.tau == pytest.approx(0.01, abs=1e-12)
+    assert accepted > 0
