@@ -39,11 +39,6 @@ class RateCertificate:
         if self.mu < 0 or self.K < 0:
             raise DomainError(f"mu and K must be nonnegative, got mu={self.mu}, K={self.K}")
 
-    @property
-    def sigma(self) -> float:
-        """Effective asymptotic rate min(eta, gamma)."""
-        return min(self.eta, self.gamma)
-
 
 @dataclass
 class ConstantsReport:
@@ -223,7 +218,7 @@ class VerificationVerdict:
     worst_ratio: float
     slack: float
     fitted_slope: float | None
-    window: tuple[float, float]
+    fit_window: tuple[float, float]
     n_samples: int
 
 
@@ -278,6 +273,6 @@ def verify_decay(
         worst_ratio=worst,
         slack=slack,
         fitted_slope=slope,
-        window=fit_window,
+        fit_window=fit_window,
         n_samples=len(pts),
     )

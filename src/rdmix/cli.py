@@ -11,7 +11,7 @@ import json
 import logging
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -100,15 +100,9 @@ def cmd_simulate(args) -> int:
                     notes.append(f"no certificate ({type(exc).__name__}): {exc}")
                 continue  # power family simply not applicable here
             if p == 1.0:
-                runio.write_json(out / "certificate.json", runio.certificate_to_dict(cert))
+                runio.write_json(out / "certificate.json", asdict(cert))
             verdict = verify_decay(curve, cert, slack=args.slack)
-            verdicts.append(
-                {
-                    "p": p,
-                    "certificate": runio.certificate_to_dict(cert),
-                    **runio.verdict_to_dict(verdict),
-                }
-            )
+            verdicts.append({"p": p, "certificate": asdict(cert), **asdict(verdict)})
 
     summary = {
         "tau_end": config.tau_end,
@@ -126,22 +120,23 @@ def cmd_simulate(args) -> int:
             else None
         ),
         "fitted_slope": verdicts[0]["fitted_slope"] if verdicts else None,
-        "constants": runio.constants_to_dict(report) if report is not None else None,
+        "constants": asdict(report) if report is not None else None,
         "verdicts": verdicts,
         "notes": notes,
         "diagnostics_csv": str(diag_path),
     }
     runio.write_json(out / "summary.json", summary)
-    manifest = runio.RunManifest(
-        config_text=runio.serialize_config(config),
-        code_version=__version__,
-        grid_n=config.grid_n,
-        grid_half_width=result.profile.grid.half_width,
-        dtau_initial=config.dtau_initial,
-        outputs={"diagnostics": str(diag_path), "summary": str(out / "summary.json")},
-        wall_clock_seconds=time.time() - t0,
-    )
-    runio.write_manifest(out / "manifest.json", manifest)
+    # everything needed to reproduce the run's outputs byte for byte
+    manifest = {
+        "config_text": runio.serialize_config(config),
+        "code_version": __version__,
+        "grid_n": config.grid_n,
+        "grid_half_width": result.profile.grid.half_width,
+        "dtau_initial": config.dtau_initial,
+        "outputs": {"diagnostics": str(diag_path), "summary": str(out / "summary.json")},
+        "wall_clock_seconds": time.time() - t0,
+    }
+    runio.write_json(out / "manifest.json", manifest)
     if not args.quiet:
         print(json.dumps(summary, indent=2, sort_keys=True))
     if verdicts and not all(v["passed"] for v in verdicts):
@@ -154,7 +149,7 @@ def cmd_verify(args) -> int:
     cert = runio.read_certificate_json(args.certificate)
     curve = list(zip(columns["tau"], columns["E_B"]))
     verdict = verify_decay(curve, cert, slack=args.slack)
-    payload = {"certificate": runio.certificate_to_dict(cert), **runio.verdict_to_dict(verdict)}
+    payload = {"certificate": asdict(cert), **asdict(verdict)}
     if args.out:
         runio.write_json(_outdir(args) / "verdict.json", payload)
     if not args.quiet:
@@ -167,13 +162,7 @@ def cmd_constants(args) -> int:
     grid = config.make_grid()
     sol = solve_profile(config.data, grid, tol=config.profile_tol)
     report = compute_constants(sol, config.data, args.p)
-    payload = runio.constants_to_dict(report)
-    try:
-        cert = select_certificate(report, config.data, args.p)
-        payload["certificate"] = runio.certificate_to_dict(cert)
-    except (ThetaTooLarge, UnsupportedRegime) as exc:
-        payload["certificate"] = None
-        payload["note"] = str(exc)
+    payload = {**asdict(report), **_certificate_or_note(report, config.data, args.p)}
     if args.out:
         runio.write_json(_outdir(args) / "constants.json", payload)
     if not args.quiet:
@@ -181,11 +170,40 @@ def cmd_constants(args) -> int:
     return EXIT_OK
 
 
+def _certificate_or_note(report, data, p: float) -> dict:
+    """``{"certificate": ...}``, or a null certificate and a note on why none applies."""
+    try:
+        return {"certificate": asdict(select_certificate(report, data, p))}
+    except (ThetaTooLarge, UnsupportedRegime) as exc:
+        return {"certificate": None, "note": str(exc)}
+
+
+def _conjugate_flags(args):
+    """The alphas, the xi nodes and the (p, alpha) m_hat pairs; ParseError if malformed."""
+
+    def numbers(flag: str, text: str, sep: str, size: int | None = None) -> list[float]:
+        try:
+            values = [float(tok) for tok in text.split(sep)]
+            if size is None or len(values) == size:
+                return values
+        except ValueError:
+            pass
+        want = f"{size or 'a list of'} {sep!r}-separated numbers"
+        raise ParseError(0, flag, f"cannot parse {text!r} as {want}")
+
+    alphas = numbers("--alpha", args.alpha, ",")
+    lo, hi, count = numbers("--xi-range", args.xi_range, ":", 3)
+    if not (count >= 1 and count.is_integer()):
+        raise ParseError(0, "--xi-range", f"point count must be a positive integer, got {count:g}")
+    pairs = []
+    if args.m_hat:
+        pairs = [numbers("--m-hat", pair, ":", 2) for pair in args.m_hat.split(",")]
+    return alphas, np.linspace(lo, hi, int(count)), pairs
+
+
 def cmd_conjugate(args) -> int:
+    alphas, xis, pairs = _conjugate_flags(args)
     out = _outdir(args)
-    alphas = [float(tok) for tok in args.alpha.split(",")]
-    lo, hi, count = (float(x) for x in args.xi_range.split(":"))
-    xis = np.linspace(lo, hi, int(count))
     rows = []
     for a in alphas:
         fam = PhiFamily("boltzmann_alpha", a)
@@ -196,11 +214,8 @@ def cmd_conjugate(args) -> int:
     bounds_path = out / "conjugate_bounds.csv"
     runio.write_csv(bounds_path, ["alpha", "xi", "numeric", "bound"], rows)
     written = [str(bounds_path)]
-    if args.m_hat:
-        mh_rows = []
-        for pair in args.m_hat.split(","):
-            p_str, a_str = pair.split(":")
-            mh_rows.append([float(p_str), float(a_str), m_hat(float(p_str), float(a_str))])
+    if pairs:
+        mh_rows = [[p, a, m_hat(p, a)] for p, a in pairs]
         mh_path = out / "m_hat.csv"
         runio.write_csv(mh_path, ["p", "alpha", "m_hat"], mh_rows)
         written.append(str(mh_path))
@@ -209,32 +224,26 @@ def cmd_conjugate(args) -> int:
     return EXIT_OK
 
 
-def _sweep_one(config, fld: str, value: float):
-    cfg = replace(config, data=replace(config.data, **{fld: value}))
-    grid = cfg.make_grid()
-    sol = solve_profile(cfg.data, grid, tol=cfg.profile_tol)
-    report = compute_constants(sol, cfg.data, 1.0)
-    row = {
-        "value": value,
-        "theta": report.theta,
-        "lambda_star": report.lambda_star,
-        "theta_ge_half": report.theta >= 0.5,
-    }
-    try:
-        cert = select_certificate(report, cfg.data, 1.0)
-        row["certificate"] = runio.certificate_to_dict(cert)
-    except (ThetaTooLarge, UnsupportedRegime) as exc:
-        row["certificate"] = None
-        row["note"] = str(exc)
-    return row
-
-
 def cmd_sweep(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
-    config = runio.parse_config(text)
-    fld = runio.sweep_field(args.param, text)
-    values = [float(tok) for tok in args.values.split(",")] if args.values else []
-    rows = [_sweep_one(config, fld, v) for v in values]
+    runio.parse_config(text)  # the file must parse on its own, also when nothing is swept
+    if args.param not in runio.SWEEPABLE:
+        raise ParseError(0, args.param, "unsupported sweep parameter")
+    rows = []
+    for tok in args.values.split(",") if args.values else []:
+        # the swept text replaces the user's value before the species swap
+        cfg = runio.parse_config(text, {args.param: tok})
+        sol = solve_profile(cfg.data, cfg.make_grid(), tol=cfg.profile_tol)
+        report = compute_constants(sol, cfg.data, 1.0)
+        rows.append(
+            {
+                "value": float(tok),
+                "theta": report.theta,
+                "lambda_star": report.lambda_star,
+                "theta_ge_half": report.theta >= 0.5,
+                **_certificate_or_note(report, cfg.data, 1.0),
+            }
+        )
     flagged = [row["value"] for row in rows if row["theta_ge_half"]]
     aggregate = {
         "param": args.param,

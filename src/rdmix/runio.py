@@ -10,12 +10,12 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import fields
 from operator import attrgetter
 
 import numpy as np
 
-from .certificates import ConstantsReport, RateCertificate, VerificationVerdict
+from .certificates import RateCertificate
 from .entropy import DiagnosticsRecord
 from .errors import DomainError, ParseError
 from .profile import ProblemData, ProfileSolution
@@ -60,16 +60,35 @@ _SCHEMA: dict[str, tuple] = {
 # the reaction orders fix the species orientation, so they are validated and
 # normalized on parsing and cannot be swept
 _ORDERS = ("problem.alpha", "problem.beta")
+SWEEPABLE = tuple(
+    key for key, (fld, _, _) in _SCHEMA.items() if fld.startswith("data.") and key not in _ORDERS
+)
 
 
-def parse_config(text: str) -> SimConfig:
+def parse_config(text: str, overrides: dict[str, str] | None = None) -> SimConfig:
     """Parse and validate a key-value config; unknown keys are rejected.
 
-    When beta > alpha the species are swapped into the canonical orientation
-    (alpha >= beta) with a logged note; the swap exchanges the diffusivities
-    and leaves the equilibria A+- unchanged.
+    ``overrides`` maps keys to value texts that replace the config's own (a
+    sweep point); they are validated like the rest.  When beta > alpha the
+    species are swapped into the canonical orientation (alpha >= beta) with a
+    logged note; the swap exchanges the diffusivities and leaves the
+    equilibria A+- unchanged.
     """
-    raw = _read_lines(text)
+    raw: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        stripped = line.split("#", 1)[0].strip()
+        if not stripped:
+            continue
+        if "=" not in stripped:
+            raise ParseError(lineno, stripped, "expected 'key = value'")
+        key, value = (part.strip() for part in stripped.split("=", 1))
+        if key not in _SCHEMA:
+            raise ParseError(lineno, key, "unknown key")
+        if key in raw:
+            raise ParseError(lineno, key, "duplicate key")
+        raw[key] = (lineno, value)
+    raw.update((key, (0, value)) for key, value in (overrides or {}).items())
+
     parts: dict[str, dict[str, object]] = {"": {}, "data": {}, "ic": {}}
     for key, (fld, conv, default) in _SCHEMA.items():
         if key in raw:
@@ -110,41 +129,6 @@ def parse_config(text: str) -> SimConfig:
         raise ParseError(0, "config", str(exc))
 
 
-def _read_lines(text: str) -> dict[str, tuple[int, str]]:
-    """The ``key -> (line number, value text)`` pairs of a config text."""
-    raw: dict[str, tuple[int, str]] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            raise ParseError(lineno, stripped, "expected 'key = value'")
-        key, value = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SCHEMA:
-            raise ParseError(lineno, key, "unknown key")
-        if key in raw:
-            raise ParseError(lineno, key, "duplicate key")
-        raw[key] = (lineno, value)
-    return raw
-
-
-def sweep_field(key: str, text: str) -> str:
-    """The ProblemData field that holds a sweepable key of the config ``text``.
-
-    That is the key's own field, except that d1 and d2 trade places when
-    parsing swapped the species; ParseError for a key that cannot be swept.
-    ``text`` must be a config that parses.
-    """
-    fld = _SCHEMA.get(key, ("",))[0]
-    if key in _ORDERS or not fld.startswith("data."):
-        raise ParseError(0, key, "unsupported sweep parameter")
-    name = fld.split(".", 1)[1]
-    alpha, beta = (float(_read_lines(text)[k][1]) for k in _ORDERS)
-    if beta > alpha and name in ("d1", "d2"):
-        name = "d2" if name == "d1" else "d1"
-    return name
-
-
 def serialize_config(config: SimConfig) -> str:
     """Config text whose parse reproduces ``config`` exactly."""
     lines = []
@@ -183,47 +167,39 @@ def write_json(path, obj) -> None:
 
 
 def diagnostics_header(p_list: tuple[float, ...]) -> list[str]:
-    cols = ["tau", "E_B"]
-    cols += [f"E_p_{p:g}" for p in p_list]
-    cols += [
-        "I_Fisher",
-        "D_react",
-        "I_Lambda",
-        "I_Lambda_1",
-        "I_Lambda_2",
-        "hellinger_sq",
-        "D_B_total",
-        "dissipation_residual",
+    """The DiagnosticsRecord fields in order, E_p expanded to one column per p."""
+    return [
+        col
+        for f in fields(DiagnosticsRecord)
+        for col in ([f"E_p_{p:g}" for p in p_list] if f.name == "E_p" else [f.name])
     ]
-    return cols
-
-
-def diagnostics_row(rec: DiagnosticsRecord, p_list: tuple[float, ...]) -> list:
-    row = [rec.tau, rec.E_B]
-    row += [rec.E_p[p] for p in p_list]
-    row += [
-        rec.I_Fisher,
-        rec.D_react,
-        rec.I_Lambda,
-        rec.I_Lambda_1,
-        rec.I_Lambda_2,
-        rec.hellinger_sq,
-        rec.D_B_total,
-        rec.dissipation_residual,
-    ]
-    return row
 
 
 def write_diagnostics_csv(path, records, p_list: tuple[float, ...]) -> None:
-    write_csv(path, diagnostics_header(p_list), (diagnostics_row(r, p_list) for r in records))
+    names = [f.name for f in fields(DiagnosticsRecord)]
+    rows = (
+        [x for n in names for x in ([r.E_p[p] for p in p_list] if n == "E_p" else [getattr(r, n)])]
+        for r in records
+    )
+    write_csv(path, diagnostics_header(p_list), rows)
 
 
 def read_diagnostics_csv(path) -> dict[str, np.ndarray]:
-    """Columns of a diagnostics CSV keyed by header name."""
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        rows = [line.strip().split(",") for line in fh if line.strip()]
-    data = np.array([[float(x) for x in row] for row in rows]) if rows else np.zeros((0, len(header)))
+    """Columns of a diagnostics CSV keyed by header name.
+
+    ParseError when a cell is not a number, a row has the wrong length, or
+    the tau or E_B column is missing.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            header = fh.readline().strip().split(",")
+            rows = [line.strip().split(",") for line in fh if line.strip()]
+        data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    except ValueError as exc:
+        raise ParseError(0, str(path), f"not a diagnostics CSV: {exc}")
+    for name in ("tau", "E_B"):
+        if name not in header:
+            raise ParseError(1, str(path), f"no {name} column")
     return {name: data[:, j] for j, name in enumerate(header)}
 
 
@@ -233,88 +209,17 @@ def write_profile_csv(path, sol: ProfileSolution) -> None:
     write_csv(path, header, ([float(x) for x in row] for row in rows))
 
 
-def certificate_to_dict(cert: RateCertificate) -> dict:
-    return {
-        "eta": cert.eta,
-        "mu": cert.mu,
-        "K": cert.K,
-        "gamma": cert.gamma,
-        "regime_tag": cert.regime_tag,
-    }
-
-
-def certificate_from_dict(obj: dict) -> RateCertificate:
-    return RateCertificate(
-        eta=float(obj["eta"]),
-        mu=float(obj["mu"]),
-        K=float(obj["K"]),
-        gamma=float(obj["gamma"]),
-        regime_tag=str(obj.get("regime_tag", "")),
-    )
-
-
 def read_certificate_json(path) -> RateCertificate:
-    with open(path, encoding="utf-8") as fh:
-        return certificate_from_dict(json.load(fh))
-
-
-def constants_to_dict(report: ConstantsReport) -> dict:
-    out = {
-        name: getattr(report, name)
-        for name in (
-            "c_tilde_alpha",
-            "lambda_star",
-            "mu0",
-            "K0",
-            "mu1",
-            "K1",
-            "K2",
-            "theta",
-            "kappa",
-            "mu_tilde",
-            "K_tilde",
-            "mu_tilde_star",
-            "K_star",
+    """The certificate in a JSON file; ParseError when it is not one."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+        return RateCertificate(
+            eta=float(obj["eta"]),
+            mu=float(obj["mu"]),
+            K=float(obj["K"]),
+            gamma=float(obj["gamma"]),
+            regime_tag=str(obj.get("regime_tag", "")),
         )
-    }
-    out["provenance"] = dict(report.provenance)
-    return out
-
-
-def verdict_to_dict(verdict: VerificationVerdict) -> dict:
-    return {
-        "passed": verdict.passed,
-        "worst_ratio": verdict.worst_ratio,
-        "slack": verdict.slack,
-        "fitted_slope": verdict.fitted_slope,
-        "fit_window": list(verdict.window),
-        "n_samples": verdict.n_samples,
-    }
-
-
-@dataclass
-class RunManifest:
-    """Everything needed to reproduce a run's outputs byte for byte."""
-
-    config_text: str
-    code_version: str
-    grid_n: int
-    grid_half_width: float
-    dtau_initial: float
-    outputs: dict[str, str] = field(default_factory=dict)
-    wall_clock_seconds: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "config_text": self.config_text,
-            "code_version": self.code_version,
-            "grid_n": self.grid_n,
-            "grid_half_width": self.grid_half_width,
-            "dtau_initial": self.dtau_initial,
-            "outputs": dict(self.outputs),
-            "wall_clock_seconds": self.wall_clock_seconds,
-        }
-
-
-def write_manifest(path, manifest: RunManifest) -> None:
-    write_json(path, manifest.to_dict())
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(0, str(path), f"not a certificate: {type(exc).__name__}: {exc}")

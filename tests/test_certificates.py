@@ -237,7 +237,7 @@ def test_verify_slope_fit():
     verdict = verify_decay(curve, cert, slack=0.01)
     assert verdict.passed
     assert verdict.fitted_slope == pytest.approx(-0.5, abs=1e-9)
-    assert verdict.window[0] == pytest.approx(3.0)
+    assert verdict.fit_window[0] == pytest.approx(3.0)
 
 
 def test_verify_empty_curve():

@@ -79,6 +79,29 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
     assert causes == {"PositivityLoss": 0, "NewtonFailure": 0}
     assert sum(causes.values()) == summary["steps_rejected"]
     assert summary["final"]["E_B"] < summary["verdicts"][0]["certificate"]["eta"]  # decayed well below 1/2
+    # the output dataclasses' field names are the file format; pin them
+    cert_keys = {"eta", "mu", "K", "gamma", "regime_tag"}
+    verdict_keys = {"passed", "worst_ratio", "slack", "fitted_slope", "fit_window", "n_samples"}
+    assert set(json.loads((out / "certificate.json").read_text())) == cert_keys
+    assert set(summary["verdicts"][0]) == {"p", "certificate"} | verdict_keys
+    assert set(summary["verdicts"][0]["certificate"]) == cert_keys
+    assert set(summary["constants"]) == {
+        "c_tilde_alpha", "lambda_star", "mu0", "K0", "mu1", "K1", "K2", "theta",
+        "kappa", "mu_tilde", "K_tilde", "mu_tilde_star", "K_star", "provenance",
+    }
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert set(manifest) == {
+        "config_text", "code_version", "grid_n", "grid_half_width", "dtau_initial",
+        "outputs", "wall_clock_seconds",
+    }
+    assert set(manifest["outputs"]) == {"diagnostics", "summary"}
+    header = (out / "diagnostics.csv").read_text().splitlines()[0].split(",")
+    assert header[:2] == ["tau", "E_B"]
+    assert all(col.startswith("E_p_") for col in header[2:-8])
+    assert header[-8:] == [
+        "I_Fisher", "D_react", "I_Lambda", "I_Lambda_1", "I_Lambda_2",
+        "hellinger_sq", "D_B_total", "dissipation_residual",
+    ]
     # standalone verification against the emitted certificate
     rc2 = main(
         [
@@ -95,6 +118,8 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
     assert rc2 == 0
     verdict = json.loads((out / "verdict.json").read_text())
     assert verdict["passed"] is True
+    assert set(verdict) == {"certificate"} | verdict_keys
+    assert set(verdict["certificate"]) == cert_keys
 
 
 def test_cmd_simulate_tau_end_zero_header_only(tmp_path):
@@ -174,7 +199,7 @@ ic.amplitude = 0.2
 
 def test_cmd_verify_failure_exit_code(tmp_path):
     cert = RateCertificate(0.5, 0.0, 0.0, 1.0, "strict")
-    runio.write_json(tmp_path / "cert.json", runio.certificate_to_dict(cert))
+    runio.write_json(tmp_path / "cert.json", dataclasses.asdict(cert))
     taus = np.linspace(0.0, 2.0, 11)
     rows = []
     from rdmix.entropy import DiagnosticsRecord
@@ -275,9 +300,14 @@ def test_cmd_sweep(tmp_path):
     assert rc2 == 0
     agg2 = json.loads((out / "e" / "sweep.json").read_text())
     assert agg2["rows"] == []
-    # a reaction order or a non-problem key is not sweepable
+    # a reaction order or a non-problem key is not sweepable, with or without values
     for param in ("problem.alpha", "grid.n"):
-        argv = ["sweep", "--config", cfg, "--param", param, "--values", "1.5", "--quiet"]
+        for values in ("1.5", ""):
+            argv = ["sweep", "--config", cfg, "--param", param, "--values", values, "--quiet"]
+            assert main(argv + ["--out", str(out / "bad")]) == 3
+    # a swept value goes through the config parser's checks
+    for param, values in (("problem.d1", "-1"), ("problem.d1", "abc"), ("problem.A_plus", "1.1,")):
+        argv = ["sweep", "--config", cfg, "--param", param, f"--values={values}", "--quiet"]
         assert main(argv + ["--out", str(out / "bad")]) == 3
 
 
@@ -338,3 +368,27 @@ def test_usage_errors(tmp_path, capsys):
     bad = _write(tmp_path, "problem.alpha = 0.5\n", "bad.cfg")
     assert main(["profile", "--config", bad, "--out", str(tmp_path)]) == 3
     assert main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 3
+    # malformed conjugate flags
+    for flag in ("--alpha=1,x", "--xi-range=1:2", "--xi-range=-5:5:2.7", "--xi-range=-5:5:0",
+                 "--m-hat=0.5", "--m-hat=0.5:1,2"):
+        assert main(["conjugate", flag, "--out", str(tmp_path / "conj"), "--quiet"]) == 3
+    # malformed verify inputs: a usage error, not a failed verification
+    good_cert = '{"eta": 0.5, "mu": 0, "K": 0, "gamma": 1, "regime_tag": "t"}'
+    good_csv = "tau,E_B\n0,1\n0.5,0.7\n"
+    cases = [
+        ('{"eta": 0.5, "K": 0, "gamma": 1}', good_csv),  # no mu
+        ("eta = 0.5", good_csv),  # not JSON
+        ('{"eta": -1, "mu": 0, "K": 0, "gamma": 1}', good_csv),  # outside the domain
+        ("[0.5, 0, 0, 1]", good_csv),  # not an object
+        (good_cert, "tau,E_B\n0,1\n0.5,abc\n"),  # non-numeric cell
+        (good_cert, "tau,E_B\n0,1\n0.5\n"),  # short row
+        (good_cert, "tau,E_p_1\n0,1\n0.5,0.7\n"),  # no E_B column
+    ]
+    for i, (cert_text, csv_text) in enumerate(cases):
+        cert = _write(tmp_path, cert_text, f"cert{i}.json")
+        diag = _write(tmp_path, csv_text, f"diag{i}.csv")
+        argv = ["verify", "--diagnostics", diag, "--certificate", cert, "--quiet"]
+        assert main(argv) == 3, (cert_text, csv_text)
+    cert = _write(tmp_path, good_cert, "good.json")
+    diag = _write(tmp_path, good_csv, "good.csv")
+    assert main(["verify", "--diagnostics", diag, "--certificate", cert, "--quiet"]) == 0

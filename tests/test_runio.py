@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -174,5 +175,5 @@ def test_empty_diagnostics_header_only(tmp_path):
 def test_certificate_json_round_trip(tmp_path):
     cert = RateCertificate(0.4, 0.1, 2.5, 1.0, "test regime")
     path = tmp_path / "cert.json"
-    runio.write_json(path, runio.certificate_to_dict(cert))
+    runio.write_json(path, dataclasses.asdict(cert))
     assert runio.read_certificate_json(path) == cert
