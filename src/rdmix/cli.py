@@ -23,7 +23,7 @@ from .certificates import (
     verify_decay,
 )
 from .conjugate import PhiFamily, m_hat, phi_conjugate_bound, phi_conjugate_numeric
-from .errors import ParseError, RdmixError, ThetaTooLarge, UnsupportedRegime
+from .errors import DomainError, ParseError, RdmixError, ThetaTooLarge, UnsupportedRegime
 from .profile import profile_invariants, solve_profile
 from .simulate import run
 
@@ -92,13 +92,9 @@ def cmd_simulate(args) -> int:
             try:
                 rep = report if p == 1.0 else compute_constants(result.profile, config.data, p)
                 cert = select_certificate(rep, config.data, p)
-            except ThetaTooLarge as exc:
-                notes.append(f"no certificate (ThetaTooLarge): {exc}")
-                continue
             except RdmixError as exc:
-                if p == 1.0:
-                    notes.append(f"no certificate ({type(exc).__name__}): {exc}")
-                continue  # power family simply not applicable here
+                notes.append(f"no certificate for p = {p:g} ({type(exc).__name__}): {exc}")
+                continue
             if p == 1.0:
                 runio.write_json(out / "certificate.json", asdict(cert))
             verdict = verify_decay(curve, cert, slack=args.slack)
@@ -148,7 +144,10 @@ def cmd_verify(args) -> int:
     columns = runio.read_diagnostics_csv(args.diagnostics)
     cert = runio.read_certificate_json(args.certificate)
     curve = list(zip(columns["tau"], columns["E_B"]))
-    verdict = verify_decay(curve, cert, slack=args.slack)
+    try:
+        verdict = verify_decay(curve, cert, slack=args.slack)
+    except DomainError as exc:  # unsorted tau or a negative entropy: the file is at fault
+        raise ParseError(0, args.diagnostics, str(exc))
     payload = {"certificate": asdict(cert), **asdict(verdict)}
     if args.out:
         runio.write_json(_outdir(args) / "verdict.json", payload)

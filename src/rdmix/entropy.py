@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -40,25 +41,46 @@ class State:
     def __post_init__(self):
         u = check_values(self.grid, self.u)
         v = check_values(self.grid, self.v)
-        if np.min(u) <= 0 or np.min(v) <= 0:
+        if u.min() <= 0 or v.min() <= 0:
             raise DomainError("state concentrations must be positive nodewise")
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
+    @cached_property
+    def uv(self) -> np.ndarray:
+        """u and v as the rows of one (2, n) array."""
+        return np.stack((self.u, self.v))
+
 
 @dataclass(frozen=True)
 class RelativeDensities:
-    """rho = u/U and zeta = v/V for a state over a profile."""
+    """rho = u/U and zeta = v/V for a state over a profile, the rows of ``both``.
+
+    A functional that treats the two species alike evaluates both rows in
+    one pass and adds them before its quadrature.
+    """
 
     grid: Grid
-    rho: np.ndarray
-    zeta: np.ndarray
+    both: np.ndarray
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.both[0]
+
+    @property
+    def zeta(self) -> np.ndarray:
+        return self.both[1]
+
+    @cached_property
+    def lowest(self) -> float:
+        """The smallest value of rho and zeta."""
+        return float(self.both.min())
 
 
 def relative_densities(state: State, profile: ProfileSolution) -> RelativeDensities:
     if state.grid != profile.grid:
         raise DomainError("state and profile must share one grid")
-    return RelativeDensities(state.grid, state.u / profile.U, state.v / profile.V)
+    return RelativeDensities(state.grid, state.uv / profile.UV)
 
 
 @dataclass
@@ -92,7 +114,12 @@ def lambda_B(z: float) -> float:
     return z * math.log(z) - z + 1.0
 
 
-def _lambda_B_arr(z: np.ndarray) -> np.ndarray:
+def _lambda_B_arr(z: np.ndarray, z_min: float | None = None) -> np.ndarray:
+    """lambda_B nodewise; ``z_min`` may pass the minimum of ``z`` when it is known."""
+    if z_min is None:
+        z_min = z.min()
+    if z_min >= _DENSITY_CLAMP:  # the usual case: no clamp, no zero to extend at
+        return z * np.log(z) - z + 1.0
     safe = np.maximum(z, _DENSITY_CLAMP)
     return np.where(z > 0, safe * np.log(safe) - safe + 1.0, 1.0)
 
@@ -108,11 +135,14 @@ def F_p(z: float, p: float) -> float:
     return (z**p - p * z + p - 1.0) / (p * (p - 1.0))
 
 
-def _F_p_arr(z: np.ndarray, p: float) -> np.ndarray:
-    if np.min(z) < 0 or (p <= 0 and np.min(z) <= 0):
+def _F_p_arr(z: np.ndarray, p: float, z_min: float | None = None) -> np.ndarray:
+    """F_p nodewise; ``z_min`` may pass the minimum of ``z`` when it is known."""
+    if z_min is None:
+        z_min = z.min()
+    if z_min < 0 or (p <= 0 and z_min <= 0):
         raise DomainError("F_p needs nonnegative arguments (positive for p <= 0)")
     if p == 1.0:
-        return _lambda_B_arr(z)
+        return _lambda_B_arr(z, z_min)
     if p == 0.0:
         return z - np.log(z) - 1.0
     return (z**p - p * z + p - 1.0) / (p * (p - 1.0))
@@ -144,32 +174,35 @@ def gamma_fn(a: float, b: float) -> float:
     return (a - b) * (math.log(a) - math.log(b))
 
 
-def _clamped(x: np.ndarray, what: str) -> np.ndarray:
-    if np.min(x) < _DENSITY_CLAMP:
-        raise DomainError(f"{what} fell below {_DENSITY_CLAMP:g}; reaction pairing diverges")
-    return x
+def _clamped(dens: RelativeDensities) -> np.ndarray:
+    """The stacked (rho, zeta); DomainError when either falls below the density clamp."""
+    if dens.lowest < _DENSITY_CLAMP:
+        raise DomainError(
+            f"a relative density fell below {_DENSITY_CLAMP:g}; reaction pairing diverges"
+        )
+    return dens.both
 
 
-def relative_entropy(state: State, profile: ProfileSolution, p: float = 1.0) -> float:
-    """E_p = integral of U F_p(u/U) + V F_p(v/V)."""
-    dens = relative_densities(state, profile)
-    vals = profile.U * _F_p_arr(dens.rho, p) + profile.V * _F_p_arr(dens.zeta, p)
-    return integrate(state.grid, vals)
+def relative_entropy(
+    state: State,
+    profile: ProfileSolution,
+    p: float = 1.0,
+    dens: RelativeDensities | None = None,
+) -> float:
+    """E_p = integral of U F_p(u/U) + V F_p(v/V); ``dens`` may pass the state's densities."""
+    if dens is None:
+        dens = relative_densities(state, profile)
+    vals = profile.UV * _F_p_arr(dens.both, p, dens.lowest)
+    return integrate(state.grid, vals[0] + vals[1])
 
 
 def fisher_information(
     dens: RelativeDensities, profile: ProfileSolution, p: float = 1.0
 ) -> float:
     """Gradient dissipation: integral of d1 U rho^(p-2) rho_y^2 + d2 V zeta^(p-2) zeta_y^2."""
-    rho = _clamped(dens.rho, "relative density rho")
-    zeta = _clamped(dens.zeta, "relative density zeta")
-    ry = derivative1(dens.grid, rho)
-    zy = derivative1(dens.grid, zeta)
-    d = profile.data
-    vals = d.d1 * profile.U * rho ** (p - 2.0) * ry**2 + d.d2 * profile.V * zeta ** (
-        p - 2.0
-    ) * zy**2
-    return integrate(dens.grid, vals)
+    both = _clamped(dens)
+    vals = profile.d_UV * both ** (p - 2.0) * derivative1(dens.grid, both) ** 2
+    return integrate(dens.grid, vals[0] + vals[1])
 
 
 def _require_equal_orders(profile: ProfileSolution, p: float, what: str) -> None:
@@ -187,18 +220,16 @@ def reactive_dissipation(
     """Reaction dissipation; Boltzmann pairing for p = 1, power pairing for equal orders."""
     _require_equal_orders(profile, p, "reactive dissipation")
     d = profile.data
-    rho = _clamped(dens.rho, "relative density rho")
-    zeta = _clamped(dens.zeta, "relative density zeta")
+    rho, zeta = _clamped(dens)
     if p == 1.0:
         a, b = rho**d.alpha, zeta**d.beta
-        vals = d.k * profile.U**d.alpha * (a - b) * (np.log(a) - np.log(b))
+        vals = profile.kU_alpha * (a - b) * (np.log(a) - np.log(b))
     else:
         if p == 0.0:
             raise UnsupportedEntropy("reactive dissipation is not defined for p = 0")
         a = d.alpha
         vals = (
-            d.k
-            * profile.U**a
+            profile.kU_alpha
             * (a / (p - 1.0))
             * (zeta ** (p - 1.0) - rho ** (p - 1.0))
             * (zeta**a - rho**a)
@@ -248,10 +279,8 @@ def split_mixed_term(
 
 def hellinger_sq(state: State, profile: ProfileSolution) -> float:
     """Squared Hellinger distance of (u, v) to (U, V); equals E_(1/2) / 2."""
-    vals = (np.sqrt(state.u) - np.sqrt(profile.U)) ** 2 + (
-        np.sqrt(state.v) - np.sqrt(profile.V)
-    ) ** 2
-    return integrate(state.grid, vals)
+    vals = (np.sqrt(state.uv) - profile.sqrt_UV) ** 2
+    return integrate(state.grid, vals[0] + vals[1])
 
 
 def dissipation_total(
@@ -263,12 +292,17 @@ def dissipation_total(
 ) -> DiagnosticsRecord:
     """Assemble one diagnostics record; the decomposition uses entropy family ``p``.
 
+    Each functional is evaluated once on the densities ``dens`` (E_B also
+    serves as E_1), and the profile's own arrays come from its cache.
     ``dissipation_residual`` is left NaN for the integrator to fill from
     sampled finite differences.
     """
     d = profile.data
-    E_B = relative_entropy(state, profile, 1.0)
-    E_p = {q: relative_entropy(state, profile, q) for q in dict.fromkeys((*p_list, p))}
+    E_B = relative_entropy(state, profile, 1.0, dens)
+    E_p = {
+        q: E_B if q == 1.0 else relative_entropy(state, profile, q, dens)
+        for q in dict.fromkeys((*p_list, p))
+    }
     I_F = fisher_information(dens, profile, p)
     D_re = reactive_dissipation(dens, profile, p)
     I_L = mixed_term(dens, profile, p)

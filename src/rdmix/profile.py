@@ -15,6 +15,7 @@ as an oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import solve_banded
@@ -82,6 +83,26 @@ class ProfileSolution:
     V1: np.ndarray
     V2: np.ndarray
     residual_norm: float
+
+    # arrays of the profile alone that every diagnostics sample reuses; the
+    # (2, n) ones hold the U and V rows of the species-symmetric functionals
+    @cached_property
+    def UV(self) -> np.ndarray:
+        return np.stack((self.U, self.V))
+
+    @cached_property
+    def sqrt_UV(self) -> np.ndarray:
+        return np.sqrt(self.UV)
+
+    @cached_property
+    def d_UV(self) -> np.ndarray:
+        """Fisher weights d1 U and d2 V."""
+        return np.stack((self.data.d1 * self.U, self.data.d2 * self.V))
+
+    @cached_property
+    def kU_alpha(self) -> np.ndarray:
+        """Reaction weight k U^alpha."""
+        return self.data.k * self.U**self.data.alpha
 
     def multiplier_mismatch(self) -> float:
         """Sup distance between Lambda recovered from the U-row and the V-row."""

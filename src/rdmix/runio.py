@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -109,20 +109,22 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SimConfi
         name = key.split(".")[1]
         if data[name] < 1.0:
             raise ParseError(raw[key][0] if key in raw else 0, key, f"{name} must be >= 1")
-    if data["beta"] > data["alpha"]:
-        logger.info(
-            "normalizing orientation: swapping species so alpha >= beta "
-            "(alpha=%g, beta=%g, d1=%g, d2=%g -> alpha=%g, beta=%g, d1=%g, d2=%g)",
-            data["alpha"], data["beta"], data["d1"], data["d2"],
-            data["beta"], data["alpha"], data["d2"], data["d1"],
-        )
+    swap = data["beta"] > data["alpha"]
+    if swap:
         data["alpha"], data["beta"] = data["beta"], data["alpha"]
-        data["d1"], data["d2"] = data["d2"], data["d1"]
-
     try:
+        # d1 and d2 are still as written, so an error names the user's key
         problem = ProblemData(**data)
     except DomainError as exc:
         raise ParseError(0, "problem", str(exc))
+    if swap:
+        logger.info(
+            "normalizing orientation: swapping species so alpha >= beta "
+            "(alpha=%g, beta=%g, d1=%g, d2=%g -> alpha=%g, beta=%g, d1=%g, d2=%g)",
+            problem.beta, problem.alpha, problem.d1, problem.d2,
+            problem.alpha, problem.beta, problem.d2, problem.d1,
+        )
+        problem = replace(problem, d1=problem.d2, d2=problem.d1)
     try:
         return SimConfig(data=problem, ic=InitialConditionSpec(**parts["ic"]), **parts[""])
     except DomainError as exc:

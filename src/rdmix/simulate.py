@@ -80,12 +80,13 @@ class SimConfig:
         return Grid(L, self.grid_n)
 
     def effective_p_list(self) -> tuple[float, ...]:
-        if self.p_list is not None:
-            return self.p_list
-        ps = [1.0, 0.5]
-        if self.data.alpha >= 2.0 and self.data.alpha == self.data.beta:
-            ps.append(self.data.alpha - 1.0)
-        return tuple(ps)
+        """The sampled entropy families, in order, each once."""
+        ps = self.p_list
+        if ps is None:
+            ps = [1.0, 0.5]
+            if self.data.alpha >= 2.0 and self.data.alpha == self.data.beta:
+                ps.append(self.data.alpha - 1.0)
+        return tuple(dict.fromkeys(ps))
 
 
 def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
@@ -139,14 +140,18 @@ def _reaction_implicit(
     f = None
     for _ in range(max_iter):
         vv = (m - b * x) / a
-        f = x - u - scale * a * (vv**b - x**a)
-        hi = np.where(f > 0.0, x, hi)
-        lo = np.where(f < 0.0, x, lo)
-        fp = 1.0 + scale * (b * b * vv ** (b - 1.0) + a * a * x ** (a - 1.0))
+        # x^a and vv^b as x x^(a-1) and vv vv^(b-1): two general powers, not four
+        x_a1, vv_b1 = x ** (a - 1.0), vv ** (b - 1.0)
+        f = x - u - scale * a * (vv * vv_b1 - x * x_a1)
+        np.putmask(hi, f > 0.0, x)
+        np.putmask(lo, f < 0.0, x)
+        fp = 1.0 + scale * (b * b * vv_b1 + a * a * x_a1)
         xn = x - f / fp
         outside = (xn < lo) | (xn > hi)
-        xn = np.where(outside, 0.5 * (lo + hi), xn)
-        if np.max(np.abs(xn - x)) <= 1e-15 * float(np.max(np.abs(x)) + 1.0):
+        if outside.any():
+            np.putmask(xn, outside, 0.5 * (lo + hi))
+        # the iterates stay in [0, m/beta], so max |x| is max x
+        if np.abs(xn - x).max() <= 1e-15 * (x.max() + 1.0):
             x = xn
             break
         x = xn

@@ -96,7 +96,12 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
     }
     assert set(manifest["outputs"]) == {"diagnostics", "summary"}
     header = (out / "diagnostics.csv").read_text().splitlines()[0].split(",")
-    assert header[:2] == ["tau", "E_B"]
+    assert header[:4] == ["tau", "E_B", "E_p_1", "E_p_0.5"]  # each sampled p once
+    assert len(set(header)) == len(header)
+    # p = 1/2 is sampled but outside alpha = 2's range: a note, not a verdict
+    assert [v["p"] for v in summary["verdicts"]] == [1.0]
+    (note,) = summary["notes"]
+    assert note.startswith("no certificate for p = 0.5")
     assert all(col.startswith("E_p_") for col in header[2:-8])
     assert header[-8:] == [
         "I_Fisher", "D_react", "I_Lambda", "I_Lambda_1", "I_Lambda_2",
@@ -383,6 +388,8 @@ def test_usage_errors(tmp_path, capsys):
         (good_cert, "tau,E_B\n0,1\n0.5,abc\n"),  # non-numeric cell
         (good_cert, "tau,E_B\n0,1\n0.5\n"),  # short row
         (good_cert, "tau,E_p_1\n0,1\n0.5,0.7\n"),  # no E_B column
+        (good_cert, "tau,E_B\n0,1\n0.5,-0.2\n"),  # negative entropy
+        (good_cert, "tau,E_B\n0.5,1\n0,0.7\n"),  # tau out of order
     ]
     for i, (cert_text, csv_text) in enumerate(cases):
         cert = _write(tmp_path, cert_text, f"cert{i}.json")
@@ -392,3 +399,20 @@ def test_usage_errors(tmp_path, capsys):
     cert = _write(tmp_path, good_cert, "good.json")
     diag = _write(tmp_path, good_csv, "good.csv")
     assert main(["verify", "--diagnostics", diag, "--certificate", cert, "--quiet"]) == 0
+
+
+def test_swapped_species_domain_error_names_the_users_key(tmp_path, capsys):
+    # beta > alpha: parsing swaps the species, yet the message names the
+    # diffusivity as the user wrote it
+    text = SMALL_SIM_CFG.replace("problem.alpha = 2", "problem.alpha = 1").replace(
+        "problem.d2 = 1", "problem.d2 = 7"
+    )
+    cfg = _write(tmp_path, text.replace("problem.d1 = 1", "problem.d1 = -1"), "neg.cfg")
+    assert main(["profile", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "d1 must be positive" in err and "d2" not in err
+    cfg = _write(tmp_path, text)
+    argv = ["sweep", "--config", cfg, "--param", "problem.d1", "--values=-1", "--quiet"]
+    assert main(argv + ["--out", str(tmp_path / "sweep")]) == 3
+    err = capsys.readouterr().err
+    assert "d1 must be positive" in err and "d2" not in err

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -356,3 +357,64 @@ def test_dissipation_mixed_vanishes_equal_diffusivities(rng):
     )
     rec = dissipation_total(relative_densities(state, prof), state, prof, 1.0)
     assert abs(rec.I_Lambda) <= 1e-9  # Lambda vanishes when d1 = d2
+
+
+# the six problems of the benchmark's simulate cases (and the certified runs)
+SIX_CASES = [
+    (1, 1, 1, 3, 1, 1, 2),
+    (1.5, 1.5, 1, 3, 1, 1, 2),
+    (2, 2, 1, 3, 1, 1, 2),
+    (4, 4, 1, 3, 1, 1, 2),
+    (2, 2, 1, 1, 1, 1, 2),
+    (2, 1, 1, 2, 1, 1, 2),
+]
+
+
+@pytest.mark.parametrize("case", SIX_CASES)
+def test_dissipation_total_equals_its_functionals(case):
+    # one sample shares densities, E_B and the profile's cached arrays; each
+    # field must still be what its public functional gives on its own
+    data = ProblemData(*case)
+    prof = solve_profile(data, Grid(16.0, 2001))
+    y = prof.grid.nodes
+    u = prof.U * (1.0 + 0.2 * np.exp(-(y**2)))
+    v = prof.V * (1.0 - 0.15 * np.exp(-((y - 1.0) ** 2)))
+    state = State(prof.grid, u, v, 0.7)
+    p_list = (0.5, 1.0, 2.0, data.alpha - 1.0, 1.0)
+    rec = dissipation_total(relative_densities(state, prof), state, prof, 1.0, p_list)
+
+    fresh = dataclasses.replace(prof)  # no cached arrays yet
+    dens = relative_densities(state, fresh)
+    assert rec.E_B == relative_entropy(state, fresh, 1.0)
+    assert rec.E_p == {q: relative_entropy(state, fresh, q) for q in p_list}
+    expected = {
+        "I_Fisher": fisher_information(dens, fresh, 1.0),
+        "D_react": reactive_dissipation(dens, fresh, 1.0),
+        "I_Lambda": mixed_term(dens, fresh, 1.0),
+        "hellinger_sq": hellinger_sq(state, fresh),
+    }
+    if data.alpha > data.beta:
+        expected["I_Lambda_1"], expected["I_Lambda_2"] = split_mixed_term(dens, fresh)
+    else:
+        expected["I_Lambda_1"], expected["I_Lambda_2"] = expected["I_Lambda"], 0.0
+    expected["D_B_total"] = (
+        expected["I_Fisher"]
+        + 0.5 * rec.E_B
+        - expected["I_Lambda"]
+        + math.exp(state.tau) * expected["D_react"]
+    )
+    for name, value in expected.items():
+        assert getattr(rec, name) == pytest.approx(value, rel=1e-13, abs=1e-300), name
+
+
+@pytest.mark.parametrize("value", [1e200, 1e-305])
+def test_dissipation_total_rejects_overflow_and_clamped_densities(value):
+    # u = 1e200 overflows rho^alpha and the Fisher integrand; u = 1e-305
+    # puts rho under the 1e-300 clamp of the reaction pairing
+    data = ProblemData(4, 4, 1, 3, 1, 1, 2)
+    prof = solve_profile(data, Grid(16.0, 2001))
+    u = prof.U.copy()
+    u[1000] = value
+    state = State(prof.grid, u, prof.V.copy(), 0.0)
+    with pytest.raises(DomainError), np.errstate(over="ignore"):
+        dissipation_total(relative_densities(state, prof), state, prof, 1.0, (1.0, 0.5, 3.0))

@@ -33,6 +33,11 @@ def test_derivative1_exact_on_quadratics():
     g = Grid(1.0, 101)
     err = derivative1(g, g.nodes**2) - 2.0 * g.nodes
     assert np.max(np.abs(err)) <= 1e-10
+    # rows of a stacked array are differentiated as if one by one
+    rows = np.stack((g.nodes**2, np.exp(g.nodes)))
+    stacked = derivative1(g, rows)
+    assert np.array_equal(stacked[0], derivative1(g, rows[0]))
+    assert np.array_equal(stacked[1], derivative1(g, rows[1]))
 
 
 def test_integrate_constant():
@@ -71,5 +76,9 @@ def test_value_validation():
     g = Grid(1.0, 11)
     with pytest.raises(DomainError):
         derivative1(g, np.ones(g.n - 1))
+    with pytest.raises(DomainError):
+        derivative1(g, np.ones((2, g.n - 1)))
+    with pytest.raises(DomainError):
+        integrate(g, np.ones((2, g.n)))
     with pytest.raises(DomainError):
         integrate(g, np.array([np.nan] * g.n))

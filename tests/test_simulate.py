@@ -45,9 +45,12 @@ def test_config_validation():
 
 
 def test_default_p_list():
-    assert _config(ProblemData(2, 2, 1, 1, 1, 1, 2)).effective_p_list() == (1.0, 0.5, 1.0)
+    assert _config(ProblemData(2, 2, 1, 1, 1, 1, 2)).effective_p_list() == (1.0, 0.5)
     assert _config(ProblemData(1.5, 1.5, 1, 1, 1, 1, 2)).effective_p_list() == (1.0, 0.5)
     assert _config(ProblemData(3, 1, 1, 1, 1, 1, 2)).effective_p_list() == (1.0, 0.5)
+    assert _config(ProblemData(4, 4, 1, 1, 1, 1, 2)).effective_p_list() == (1.0, 0.5, 3.0)
+    given = _config(ProblemData(3, 1, 1, 1, 1, 1, 2), p_list=(0.5, 1.0, 0.5, 2.0))
+    assert given.effective_p_list() == (0.5, 1.0, 2.0)  # first occurrence kept
 
 
 def test_step_fixed_point_on_profile():
@@ -323,3 +326,21 @@ def test_march_counts_rejections_by_cause():
     assert rejected == {"PositivityLoss": 1, "NewtonFailure": 2}
     assert end.tau == pytest.approx(0.01, abs=1e-12)
     assert accepted > 0
+
+
+def test_run_samples_through_dissipation_total_once_per_record(monkeypatch):
+    from rdmix import entropy
+
+    calls = []
+    total = entropy.dissipation_total
+
+    def counting(*args, **kwargs):
+        calls.append(args[1].tau)
+        return total(*args, **kwargs)
+
+    monkeypatch.setattr(entropy, "dissipation_total", counting)
+    data = ProblemData(2, 2, 1, 3, 1, 1, 2)
+    cfg = _config(data, tau_end=0.2, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    result = run(cfg)
+    assert len(result.records) == 5
+    assert calls == [r.tau for r in result.records]
