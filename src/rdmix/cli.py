@@ -23,7 +23,9 @@ from .certificates import (
     verify_decay,
 )
 from .conjugate import PhiFamily, m_hat, phi_conjugate_bound, phi_conjugate_numeric
-from .errors import DomainError, ParseError, RdmixError, ThetaTooLarge, UnsupportedRegime
+from .errors import (
+    DomainError, EmptyCurve, ParseError, RdmixError, ThetaTooLarge, UnsupportedRegime
+)
 from .profile import profile_invariants, solve_profile
 from .simulate import run
 
@@ -40,7 +42,8 @@ def _load_config(path: str):
 
 
 def _outdir(args) -> Path:
-    out = Path(args.out)
+    """The ``--out`` directory, created; ``out`` when the flag is not given."""
+    out = Path(args.out or "out")
     out.mkdir(parents=True, exist_ok=True)
     return out
 
@@ -146,7 +149,8 @@ def cmd_verify(args) -> int:
     curve = list(zip(columns["tau"], columns["E_B"]))
     try:
         verdict = verify_decay(curve, cert, slack=args.slack)
-    except DomainError as exc:  # unsorted tau or a negative entropy: the file is at fault
+    except (DomainError, EmptyCurve) as exc:
+        # unsorted tau, a negative entropy or no rows: the file is at fault
         raise ParseError(0, args.diagnostics, str(exc))
     payload = {"certificate": asdict(cert), **asdict(verdict)}
     if args.out:
@@ -203,15 +207,13 @@ def _conjugate_flags(args):
 def cmd_conjugate(args) -> int:
     alphas, xis, pairs = _conjugate_flags(args)
     out = _outdir(args)
-    rows = []
+    blocks = []
     for a in alphas:
-        fam = PhiFamily("boltzmann_alpha", a)
-        for xi in xis:
-            rows.append(
-                [a, float(xi), phi_conjugate_numeric(fam, float(xi)), phi_conjugate_bound(a, float(xi))]
-            )
+        numeric = phi_conjugate_numeric(PhiFamily("boltzmann_alpha", a), xis)
+        bound = [phi_conjugate_bound(a, xi) for xi in xis.tolist()]
+        blocks.append(np.column_stack((np.full_like(xis, a), xis, numeric, bound)))
     bounds_path = out / "conjugate_bounds.csv"
-    runio.write_csv(bounds_path, ["alpha", "xi", "numeric", "bound"], rows)
+    runio.write_csv(bounds_path, ["alpha", "xi", "numeric", "bound"], np.vstack(blocks))
     written = [str(bounds_path)]
     if pairs:
         mh_rows = [[p, a, m_hat(p, a)] for p, a in pairs]
@@ -259,7 +261,8 @@ def cmd_sweep(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key-value config file")
-    common.add_argument("--out", default="out", help="output directory")
+    common.add_argument("--out", help="output directory (default: out; verify and constants "
+                        "write files only when it is given)")
     common.add_argument("--quiet", action="store_true", help="suppress stdout reports")
 
     parser = argparse.ArgumentParser(prog="rdmix", description=__doc__)

@@ -9,7 +9,8 @@ functions
 
 (+inf for z <= -1).  Their Legendre transforms have no closed form; this
 module computes them numerically with ``numeric_sup`` (a log-grid sweep plus
-golden-section refinement, shared with the entropy conjugates) and provides
+golden-section refinement, shared with the entropy conjugates; a column of xi
+values is refined in one batch by ``golden_refine``) and provides
 the analytic upper bounds and the quadratic-bound constants used by the rate
 certificates.
 """
@@ -64,67 +65,107 @@ def phi(fam: PhiFamily, z: float | np.ndarray):
     return out if out.ndim else float(out)
 
 
-def _objective(fam: PhiFamily, xi: float, z: np.ndarray) -> np.ndarray:
+def _objective(fam: PhiFamily, xi, z: np.ndarray, phi_z: np.ndarray | None = None) -> np.ndarray:
+    """xi z - phi(z), -inf where not finite; ``phi_z`` may pass phi(z) when it is known."""
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = xi * z - phi(fam, z)
+        vals = xi * z - (phi(fam, z) if phi_z is None else phi_z)
     return np.where(np.isfinite(vals), vals, -np.inf)
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+
+
+def golden_refine(f, a, b, best, tol: float) -> np.ndarray:
+    """Golden-section refinement of many brackets ``[a_i, b_i]`` at once.
+
+    Each bracket takes exactly the steps of a scalar search and stops once it
+    is ``tol`` wide relative to its ends; the brackets still searching take
+    their steps together, so ``f(t, i)`` evaluates the new points ``t`` of the
+    brackets numbered ``i`` (a list) in one call.  The result is, per bracket,
+    the best of ``best[i]`` and the values seen.
+    """
+    lo, hi = [float(x) for x in a], [float(x) for x in b]
+    c = [y - _GOLDEN * (y - x) for x, y in zip(lo, hi)]
+    d = [x + _GOLDEN * (y - x) for x, y in zip(lo, hi)]
+    every = list(range(len(lo)))
+    fc, fd = f(np.array(c), every).tolist(), f(np.array(d), every).tolist()
+    live = [i for i in every if hi[i] - lo[i] > tol * max(1.0, abs(lo[i]), abs(hi[i]))]
+    while live:
+        left, t = [], []
+        for i in live:
+            if fc[i] > fd[i]:  # the maximum lies in [a, d]: b <- d, d <- c, c is new
+                hi[i], d[i], fd[i] = d[i], c[i], fc[i]
+                t.append(hi[i] - _GOLDEN * (hi[i] - lo[i]))
+                left.append(True)
+            else:  # it lies in [c, b]: a <- c, c <- d, d is new
+                lo[i], c[i], fc[i] = c[i], d[i], fd[i]
+                t.append(lo[i] + _GOLDEN * (hi[i] - lo[i]))
+                left.append(False)
+        for i, to_left, x, v in zip(live, left, t, f(np.array(t), live).tolist()):
+            if to_left:
+                c[i], fc[i] = x, v
+            else:
+                d[i], fd[i] = x, v
+        live = [i for i in live if hi[i] - lo[i] > tol * max(1.0, abs(lo[i]), abs(hi[i]))]
+    return np.array([max(b0, x, y) for b0, x, y in zip(best, fc, fd)])
+
+
+def _bracket(z: np.ndarray, vals: np.ndarray):
+    """The best sweep value and the neighbours of its node."""
+    k = int(np.argmax(vals))
+    return vals[k], z[max(k - 1, 0)], z[min(k + 1, len(z) - 1)]
 
 
 def numeric_sup(f, z: np.ndarray, tol: float = 1e-10) -> float:
     """Supremum of ``f`` by a sweep over the nodes ``z``, refined by golden section.
 
     ``f`` maps an array of points to an array of values.  The refinement
-    searches the bracket between the neighbours of the best node until it is
-    ``tol`` wide relative to its ends; the result is the best value seen.
+    (``golden_refine``) searches the bracket between the neighbours of the
+    best node; the result is the best value seen.
     """
-    vals = f(z)
-    k = int(np.argmax(vals))
-    a, b = z[max(k - 1, 0)], z[min(k + 1, len(z) - 1)]
-
-    def f1(t: float) -> float:
-        return float(f(np.array([t]))[0])
-
-    gr = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - gr * (b - a), a + gr * (b - a)
-    fc, fd = f1(c), f1(d)
-    while b - a > tol * max(1.0, abs(a), abs(b)):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - gr * (b - a)
-            fc = f1(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + gr * (b - a)
-            fd = f1(d)
-    return max(float(vals[k]), fc, fd)
+    best, a, b = _bracket(z, f(z))
+    return float(golden_refine(lambda t, i: f(t), [a], [b], [best], tol)[0])
 
 
 def phi_conjugate_numeric(
-    fam: PhiFamily, xi: float, base_points: int = 10_000, z_max: float = 1e3
-) -> float:
+    fam: PhiFamily, xi: float | np.ndarray, base_points: int = 10_000, z_max: float = 1e3
+) -> float | np.ndarray:
     """sup_z (xi z - phi(z)) over z in (-1, inf), by sweep and refinement.
 
     The sweep is logarithmic in 1 + z so both the pole at z = -1 and the far
     tail are resolved; the upper end is extended by decades until the
     objective has decreased for three consecutive decades (the gap functions
-    grow superlinearly, so the sup is attained at finite z).
+    grow superlinearly, so the sup is attained at finite z).  ``xi`` may be
+    an array: each xi gets its own tail extension and sweep, then all the
+    brackets are refined together; the values equal per-xi calls bit for bit.
     """
-    if not np.isfinite(xi):
+    xis = np.asarray(xi, dtype=float)
+    if not np.all(np.isfinite(xis)):
         raise DomainError(f"xi must be finite, got {xi}")
-    # extend the upper end until the tail is clearly decreasing
-    decades_down, top = 0, math.log10(1.0 + z_max)
-    best_tail = -np.inf
-    while decades_down < 3 and top < 300:
-        val = float(_objective(fam, xi, np.array([10.0**top - 1.0]))[0])
-        if val < best_tail:
-            decades_down += 1
-        else:
-            decades_down = 0
-            best_tail = val
-        top += 1.0
-    z = np.logspace(math.log10(_EDGE), top, base_points) - 1.0
-    sup = numeric_sup(lambda t: _objective(fam, xi, t), z)
-    return max(sup, 0.0)  # phi(0) = 0 makes the sup nonnegative
+    flat = xis.ravel()
+    best, lo, hi = np.empty_like(flat), np.empty_like(flat), np.empty_like(flat)
+    sweeps = {}  # upper end -> (nodes, phi at the nodes): most xi share a few ends
+    for j, x in enumerate(flat.tolist()):
+        # extend the upper end until the tail is clearly decreasing
+        decades_down, top = 0, math.log10(1.0 + z_max)
+        best_tail = -np.inf
+        while decades_down < 3 and top < 300:
+            val = float(_objective(fam, x, np.array([10.0**top - 1.0]))[0])
+            if val < best_tail:
+                decades_down += 1
+            else:
+                decades_down = 0
+                best_tail = val
+            top += 1.0
+        if top not in sweeps:
+            z = np.logspace(math.log10(_EDGE), top, base_points) - 1.0
+            with np.errstate(over="ignore", invalid="ignore"):
+                sweeps[top] = z, phi(fam, z)
+        z, phi_z = sweeps[top]
+        best[j], lo[j], hi[j] = _bracket(z, _objective(fam, x, z, phi_z))
+    sup = golden_refine(lambda t, i: _objective(fam, flat[i], t), lo, hi, best, 1e-10)
+    sup = np.where(0.0 > sup, 0.0, sup)  # phi(0) = 0 makes the sup nonnegative
+    return sup.reshape(xis.shape) if xis.ndim else float(sup[0])
 
 
 def c_tilde(alpha: float) -> float:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import fields, replace
 from operator import attrgetter
 
@@ -146,20 +145,20 @@ def serialize_config(config: SimConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _fmt(x) -> str:
-    if isinstance(x, (float, np.floating)):
-        x = float(x)
-        if math.isinf(x):
-            return "inf" if x > 0 else "-inf"
-        return repr(x)
-    return str(x)
-
-
 def write_csv(path, header: list[str], rows) -> None:
+    """Write ``rows`` (an array, or an iterable of rows) of floats under ``header``.
+
+    The body is formatted in one pass: each value is the ``repr`` of a Python
+    float (shortest round-trip decimal; ``inf``, ``-inf``, ``nan``, ``-0.0``).
+    """
+    table = np.array(rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.float64)
+    table = table.reshape(-1, len(header)) if table.size == 0 else table
+    if table.ndim != 2 or table.shape[1] != len(header):
+        raise ValueError(f"rows of shape {table.shape} do not fit {len(header)} columns")
+    line = ",".join(["%r"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        fh.write(line * len(table) % tuple(table.ravel().tolist()))
 
 
 def write_json(path, obj) -> None:
@@ -207,8 +206,8 @@ def read_diagnostics_csv(path) -> dict[str, np.ndarray]:
 
 def write_profile_csv(path, sol: ProfileSolution) -> None:
     header = ["y", "U", "V", "Lambda", "U1", "U2", "V1", "V2"]
-    rows = zip(sol.grid.nodes, sol.U, sol.V, sol.Lambda, sol.U1, sol.U2, sol.V1, sol.V2)
-    write_csv(path, header, ([float(x) for x in row] for row in rows))
+    columns = (sol.grid.nodes, sol.U, sol.V, sol.Lambda, sol.U1, sol.U2, sol.V1, sol.V2)
+    write_csv(path, header, np.column_stack(columns))
 
 
 def read_certificate_json(path) -> RateCertificate:

@@ -390,6 +390,7 @@ def test_usage_errors(tmp_path, capsys):
         (good_cert, "tau,E_p_1\n0,1\n0.5,0.7\n"),  # no E_B column
         (good_cert, "tau,E_B\n0,1\n0.5,-0.2\n"),  # negative entropy
         (good_cert, "tau,E_B\n0.5,1\n0,0.7\n"),  # tau out of order
+        (good_cert, "tau,E_B\n"),  # a header and no rows
     ]
     for i, (cert_text, csv_text) in enumerate(cases):
         cert = _write(tmp_path, cert_text, f"cert{i}.json")
@@ -399,6 +400,25 @@ def test_usage_errors(tmp_path, capsys):
     cert = _write(tmp_path, good_cert, "good.json")
     diag = _write(tmp_path, good_csv, "good.csv")
     assert main(["verify", "--diagnostics", diag, "--certificate", cert, "--quiet"]) == 0
+
+
+def test_verify_and_constants_write_only_with_out(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    cfg = _write(tmp_path, SMALL_SIM_CFG)
+    cert_text = '{"eta": 0.5, "mu": 0, "K": 0, "gamma": 1, "regime_tag": "t"}'
+    cert = _write(tmp_path, cert_text, "c.json")
+    diag = _write(tmp_path, "tau,E_B\n0,1\n0.5,0.7\n", "d.csv")
+    verify = ["verify", "--diagnostics", diag, "--certificate", cert, "--quiet"]
+    assert main(verify) == 0
+    assert main(["constants", "--config", cfg, "--quiet"]) == 0
+    assert not (tmp_path / "out").exists()
+    # with --out both write; the commands that always write fall back to ./out
+    assert main(verify + ["--out", "v"]) == 0
+    assert main(["constants", "--config", cfg, "--quiet", "--out", "c"]) == 0
+    assert (tmp_path / "v" / "verdict.json").is_file()
+    assert (tmp_path / "c" / "constants.json").is_file()
+    assert main(["conjugate", "--alpha", "2", "--xi-range=0:1:2", "--quiet"]) == 0
+    assert (tmp_path / "out" / "conjugate_bounds.csv").is_file()
 
 
 def test_swapped_species_domain_error_names_the_users_key(tmp_path, capsys):

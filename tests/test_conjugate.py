@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rdmix import PhiFamily, c_tilde, lambda_B, m_hat, phi, phi_conjugate_bound, phi_conjugate_numeric
+from rdmix.entropy import F_p_conjugate
 from rdmix.errors import DomainError
 
 
@@ -59,6 +60,32 @@ def test_conjugate_numeric_is_stable_under_grid_refinement():
     coarse = phi_conjugate_numeric(fam, 2.5, base_points=4000)
     fine = phi_conjugate_numeric(fam, 2.5, base_points=40_000)
     assert coarse == pytest.approx(fine, rel=1e-8)
+
+
+def test_conjugate_numeric_array_equals_scalar_calls():
+    xis = np.linspace(-5.0, 5.0, 41)
+    for a in (1.0, 1.5, 2.0, 3.0):
+        fam = PhiFamily("boltzmann_alpha", a)
+        column = phi_conjugate_numeric(fam, xis, base_points=4000)
+        single = np.array([phi_conjugate_numeric(fam, float(x), base_points=4000) for x in xis])
+        assert column.shape == xis.shape
+        assert np.array_equal(column.view(np.int64), single.view(np.int64))  # bit for bit
+
+
+def test_conjugate_values_pinned():
+    # repr of the values from the one-bracket-at-a-time refinement
+    boltzmann = [(1.0, -3.0, 1.2680029043204382), (1.5, 2.5, 0.7842847603387336),
+                 (3.0, 4.75, 0.5584335234344747), (2.0, 0.0, 0.0)]
+    for a, xi, value in boltzmann:
+        assert phi_conjugate_numeric(PhiFamily("boltzmann_alpha", a), xi) == value
+    general = PhiFamily("general_p_alpha", 2.0, 0.5)
+    assert phi_conjugate_numeric(general, 1.2) == 0.022081066923901233
+    assert m_hat(0.5, 1.0) == 0.5
+    assert m_hat(0.75, 1.5) == 0.27177970571594634
+    assert m_hat(2.0, 3.0) == 0.2500000000043111
+    assert F_p_conjugate(0.7, 2.0) == 0.9450000000000001
+    assert F_p_conjugate(1.5, 0.75) == 4.128000000000004
+    assert F_p_conjugate(-2.0, 1.0) == -0.8646647167633873
 
 
 def test_conjugate_bound_examples():

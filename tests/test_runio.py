@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from rdmix import ProblemData, RateCertificate, SimConfig, InitialConditionSpec
 from rdmix.entropy import DiagnosticsRecord
 from rdmix.errors import ParseError
+from rdmix.profile import solve_profile
 from rdmix import runio
 
 MINIMAL = """
@@ -160,6 +161,46 @@ def test_diagnostics_csv_round_trip(tmp_path):
     assert cols["E_p_0.5"][0] == 0.3
     assert cols["D_react"][0] == math.inf
     assert math.isnan(cols["dissipation_residual"][0])
+
+
+CSV_VALUES = [0.1, 1.0 / 3.0, -0.0, 5e-324, 1e-5, 1e-4, 1e16, 1.7976931348623157e308,
+              math.inf, -math.inf, math.nan]
+
+
+def _rowwise(header, rows) -> str:
+    """The CSV text formatted one value at a time with ``repr``."""
+    return ",".join(header) + "\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows)
+
+
+def test_write_csv_is_repr_of_each_value(tmp_path):
+    rows = [[v, w, 1.0] for v, w in zip(CSV_VALUES, reversed(CSV_VALUES))]
+    expected = _rowwise(["a", "b", "c"], rows)
+    forms = {
+        "ndarray": np.array(rows),
+        "list": rows,
+        "generator": (list(row) for row in rows),
+    }
+    for name, form in forms.items():
+        path = tmp_path / f"{name}.csv"
+        runio.write_csv(path, ["a", "b", "c"], form)
+        assert path.read_text() == expected, name
+    for line in ("0.1,nan,1.0", "-0.0,inf,1.0", "5e-324,1.7976931348623157e+308,1.0",
+                 "1e-05,1e+16,1.0", "0.0001,0.0001,1.0", "-inf,0.3333333333333333,1.0"):
+        assert f"\n{line}\n" in expected
+    with pytest.raises(ValueError):
+        runio.write_csv(tmp_path / "bad.csv", ["a", "b"], rows)
+
+
+def test_profile_csv_is_repr_of_each_value(tmp_path):
+    cfg = runio.parse_config(MINIMAL + "problem.d2 = 3.7\n")
+    sol = solve_profile(cfg.data, cfg.make_grid(), tol=cfg.profile_tol)
+    path = tmp_path / "profile.csv"
+    runio.write_profile_csv(path, sol)
+    columns = (sol.grid.nodes, sol.U, sol.V, sol.Lambda, sol.U1, sol.U2, sol.V1, sol.V2)
+    rows = [[float(x) for x in row] for row in zip(*columns)]
+    header = "y,U,V,Lambda,U1,U2,V1,V2".split(",")
+    assert path.read_text() == _rowwise(header, rows)
+    assert len(rows) == 2001
 
 
 def test_empty_diagnostics_header_only(tmp_path):
