@@ -64,6 +64,20 @@ def _thm_power_range(alpha: float) -> tuple[float, float]:
     return alpha - 1.0, max(alpha / 2.0, alpha - 1.0)
 
 
+def check_entropy_family(data: ProblemData, p: float) -> None:
+    """UnsupportedEntropy for p != 1 at unequal orders, DomainError for p out of alpha's range."""
+    if p == 1.0:
+        return
+    a = data.alpha
+    if a != data.beta:
+        raise UnsupportedEntropy("entropy families with p != 1 require equal reaction orders")
+    p_lo, p_hi = _thm_power_range(a)
+    if not (p > 0.0 and p_lo <= p <= p_hi + 1e-12):
+        raise DomainError(
+            f"p={p} outside the admissible range [{max(p_lo, 0):g}, {p_hi:g}] for alpha={a}"
+        )
+
+
 def compute_constants(
     profile: ProfileSolution, data: ProblemData, p: float = 1.0
 ) -> ConstantsReport:
@@ -73,6 +87,7 @@ def compute_constants(
     trapezoid quadrature, so the certificate inequalities hold against the
     discretely evaluated functionals without extra quadrature slack.
     """
+    check_entropy_family(data, p)
     a, b, k = data.alpha, data.beta, data.k
     grid = profile.grid
     U, V, Lam = profile.U, profile.V, profile.Lambda
@@ -108,15 +123,6 @@ def compute_constants(
         prov["K2"] = "c_tilde/k^(1/(alpha-1)) int |alpha Lambda/U|^(alpha/(alpha-1))"
 
     if p != 1.0:
-        if a != b:
-            raise UnsupportedEntropy(
-                "entropy families with p != 1 require equal reaction orders"
-            )
-        p_lo, p_hi = _thm_power_range(a)
-        if not (p > 0.0 and p_lo <= p <= p_hi + 1e-12):
-            raise DomainError(
-                f"p={p} outside the admissible range [{max(p_lo, 0):g}, {p_hi:g}] for alpha={a}"
-            )
         rep.kappa = math.sqrt(max(1.0 + p - a, 0.0))
         prov["kappa"] = "sqrt(1 + p - alpha)"
         forcing_integral = integrate(grid, Lam**2 / U**a)

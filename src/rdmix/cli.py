@@ -17,11 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, runio
-from .certificates import (
-    compute_constants,
-    select_certificate,
-    verify_decay,
-)
+from .certificates import check_entropy_family, compute_constants, select_certificate, verify_decay
 from .conjugate import PhiFamily, m_hat, phi_conjugate_bound, phi_conjugate_numeric
 from .errors import (
     DomainError, EmptyCurve, ParseError, RdmixError, ThetaTooLarge, UnsupportedRegime
@@ -162,6 +158,10 @@ def cmd_verify(args) -> int:
 
 def cmd_constants(args) -> int:
     config = _load_config(args.config)
+    try:
+        check_entropy_family(config.data, args.p)
+    except DomainError as exc:  # the flag is at fault, so say so before the solve
+        raise ParseError(0, "--p", str(exc))
     grid = config.make_grid()
     sol = solve_profile(config.data, grid, tol=config.profile_tol)
     report = compute_constants(sol, config.data, args.p)

@@ -135,28 +135,28 @@ def phi_conjugate_numeric(
     The sweep is logarithmic in 1 + z so both the pole at z = -1 and the far
     tail are resolved; the upper end is extended by decades until the
     objective has decreased for three consecutive decades (the gap functions
-    grow superlinearly, so the sup is attained at finite z).  ``xi`` may be
-    an array: each xi gets its own tail extension and sweep, then all the
-    brackets are refined together; the values equal per-xi calls bit for bit.
+    grow superlinearly, so the sup is attained at finite z).  ``xi`` may be an
+    array: the decades are evaluated once, each xi gets its own upper end and
+    sweep, then all the brackets are refined together, bit for bit as per xi.
     """
     xis = np.asarray(xi, dtype=float)
     if not np.all(np.isfinite(xis)):
         raise DomainError(f"xi must be finite, got {xi}")
     flat = xis.ravel()
+    # every xi scans the same decades 1 + z = 10^top, top = log10(1 + z_max) + k < 300
+    tops = [math.log10(1.0 + z_max)]
+    while tops[-1] < 300:
+        tops.append(tops[-1] + 1.0)
+    z_tail = np.array([10.0**t - 1.0 for t in tops[:-1]])
+    tail = _objective(fam, flat[:, None], z_tail)
+    # down[:, k]: decade k + 1 lies below the best before it; three in a row end a scan
+    down = tail[:, 1:] < np.maximum.accumulate(tail, axis=1)[:, :-1]
+    stop = np.c_[down[:, 2:] & down[:, 1:-1] & down[:, :-2], np.ones(len(flat), bool)]
+    ends = np.minimum(stop.argmax(axis=1) + 4, len(z_tail)).tolist()
     best, lo, hi = np.empty_like(flat), np.empty_like(flat), np.empty_like(flat)
     sweeps = {}  # upper end -> (nodes, phi at the nodes): most xi share a few ends
     for j, x in enumerate(flat.tolist()):
-        # extend the upper end until the tail is clearly decreasing
-        decades_down, top = 0, math.log10(1.0 + z_max)
-        best_tail = -np.inf
-        while decades_down < 3 and top < 300:
-            val = float(_objective(fam, x, np.array([10.0**top - 1.0]))[0])
-            if val < best_tail:
-                decades_down += 1
-            else:
-                decades_down = 0
-                best_tail = val
-            top += 1.0
+        top = tops[ends[j]]
         if top not in sweeps:
             z = np.logspace(math.log10(_EDGE), top, base_points) - 1.0
             with np.errstate(over="ignore", invalid="ignore"):

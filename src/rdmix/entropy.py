@@ -1,6 +1,6 @@
 """Relative entropies and dissipation functionals for states against a profile.
 
-Scalar generators: the Boltzmann function z log z - z + 1, the power family
+Pointwise generators: the Boltzmann function z log z - z + 1, the power family
 F_p with F_p'' = z^(p-2) and F_p(1) = F_p'(1) = 0, their convex conjugates,
 and the nonnegative reaction pairing (a - b)(log a - log b).  Functionals are
 trapezoid quadratures on the shared grid, with relative densities rho = u/U
@@ -105,47 +105,31 @@ class DiagnosticsRecord:
     dissipation_residual: float = float("nan")
 
 
-def lambda_B(z: float) -> float:
+def lambda_B(z: float | np.ndarray):
     """Boltzmann function z log z - z + 1, continuously extended by 1 at z = 0."""
-    if z < 0:
-        raise DomainError(f"Boltzmann function needs z >= 0, got {z}")
-    if z == 0.0:
-        return 1.0
-    return z * math.log(z) - z + 1.0
+    return F_p(z, 1.0)
 
 
-def _lambda_B_arr(z: np.ndarray, z_min: float | None = None) -> np.ndarray:
-    """lambda_B nodewise; ``z_min`` may pass the minimum of ``z`` when it is known."""
-    if z_min is None:
-        z_min = z.min()
-    if z_min >= _DENSITY_CLAMP:  # the usual case: no clamp, no zero to extend at
-        return z * np.log(z) - z + 1.0
-    safe = np.maximum(z, _DENSITY_CLAMP)
-    return np.where(z > 0, safe * np.log(safe) - safe + 1.0, 1.0)
+def F_p(z: float | np.ndarray, p: float, z_min: float | None = None):
+    """Power-family entropy generator; p = 1 is Boltzmann, p = 0 the dual log branch.
 
-
-def F_p(z: float, p: float) -> float:
-    """Power-family entropy generator; p = 1 is Boltzmann, p = 0 the dual log branch."""
-    if z < 0 or (z == 0 and p <= 0):
-        raise DomainError(f"F_p needs z >= 0 (z > 0 for p <= 0), got z={z}, p={p}")
-    if p == 1.0:
-        return lambda_B(z)
-    if p == 0.0:
-        return z - math.log(z) - 1.0
-    return (z**p - p * z + p - 1.0) / (p * (p - 1.0))
-
-
-def _F_p_arr(z: np.ndarray, p: float, z_min: float | None = None) -> np.ndarray:
-    """F_p nodewise; ``z_min`` may pass the minimum of ``z`` when it is known."""
-    if z_min is None:
-        z_min = z.min()
-    if z_min < 0 or (p <= 0 and z_min <= 0):
-        raise DomainError("F_p needs nonnegative arguments (positive for p <= 0)")
-    if p == 1.0:
-        return _lambda_B_arr(z, z_min)
-    if p == 0.0:
-        return z - np.log(z) - 1.0
-    return (z**p - p * z + p - 1.0) / (p * (p - 1.0))
+    ``z`` is a float or an array (a float in gives a float out); ``z_min`` may
+    pass the minimum of ``z`` when it is known.
+    """
+    z = np.asarray(z, dtype=float)
+    z_min = z.min() if z_min is None else z_min
+    if not z_min >= 0 or (p <= 0 and z_min <= 0):  # a NaN fails too
+        raise DomainError(f"F_p needs z >= 0 (z > 0 for p <= 0), got min z={z_min}, p={p}")
+    if p == 1.0 and z_min >= _DENSITY_CLAMP:  # the usual case: no clamp, no zero to extend at
+        out = z * np.log(z) - z + 1.0
+    elif p == 1.0:
+        safe = np.maximum(z, _DENSITY_CLAMP)
+        out = np.where(z > 0, safe * np.log(safe) - safe + 1.0, 1.0)
+    elif p == 0.0:
+        out = z - np.log(z) - 1.0
+    else:
+        out = (z**p - p * z + p - 1.0) / (p * (p - 1.0))
+    return out if out.ndim else float(out)
 
 
 def F_p_conjugate(zeta: float, p: float, tol: float = 1e-10) -> float:
@@ -160,7 +144,7 @@ def F_p_conjugate(zeta: float, p: float, tol: float = 1e-10) -> float:
         return 2.0 * zeta / (2.0 - zeta)
     if p < 1 and zeta >= 1.0 / (1.0 - p):
         raise DomainError(f"conjugate of F_p is finite only for zeta < {1/(1-p):g}")
-    return numeric_sup(lambda z: zeta * z - _F_p_arr(z, p), _FP_SWEEP, tol)
+    return numeric_sup(lambda z: zeta * z - F_p(z, p), _FP_SWEEP, tol)
 
 
 def gamma_fn(a: float, b: float) -> float:
@@ -192,7 +176,7 @@ def relative_entropy(
     """E_p = integral of U F_p(u/U) + V F_p(v/V); ``dens`` may pass the state's densities."""
     if dens is None:
         dens = relative_densities(state, profile)
-    vals = profile.UV * _F_p_arr(dens.both, p, dens.lowest)
+    vals = profile.UV * F_p(dens.both, p, dens.lowest)
     return integrate(state.grid, vals[0] + vals[1])
 
 

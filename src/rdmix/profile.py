@@ -213,7 +213,7 @@ def closed_form_profile(data: ProblemData, grid: Grid) -> ProfileSolution:
     lo, hi = data.v_minus, data.v_plus  # A^alpha = A^beta here
     half = 0.5 * (hi - lo)
     y = grid.nodes
-    U = 0.5 * (hi + lo) + half * erf(y / c)
+    U = _erf_ramp(grid, lo, hi, c)
     U1 = half * (2.0 / (c * np.sqrt(np.pi))) * np.exp(-((y / c) ** 2))
     U2 = -(2.0 * y / c**2) * U1
     Lam = ((d2 - d1) / (2.0 * a)) * U2
@@ -228,9 +228,7 @@ def linear_diffusion_profile(
     """Scaled single-species diffusion profile: mixing erf ramp with scale sqrt(4 D)."""
     if not (np.isfinite(D) and D > 0):
         raise DomainError(f"diffusivity must be positive, got {D}")
-    return 0.5 * (A_plus + A_minus) + 0.5 * (A_plus - A_minus) * erf(
-        grid.nodes / np.sqrt(4.0 * D)
-    )
+    return _erf_ramp(grid, A_minus, A_plus, np.sqrt(4.0 * D))
 
 
 def profile_invariants(sol: ProfileSolution, tol: float = 1e-8) -> dict[str, bool]:

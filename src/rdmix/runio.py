@@ -215,12 +215,11 @@ def read_certificate_json(path) -> RateCertificate:
     try:
         with open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
-        return RateCertificate(
-            eta=float(obj["eta"]),
-            mu=float(obj["mu"]),
-            K=float(obj["K"]),
-            gamma=float(obj["gamma"]),
-            regime_tag=str(obj.get("regime_tag", "")),
-        )
+        if not isinstance(obj, dict):
+            raise TypeError(f"expected a JSON object, got {type(obj).__name__}")
+        return RateCertificate(**{
+            f.name: str(obj.get(f.name, "")) if f.type == "str" else float(obj[f.name])
+            for f in fields(RateCertificate)
+        })
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(0, str(path), f"not a certificate: {type(exc).__name__}: {exc}")

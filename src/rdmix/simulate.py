@@ -171,11 +171,7 @@ class _StepWorkspace:
 
 
 def step(
-    state: State,
-    profile: ProfileSolution,
-    data: ProblemData,
-    dtau: float,
-    workspace: _StepWorkspace | None = None,
+    state: State, data: ProblemData, dtau: float, workspace: _StepWorkspace | None = None
 ) -> State:
     """Advance one implicit-explicit step of size dtau.
 
@@ -290,7 +286,7 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
     p_list = config.effective_p_list()
 
     def advance(st: State, dt: float) -> State:
-        return step(st, profile, config.data, dt, ws)
+        return step(st, config.data, dt, ws)
 
     def sample(st: State) -> DiagnosticsRecord:
         dens = relative_densities(st, profile)
@@ -329,11 +325,11 @@ class LinearRecord:
 
 def _phi_values(kind: str, z: np.ndarray, p: float) -> np.ndarray:
     if kind == "boltzmann":
-        return entropy._lambda_B_arr(z)
+        return entropy.lambda_B(z)
     if kind == "quadratic":
         return (z - 1.0) ** 2
     if kind == "power":
-        return entropy._F_p_arr(z, p)
+        return entropy.F_p(z, p)
     raise DomainError(f"unknown entropy kind {kind!r}")
 
 

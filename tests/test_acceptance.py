@@ -326,7 +326,7 @@ def test_criterion_11_conserved_moment():
     worst = 0.0
     nsteps = int(round(cfg.tau_end / cfg.dtau_initial))
     for s in range(1, nsteps + 1):
-        state = step(state, prof, data, cfg.dtau_initial, ws)
+        state = step(state, data, cfg.dtau_initial, ws)
         if s % 500 == 0:
             err = abs(conserved_moment(state, prof) - math.exp(-0.5 * state.tau) * m0)
             worst = max(worst, err)

@@ -236,11 +236,21 @@ def test_cmd_constants(tmp_path, capsys):
     assert payload["certificate"]["eta"] == 0.5
 
 
-def test_cmd_constants_domain_error(tmp_path, capsys):
+def test_cmd_constants_domain_error(tmp_path, capsys, monkeypatch):
+    # an inadmissible --p is a usage error, found before the profile is solved
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the profile was solved for an inadmissible --p")
+
+    monkeypatch.setattr("rdmix.cli.solve_profile", no_solve)
     cfg = _write(tmp_path, ORACLE_CFG)
     rc = main(["constants", "--config", cfg, "--p", "5.0", "--out", str(tmp_path / "out")])
-    assert rc == 2
+    assert rc == 3
     assert "outside the admissible range" in capsys.readouterr().err
+    unequal = _write(tmp_path, ORACLE_CFG.replace("problem.beta = 2", "problem.beta = 1"), "u.cfg")
+    rc = main(["constants", "--config", unequal, "--p", "0.5", "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "require equal reaction orders" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cmd_conjugate_tables(tmp_path):
@@ -385,6 +395,8 @@ def test_usage_errors(tmp_path, capsys):
         ("eta = 0.5", good_csv),  # not JSON
         ('{"eta": -1, "mu": 0, "K": 0, "gamma": 1}', good_csv),  # outside the domain
         ("[0.5, 0, 0, 1]", good_csv),  # not an object
+        ('"text"', good_csv),  # a JSON string
+        ("7", good_csv),  # a JSON number
         (good_cert, "tau,E_B\n0,1\n0.5,abc\n"),  # non-numeric cell
         (good_cert, "tau,E_B\n0,1\n0.5\n"),  # short row
         (good_cert, "tau,E_p_1\n0,1\n0.5,0.7\n"),  # no E_B column

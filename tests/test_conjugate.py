@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rdmix import PhiFamily, c_tilde, lambda_B, m_hat, phi, phi_conjugate_bound, phi_conjugate_numeric
+from rdmix import conjugate
+from rdmix.conjugate import numeric_sup
 from rdmix.entropy import F_p_conjugate
 from rdmix.errors import DomainError
 
@@ -70,6 +72,37 @@ def test_conjugate_numeric_array_equals_scalar_calls():
         single = np.array([phi_conjugate_numeric(fam, float(x), base_points=4000) for x in xis])
         assert column.shape == xis.shape
         assert np.array_equal(column.view(np.int64), single.view(np.int64))  # bit for bit
+
+
+def _tail_top_loop(fam, xi, z_max):
+    """The upper sweep end of one xi by the decade-at-a-time tail scan."""
+    decades_down, top, best_tail = 0, math.log10(1.0 + z_max), -np.inf
+    while decades_down < 3 and top < 300:
+        val = float(conjugate._objective(fam, xi, np.array([10.0**top - 1.0]))[0])
+        if val < best_tail:
+            decades_down += 1
+        else:
+            decades_down, best_tail = 0, val
+        top += 1.0
+    return top
+
+
+def test_conjugate_tail_scan_equals_loop_reference():
+    # the shared tail scan against a per-xi decade loop, a per-xi sweep to the
+    # end that loop finds and a one-bracket refinement, bit for bit; z_max
+    # 1e298 leaves fewer than three decades below 1e300
+    xis = np.array([-60.0, -5.0, -1.0, 0.0, 0.3, 2.0, 5.0, 60.0])
+    fams = [PhiFamily("boltzmann_alpha", a) for a in (1.0, 1.5, 3.0)]
+    fams.append(PhiFamily("general_p_alpha", 2.0, 0.5))
+    for fam in fams:
+        for z_max in (1e3, 1e298):
+            ref = []
+            for x in xis.tolist():
+                top = _tail_top_loop(fam, x, z_max)
+                z = np.logspace(math.log10(conjugate._EDGE), top, 2000) - 1.0
+                ref.append(max(0.0, numeric_sup(lambda t: conjugate._objective(fam, x, t), z)))
+            got = phi_conjugate_numeric(fam, xis, base_points=2000, z_max=z_max)
+            assert got.tolist() == ref, (fam, z_max)
 
 
 def test_conjugate_values_pinned():

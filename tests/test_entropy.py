@@ -25,7 +25,7 @@ from rdmix import (
     split_mixed_term,
 )
 from rdmix.conjugate import numeric_sup
-from rdmix.entropy import _F_p_arr, _FP_SWEEP
+from rdmix.entropy import _FP_SWEEP
 from rdmix.errors import DomainError, UnsupportedEntropy
 from tests.conftest import flat_profile
 
@@ -56,6 +56,33 @@ def test_F_p_values():
         F_p(-1.0, 2.0)
     with pytest.raises(DomainError):
         F_p(0.0, -1.0)
+
+
+def test_generators_on_arrays_equal_scalar_calls():
+    # one definition serves floats and arrays: an array gives, element by
+    # element, exactly the float of a scalar call
+    z = np.array([0.0, 1e-310, 1e-300, 0.25, 1.0, math.e, 7.5, 1e6])
+    for p in (1.0, 0.5, 2.0, 0.0, -1.0):
+        zp = z if p > 0 else z[3:]
+        vals = F_p(zp, p)
+        assert isinstance(vals, np.ndarray) and vals.shape == zp.shape
+        scalars = [F_p(float(x), p) for x in zp]
+        assert all(type(s) is float for s in scalars)
+        assert [v.hex() for v in vals.tolist()] == [s.hex() for s in scalars], p
+    boltz = lambda_B(z)
+    assert boltz[0] == 1.0
+    assert [v.hex() for v in boltz.tolist()] == [lambda_B(float(x)).hex() for x in z]
+    with pytest.raises(DomainError):
+        lambda_B(np.array([0.5, -1e-3, 2.0]))
+    with pytest.raises(DomainError):
+        F_p(np.array([0.5, -1e-3, 2.0]), 2.0)
+    with pytest.raises(DomainError):
+        F_p(np.array([0.5, 0.0]), 0.0)
+    for p in (1.0, 2.0):  # a NaN is not extended like z = 0
+        with pytest.raises(DomainError):
+            F_p(math.nan, p)
+        with pytest.raises(DomainError):
+            F_p(np.array([0.5, math.nan]), p)
 
 
 @settings(max_examples=200)
@@ -100,10 +127,10 @@ def test_numeric_sup_matches_closed_form_conjugates():
     # the objective of F_p_conjugate on its own sweep nodes, at the two p with
     # a closed-form conjugate (p = 1/2 is short-circuited by F_p_conjugate)
     for zeta in (-3.0, -1.0, 0.0, 0.5, 1.0, 1.5, 1.9):
-        sup = numeric_sup(lambda z: zeta * z - _F_p_arr(z, 0.5), _FP_SWEEP)
+        sup = numeric_sup(lambda z: zeta * z - F_p(z, 0.5), _FP_SWEEP)
         assert sup == pytest.approx(2.0 * zeta / (2.0 - zeta), rel=1e-12, abs=1e-12)
     for zeta in (-0.9, -0.5, 0.0, 1.0, 3.0, 10.0):
-        sup = numeric_sup(lambda z: zeta * z - _F_p_arr(z, 2.0), _FP_SWEEP)
+        sup = numeric_sup(lambda z: zeta * z - F_p(z, 2.0), _FP_SWEEP)
         assert sup == pytest.approx(zeta + zeta**2 / 2.0, rel=1e-12, abs=1e-12)
 
 

@@ -218,3 +218,9 @@ def test_certificate_json_round_trip(tmp_path):
     path = tmp_path / "cert.json"
     runio.write_json(path, dataclasses.asdict(cert))
     assert runio.read_certificate_json(path) == cert
+
+
+def test_certificate_json_without_tag_reads_empty_tag(tmp_path):
+    path = tmp_path / "cert.json"
+    path.write_text('{"eta": 0.5, "mu": 0, "K": 1.5, "gamma": 1}')
+    assert runio.read_certificate_json(path) == RateCertificate(0.5, 0.0, 1.5, 1.0, "")

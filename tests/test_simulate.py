@@ -58,7 +58,7 @@ def test_step_fixed_point_on_profile():
     grid = Grid(16.0, 2001)
     prof = solve_profile(data, grid, tol=1e-10)
     state = State(grid, prof.U.copy(), prof.V.copy(), 0.0)
-    new = step(state, prof, data, 1e-3)
+    new = step(state, data, 1e-3)
     assert np.max(np.abs(new.u - state.u)) <= 1e-10
     assert np.max(np.abs(new.v - state.v)) <= 1e-10
 
@@ -78,7 +78,7 @@ def test_step_drift_from_profile_decays(data):
     prof = solve_profile(data, grid, tol=1e-10)
     drifts = []
     for tau in (0.0, 5.0, 10.0, 15.0):
-        new = step(State(grid, prof.U.copy(), prof.V.copy(), tau), prof, data, 1e-3)
+        new = step(State(grid, prof.U.copy(), prof.V.copy(), tau), data, 1e-3)
         drifts.append(max(np.max(np.abs(new.u - prof.U)), np.max(np.abs(new.v - prof.V))))
     assert all(b < a for a, b in zip(drifts, drifts[1:]))
     assert drifts[-1] <= 1e-2 * drifts[0]
@@ -89,7 +89,7 @@ def test_step_constant_equilibrium_unchanged():
     grid = Grid(8.0, 401)
     prof = solve_profile(data, grid)
     state = State(grid, np.ones(grid.n), np.ones(grid.n), 0.0)
-    new = step(state, prof, data, 1e-2)
+    new = step(state, data, 1e-2)
     assert np.max(np.abs(new.u - 1.0)) <= 1e-13
     assert np.max(np.abs(new.v - 1.0)) <= 1e-13
 
@@ -101,7 +101,7 @@ def test_step_boundary_pinning_and_positivity():
     y = grid.nodes
     state = State(grid, prof.U * (1 + 0.5 * np.exp(-(y**2))), prof.V.copy(), 0.0)
     for _ in range(20):
-        state = step(state, prof, data, 1e-3)
+        state = step(state, data, 1e-3)
     assert abs(state.u[0] - data.u_minus) <= 1e-12
     assert abs(state.u[-1] - data.u_plus) <= 1e-12
     assert abs(state.v[0] - data.v_minus) <= 1e-12
@@ -120,7 +120,7 @@ def test_stiff_relaxation_onto_constraint_manifold():
     def march(dtau, nsteps):
         state = State(grid, u0.copy(), prof.V.copy(), 20.0)
         for _ in range(nsteps):
-            state = step(state, prof, data, dtau)
+            state = step(state, data, dtau)
         return state
 
     s1 = march(1e-3, 10)
@@ -263,10 +263,10 @@ def test_rejection_on_positivity_loss():
     u[1:-1] = 1e-12
     state = State(grid, u, prof.V.copy(), 0.0)
     with pytest.raises(PositivityLoss):
-        step(state, prof, data, 1e-3)
+        step(state, data, 1e-3)
     # a moderate dip stays positive at the default step
     mild = State(grid, np.maximum(prof.U * 0.01, 1e-3), prof.V.copy(), 0.0)
-    assert np.min(step(mild, prof, data, 1e-3).u) > 0
+    assert np.min(step(mild, data, 1e-3).u) > 0
 
 
 def _first_diffused_state(data, grid, dtau=1e-3):
