@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conjugate, entropy
-from .errors import DomainError, EmptyCurve, ThetaTooLarge, UnsupportedEntropy, UnsupportedRegime
+from .errors import DomainError, EmptyCurve, ThetaTooLarge, UnsupportedRegime
 from .grids import integrate
 from .profile import ProblemData, ProfileSolution
 
@@ -60,18 +60,13 @@ class ConstantsReport:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def _thm_power_range(alpha: float) -> tuple[float, float]:
-    return alpha - 1.0, max(alpha / 2.0, alpha - 1.0)
-
-
 def check_entropy_family(data: ProblemData, p: float) -> None:
     """UnsupportedEntropy for p != 1 at unequal orders, DomainError for p out of alpha's range."""
+    entropy.require_equal_orders(data, p)
     if p == 1.0:
         return
     a = data.alpha
-    if a != data.beta:
-        raise UnsupportedEntropy("entropy families with p != 1 require equal reaction orders")
-    p_lo, p_hi = _thm_power_range(a)
+    p_lo, p_hi = a - 1.0, max(a / 2.0, a - 1.0)
     if not (p > 0.0 and p_lo <= p <= p_hi + 1e-12):
         raise DomainError(
             f"p={p} outside the admissible range [{max(p_lo, 0):g}, {p_hi:g}] for alpha={a}"
@@ -153,8 +148,10 @@ def select_certificate(
     """Pick the decay certificate matching (alpha, beta, p).
 
     Raises ThetaTooLarge when alpha > beta but the profile is not flat enough
-    (theta >= 1/2) and UnsupportedRegime when no result covers the request.
+    (theta >= 1/2) and UnsupportedRegime when no result covers the request
+    (UnsupportedEntropy, a subclass, for p != 1 at unequal orders).
     """
+    entropy.require_equal_orders(data, p)
     a, b = data.alpha, data.beta
     if a == b:
         if p == 1.0:
@@ -183,9 +180,7 @@ def select_certificate(
         return RateCertificate(
             0.5, report.mu_tilde, report.K_tilde, 1.0, f"power entropy p={p:g}"
         )
-    # alpha > beta: Boltzmann only, and the profile must be flat enough
-    if p != 1.0:
-        raise UnsupportedRegime("unequal reaction orders admit only the Boltzmann entropy")
+    # alpha > beta (Boltzmann only): the profile must be flat enough
     if report.theta >= 0.5:
         raise ThetaTooLarge(report.theta)
     if a >= 2.0:
@@ -256,8 +251,7 @@ def verify_decay(
     pts = [(float(t), float(e)) for t, e in curve]
     if not pts:
         raise EmptyCurve("decay verification needs at least one sample")
-    taus = np.array([t for t, _ in pts])
-    values = np.array([e for _, e in pts])
+    taus, values = np.array(pts).T
     if np.any(np.diff(taus) < 0):
         raise DomainError("samples must be sorted by tau")
     if np.any(values < 0):
@@ -266,10 +260,7 @@ def verify_decay(
     worst = 0.0
     for t, e in pts:
         env = gronwall_envelope(cert, E0, t - t0)
-        if env == 0.0:
-            ratio = 0.0 if e <= 1e-300 else math.inf
-        else:
-            ratio = e / env
+        ratio = (0.0 if e <= 1e-300 else math.inf) if env == 0.0 else e / env
         worst = max(worst, ratio)
     if fit_window is None:
         fit_window = (t0 + 0.5 * (taus[-1] - t0), float(taus[-1]))

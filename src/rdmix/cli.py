@@ -58,9 +58,7 @@ def cmd_profile(args) -> int:
         "invariants": checks,
         # boundary magnitudes let users judge the domain-truncation quality
         "tail_magnitudes": {
-            "Lambda": max(abs(float(sol.Lambda[0])), abs(float(sol.Lambda[-1]))),
-            "U1": max(abs(float(sol.U1[0])), abs(float(sol.U1[-1]))),
-            "V1": max(abs(float(sol.V1[0])), abs(float(sol.V1[-1]))),
+            key: float(np.abs(getattr(sol, key)[[0, -1]]).max()) for key in ("Lambda", "U1", "V1")
         },
         "profile_csv": str(csv_path),
     }
@@ -105,6 +103,9 @@ def cmd_simulate(args) -> int:
         "steps_accepted": result.steps_accepted,
         "steps_rejected": result.steps_rejected,
         "steps_rejected_by_cause": result.rejected_by_cause,
+        "reaction_newton_iterations": result.reaction_newton_iterations,
+        "reaction_midpoint_fallbacks": result.reaction_midpoint_fallbacks,
+        "dtau_range": result.dtau_range,
         "final": (
             {
                 "tau": result.records[-1].tau,

@@ -18,7 +18,7 @@ import numpy as np
 from .conjugate import numeric_sup
 from .errors import DomainError, UnsupportedEntropy
 from .grids import Grid, check_values, derivative1, integrate
-from .profile import ProfileSolution
+from .profile import ProblemData, ProfileSolution
 
 # densities below this are treated as on the axis of the reaction pairing,
 # where the pairing is infinite; simulation enforces positivity, so hitting
@@ -189,20 +189,17 @@ def fisher_information(
     return integrate(dens.grid, vals[0] + vals[1])
 
 
-def _require_equal_orders(profile: ProfileSolution, p: float, what: str) -> None:
-    d = profile.data
-    if p != 1.0 and d.alpha != d.beta:
-        raise UnsupportedEntropy(
-            f"{what} with p != 1 requires equal reaction orders, got "
-            f"alpha={d.alpha}, beta={d.beta}"
-        )
+def require_equal_orders(data: ProblemData, p: float) -> None:
+    """UnsupportedEntropy unless p = 1 or the reaction orders are equal."""
+    if p != 1.0 and data.alpha != data.beta:
+        raise UnsupportedEntropy("entropy families with p != 1 require equal reaction orders")
 
 
 def reactive_dissipation(
     dens: RelativeDensities, profile: ProfileSolution, p: float = 1.0
 ) -> float:
     """Reaction dissipation; Boltzmann pairing for p = 1, power pairing for equal orders."""
-    _require_equal_orders(profile, p, "reactive dissipation")
+    require_equal_orders(profile.data, p)
     d = profile.data
     rho, zeta = _clamped(dens)
     if p == 1.0:
@@ -223,7 +220,7 @@ def reactive_dissipation(
 
 def mixed_term(dens: RelativeDensities, profile: ProfileSolution, p: float = 1.0) -> float:
     """Signed multiplier term; the only dissipation contribution without a sign."""
-    _require_equal_orders(profile, p, "mixed term")
+    require_equal_orders(profile.data, p)
     d = profile.data
     if p == 1.0:
         vals = ((1.0 - dens.rho) * d.alpha - (1.0 - dens.zeta) * d.beta) * profile.Lambda
@@ -294,8 +291,7 @@ def dissipation_total(
         I_L1, I_L2 = split_mixed_term(dens, profile)
     else:
         I_L1, I_L2 = I_L, 0.0  # the remainder part vanishes identically at equal orders
-    E_drive = E_B if p == 1.0 else E_p[p]
-    total = I_F + 0.5 * E_drive - I_L + math.exp(state.tau) * D_re
+    total = I_F + 0.5 * E_p[p] - I_L + math.exp(state.tau) * D_re
     return DiagnosticsRecord(
         tau=state.tau,
         E_B=E_B,

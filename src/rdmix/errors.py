@@ -11,10 +11,6 @@ class DomainError(RdmixError, ValueError):
     """An argument lies outside the mathematical domain of an operation."""
 
 
-class UnsupportedEntropy(DomainError):
-    """Requested entropy family is not admissible for the given reaction orders."""
-
-
 class NonConvergence(RdmixError):
     """Iterative solver failed to reach the requested tolerance."""
 
@@ -53,6 +49,10 @@ class ThetaTooLarge(RdmixError):
 
 class UnsupportedRegime(RdmixError):
     """No certificate covers the requested (alpha, beta, p) combination."""
+
+
+class UnsupportedEntropy(DomainError, UnsupportedRegime):
+    """Requested entropy family is not admissible (no certificate) for the given reaction orders."""
 
 
 class EmptyCurve(RdmixError):

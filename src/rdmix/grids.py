@@ -18,7 +18,10 @@ from .errors import DomainError
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform mesh y_0 = -L, ..., y_{n-1} = L with spacing h = 2L/(n-1)."""
+    """Uniform mesh y_0 = -L, ..., y_{n-1} = L with spacing h = 2L/(n-1).
+
+    Grids compare and hash by (L, n) alone; ``nodes`` and ``h`` follow from them.
+    """
 
     half_width: float
     n: int
@@ -35,14 +38,6 @@ class Grid:
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "h", 2.0 * L / (n - 1))
-
-    def __eq__(self, other):
-        if not isinstance(other, Grid):
-            return NotImplemented
-        return self.half_width == other.half_width and self.n == other.n
-
-    def __hash__(self):
-        return hash((self.half_width, self.n))
 
 
 def default_half_width(*equilibria: float) -> float:

@@ -240,25 +240,15 @@ def profile_invariants(sol: ProfileSolution, tol: float = 1e-8) -> dict[str, boo
     """
     d = sol.data
     constraint = float(np.max(np.abs(sol.U**d.alpha - sol.V**d.beta)))
+    ends = np.array([[d.u_minus, d.u_plus], [d.v_minus, d.v_plus]])  # rows U and V
     checks = {
         "algebraic_constraint": constraint <= 1e-8 * float(np.max(sol.U**d.alpha)),
-        "boundary_values": bool(
-            abs(sol.U[0] - d.u_minus) <= 1e-8
-            and abs(sol.U[-1] - d.u_plus) <= 1e-8
-            and abs(sol.V[0] - d.v_minus) <= 1e-8
-            and abs(sol.V[-1] - d.v_plus) <= 1e-8
-        ),
-        "positivity": (
-            float(np.min(sol.U)) >= min(d.u_minus, d.u_plus) - 1e-10
-            and float(np.min(sol.V)) >= min(d.v_minus, d.v_plus) - 1e-10
-        ),
+        "boundary_values": bool(np.all(np.abs(sol.UV[:, [0, -1]] - ends) <= 1e-8)),
+        "positivity": bool(np.all(sol.UV.min(axis=1) >= ends.min(axis=1) - 1e-10)),
         "multiplier_consistency": sol.multiplier_mismatch() <= max(tol, 10.0 * sol.residual_norm),
         "residual": sol.residual_norm <= tol,
     }
-    if d.A_minus < d.A_plus:
-        checks["monotone"] = bool(np.all(np.diff(sol.U) >= -1e-12) and np.all(np.diff(sol.V) >= -1e-12))
-    elif d.A_minus > d.A_plus:
-        checks["monotone"] = bool(np.all(np.diff(sol.U) <= 1e-12) and np.all(np.diff(sol.V) <= 1e-12))
-    else:
-        checks["monotone"] = True
+    # both rows rise (fall) with A+ above (below) A-; equal equilibria pass
+    rise = np.sign(d.A_plus - d.A_minus)
+    checks["monotone"] = bool(np.all(rise * np.diff(sol.UV, axis=1) >= -1e-12))
     return checks

@@ -5,7 +5,8 @@ backward-Euler banded solve per species with the boundary values pinned, then
 the reaction advances by a pointwise implicit solve with prefactor e^(tau +
 dtau).  The local reaction conserves beta u + alpha v, so the per-node solve
 reduces to a bracketed scalar Newton iteration on that invariant line; this
-keeps both concentrations positive for any step size.
+keeps both concentrations positive for any step size.  Within a run each solve
+starts from the previous step's increment and stops on a proven error bound.
 """
 
 from __future__ import annotations
@@ -118,56 +119,92 @@ def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
 
 
 def _reaction_implicit(
-    u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float, max_iter: int = 120
+    u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float, max_iter: int = 120,
+    guess: np.ndarray | None = None, counts: dict[str, int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Backward-Euler reaction solve at every node.
 
     Solves x = u + scale * alpha (vv^beta - x^alpha) with vv = (m - beta x)/alpha
-    and m = beta u + alpha v; the root is unique in (0, m/beta) because the
-    residual is strictly increasing there.  Newton steps are safeguarded by
-    a bracket [lo, hi] that always holds the root: hi moves only to an
-    iterate with a positive residual, lo only to one with a negative
-    residual.  A Newton step that lands strictly outside the bracket is
-    replaced by its midpoint; one that lands on a bracket end is kept, so a
-    node at its root (zero residual, or roundoff) stays there.  Raises
-    NewtonFailure if the iterates have not settled after ``max_iter`` steps.
+    and m = beta u + alpha v; the residual f has f' >= 1, so the root is unique
+    in (0, m/beta).  Newton starts from ``guess`` (default u) clipped into that
+    open bracket and is safeguarded by a bracket [lo, hi] that always holds the
+    root: hi moves only to an iterate with a positive residual, lo only to one
+    with a negative residual.  A Newton step that lands strictly outside the
+    bracket is replaced by its midpoint; one that lands on a bracket end is
+    kept, so a node at its root (zero residual, or roundoff) stays there.
+
+    After a pure Newton step dx, f(x + dx) = f''(xi) dx^2 / 2 and f' >= 1 bound
+    the error of x + dx by M dx^2 / 2, M a bound of |f''| on the step.  With
+    tol = 1e-15 (max x + 1), the iteration stops once that bound is within tol / 2
+    at every node (the other half is left to roundoff) or the step is within tol
+    (the only test after a midpoint replacement).  ``counts`` sums iterations and
+    midpoint replacements; NewtonFailure is raised after ``max_iter`` iterations.
     """
     a, b = data.alpha, data.beta
     m = b * u + a * v
     lo = np.zeros_like(u)
     hi = m / b
-    x = np.clip(u, hi * 1e-12, hi * (1.0 - 1e-12))
-    f = None
-    for _ in range(max_iter):
-        vv = (m - b * x) / a
-        # x^a and vv^b as x x^(a-1) and vv vv^(b-1): two general powers, not four
+    x = u if guess is None else guess
+    x = np.minimum(np.maximum(x, hi * 1e-12), hi * (1.0 - 1e-12))  # np.clip at half its cost
+    sa2, sb2 = scale * a * a, scale * b * b
+    # f'' = scale (g1 - g2) with g1 = c1 x^(a-2) and g2 = c2 vv^(b-2), each monotone
+    # in x; an order of 1 (zero coefficient) or 2 (zero exponent) makes its g constant
+    c1, c2 = a * a * (a - 1.0), b**3 * (b - 1.0) / a
+    flat = a in (1.0, 2.0) and b in (1.0, 2.0)
+    M = abs(c1 - c2)  # |f''| / scale, for good when flat
+
+    def at(x, vv):  # x^(a-1), vv^(b-1), g1 and g2 at the iterate x
         x_a1, vv_b1 = x ** (a - 1.0), vv ** (b - 1.0)
+        g1 = c1 if a in (1.0, 2.0) else c1 * x_a1 / x
+        return x_a1, vv_b1, g1, c2 if b in (1.0, 2.0) else c2 * vv_b1 / vv
+
+    vv = (m - b * x) / a
+    x_a1, vv_b1, g1, g2 = at(x, vv)
+    done, fallbacks = False, 0
+    for it in range(1, max_iter + 1):
+        # x^a and vv^b as x x^(a-1) and vv vv^(b-1): two general powers, not four
         f = x - u - scale * a * (vv * vv_b1 - x * x_a1)
         np.putmask(hi, f > 0.0, x)
         np.putmask(lo, f < 0.0, x)
-        fp = 1.0 + scale * (b * b * vv_b1 + a * a * x_a1)
-        xn = x - f / fp
+        xn = x - f / (1.0 + sb2 * vv_b1 + sa2 * x_a1)
         outside = (xn < lo) | (xn > hi)
-        if outside.any():
+        replaced = np.count_nonzero(outside)
+        if replaced:
             np.putmask(xn, outside, 0.5 * (lo + hi))
+            fallbacks += replaced
+        dx = xn - x
         # the iterates stay in [0, m/beta], so max |x| is max x
-        if np.abs(xn - x).max() <= 1e-15 * (x.max() + 1.0):
-            x = xn
+        tol = 1e-15 * (x.max() + 1.0)
+        x, vv = xn, (m - b * xn) / a
+        if not flat:  # each g is monotone, so its values at the step's ends bound |g1 - g2|
+            x_a1, vv_b1, h1, h2 = at(x, vv)
+            M = np.maximum(np.maximum(g1, h1) - np.minimum(g2, h2),
+                           np.maximum(g2, h2) - np.minimum(g1, h1))
+            g1, g2 = h1, h2
+        bounded = not replaced and 0.5 * scale * (M * dx * dx).max() <= 0.5 * tol
+        done = bounded or np.abs(dx).max() <= tol
+        if done:
             break
-        x = xn
-    else:
+        if flat:
+            x_a1, vv_b1, g1, g2 = at(x, vv)
+    if counts is not None:
+        counts["reaction_newton_iterations"] += it
+        counts["reaction_midpoint_fallbacks"] += fallbacks
+    if not done:
         worst = int(np.argmax(np.abs(f)))
         raise NewtonFailure(worst, float(f[worst]))
-    v_new = (m - b * x) / a
-    return x, v_new
+    return x, vv
 
 
 class _StepWorkspace:
-    """Cached banded operators for one (grid, data) pair."""
+    """Cached banded operators for one (grid, data) pair, and one run's reaction state."""
 
     def __init__(self, grid: Grid, data: ProblemData):
         self.solver_u = DriftDiffusionSolver(grid, data.d1, data.u_minus, data.u_plus)
         self.solver_v = DriftDiffusionSolver(grid, data.d2, data.v_minus, data.v_plus)
+        self.increment = np.zeros(grid.n)  # x - u of the last reaction solve: the warm start
+        self.counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
+        self.dtaus: set[float] = set()  # the step sizes that succeeded
 
 
 def step(
@@ -175,8 +212,11 @@ def step(
 ) -> State:
     """Advance one implicit-explicit step of size dtau.
 
-    Raises PositivityLoss when the diffusion half produces a nonpositive
-    value (callers should reject the step and halve dtau).
+    The reaction solve starts from the diffusion output plus the workspace's
+    last increment x - u (zero, a cold start, without a workspace or in a fresh one).
+    Raises PositivityLoss when the diffusion half produces a nonpositive value
+    and NewtonFailure when the reaction solve does not settle (callers should
+    reject the step and halve dtau).
     """
     if dtau <= 0:
         raise DomainError(f"dtau must be positive, got {dtau}")
@@ -186,8 +226,10 @@ def step(
     if np.min(u) <= 0.0 or np.min(v) <= 0.0:
         raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={state.tau:.4g}")
     scale = dtau * math.exp(state.tau + dtau) * data.k
-    u, v = _reaction_implicit(u, v, data, scale)
-    return State(state.grid, u, v, state.tau + dtau)
+    x, v = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)
+    ws.increment = x - u
+    ws.dtaus.add(dtau)
+    return State(state.grid, x, v, state.tau + dtau)
 
 
 def fill_dissipation_residuals(
@@ -201,14 +243,12 @@ def fill_dissipation_residuals(
     """
     if len(records) < 3:
         return
-    taus = np.array([r.tau for r in records])
-    E = np.array([r.E_B for r in records])
-    D = np.array([r.D_B_total for r in records])
+    taus, E, D = (np.array([getattr(r, k) for r in records]) for k in ("tau", "E_B", "D_B_total"))
     floor = floor_frac * float(np.max(np.abs(D))) + 1e-300
-    for i in range(1, len(records) - 1):
-        dE = (E[i + 1] - E[i - 1]) / (taus[i + 1] - taus[i - 1])
-        den = max(abs(D[i]), abs(dE), floor)
-        records[i].dissipation_residual = abs(dE + D[i]) / den
+    dE = (E[2:] - E[:-2]) / (taus[2:] - taus[:-2])
+    den = np.maximum(np.maximum(np.abs(D[1:-1]), np.abs(dE)), floor)
+    for record, residual in zip(records[1:-1], np.abs(dE + D[1:-1]) / den):
+        record.dissipation_residual = residual
 
 
 def _no_rejections() -> dict[str, int]:
@@ -225,6 +265,11 @@ class RunResult:
     # rejected steps by the name of the exception that rejected them
     rejected_by_cause: dict[str, int] = field(default_factory=_no_rejections)
     wall_time: float = 0.0
+    # sums over every reaction solve (rejected steps' included), and the
+    # [min, max, count of distinct values] of the accepted step sizes
+    reaction_newton_iterations: int = 0
+    reaction_midpoint_fallbacks: int = 0
+    dtau_range: list | None = None
 
 
 def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, State, int, dict]:
@@ -302,6 +347,8 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
         steps_rejected=sum(rejected.values()),
         rejected_by_cause=rejected,
         wall_time=time.perf_counter() - t_start,
+        dtau_range=[min(ws.dtaus), max(ws.dtaus), len(ws.dtaus)] if ws.dtaus else None,
+        **ws.counts,
     )
 
 

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdmix import (
     Grid,
@@ -309,6 +311,125 @@ def test_reaction_solve_converges_like_newton(data, exact):
     assert np.max(np.abs(b * x + a * y - m)) <= 1e-14 * np.max(m)
     residual = x - u - scale * a * (y**b - x**a)
     assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(x))
+
+
+def _bisected_root(u, v, a, b, scale):
+    """The reaction root bracketed by adjacent floats, the residual's sign taken in long double."""
+    L = np.longdouble
+    uu, m = u.astype(L), L(b) * u.astype(L) + L(a) * v.astype(L)
+    lo, hi = np.zeros_like(u), (b * u + a * v) / b
+    while True:
+        mid = 0.5 * (lo + hi)
+        open_ = (mid > lo) & (mid < hi)
+        if not open_.any():
+            return lo, hi
+        x = mid.astype(L)
+        vv = np.maximum((m - L(b) * x) / L(a), L(0))
+        above = x - uu - L(scale) * L(a) * (vv ** L(b) - x ** L(a)) > 0
+        hi = np.where(open_ & above, mid, hi)
+        lo = np.where(open_ & ~above, mid, lo)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    alpha=st.floats(1.0, 4.0),
+    beta_frac=st.floats(0.0, 1.0),
+    log_scale=st.floats(-6.0, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+    guess=st.sampled_from([None, "near", "inside", "outside", "mixed"]),
+)
+def test_reaction_solve_meets_its_tolerance(alpha, beta_frac, log_scale, seed, guess):
+    a, b, scale = alpha, 1.0 + beta_frac * (alpha - 1.0), 10.0**log_scale
+    rng = np.random.default_rng(seed)
+    u, v = 10.0 ** rng.uniform(-3.0, 1.0, (2, 64))
+    m = b * u + a * v
+    below, above = _bisected_root(u, v, a, b, scale)
+    if guess == "near":  # a warm start: one short Newton step must be judged right
+        x0 = below * (1.0 + rng.choice([-1.0, 1.0], 64) * 10.0 ** rng.uniform(-10.0, -3.0, 64))
+    else:
+        lo, hi = {"inside": (0, 1), "outside": (1, 1.5), "mixed": (-0.5, 1.5)}.get(guess, (0, 0))
+        x0 = None if guess is None else m / b * rng.uniform(lo, hi, 64)
+    data = ProblemData(a, b, 1, 1, 1, 1, 2)
+    x, v_new = _reaction_implicit(u, v, data, scale, guess=x0)
+    error = np.maximum(np.maximum(below - x, x - above), 0.0)
+    assert error.max() <= 1e-15 * (x.max() + 1.0)
+    assert np.max(np.abs(b * x + a * v_new - m)) <= 1e-14 * np.max(m)
+    # one Newton step from the far end of the bracket cannot settle a stiff
+    # solve unless the residual is (nearly) affine, as at orders (1, 1) and (2, 2)
+    if min(abs(a - 1.0) + abs(b - 1.0), abs(a - 2.0) + abs(b - 2.0)) >= 0.1:
+        with pytest.raises(NewtonFailure):
+            _reaction_implicit(u, v, data, 1e3, max_iter=1, guess=np.zeros_like(u))
+
+
+def test_affine_reaction_takes_one_iteration_per_solve():
+    # at orders (1, 1) the residual is affine, so one Newton step is exact
+    data = ProblemData(1, 1, 1, 3, 1, 1, 2)
+    cfg = _config(data, tau_end=0.2, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    result = run(cfg)
+    solves = result.steps_accepted + result.rejected_by_cause["NewtonFailure"]
+    assert solves == 200
+    assert result.reaction_newton_iterations == solves
+    assert result.reaction_midpoint_fallbacks == 0
+    assert result.dtau_range[1] == 1e-3 and result.dtau_range[2] >= 1
+
+
+def _warm_and_cold_steps(data, nsteps=20, dtau=1e-3):
+    """March ``nsteps`` warm-started steps, each also taken cold from the same state.
+
+    Returns the largest node-wise gap between the two over the solver
+    tolerance 1e-15 (max x + 1), and the warm and the cold iteration counts.
+    """
+    grid = Grid(16.0, 2001)
+    prof = solve_profile(data, grid)
+    cfg = _config(data, grid_n=grid.n, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    state = build_initial_state(cfg, prof)
+    warm, cold_iterations, worst = _StepWorkspace(grid, data), 0, 0.0
+    for _ in range(nsteps):
+        fresh = _StepWorkspace(grid, data)
+        cold = step(state, data, dtau, fresh)
+        cold_iterations += fresh.counts["reaction_newton_iterations"]
+        state = step(state, data, dtau, warm)
+        tol = 1e-15 * (max(cold.u.max(), state.u.max()) + 1.0)
+        gap = max(np.max(np.abs(state.u - cold.u)), np.max(np.abs(state.v - cold.v)))
+        worst = max(worst, gap / tol)
+    return worst, warm.counts["reaction_newton_iterations"], cold_iterations
+
+
+def test_warm_started_steps_match_cold_steps():
+    worst, warm, cold = _warm_and_cold_steps(ProblemData(4, 4, 1, 3, 1, 1, 2))
+    assert worst <= 1.0
+    assert warm <= cold
+    # on (1.5, 1.5) the warm start saves iterations from the second step on
+    worst, warm, cold = _warm_and_cold_steps(ProblemData(1.5, 1.5, 1, 3, 1, 1, 2))
+    assert worst <= 1.0
+    assert warm < cold
+
+
+def test_step_without_workspace_starts_cold():
+    data = ProblemData(1.5, 1.5, 1, 3, 1, 1, 2)
+    grid = Grid(16.0, 401)
+    u, v = _first_diffused_state(data, grid)
+    state = State(grid, u, v, 0.0)
+    fresh = _StepWorkspace(grid, data)
+    assert not fresh.increment.any()
+    cold = step(state, data, 1e-3, fresh)
+    assert fresh.increment.any()
+    assert np.array_equal(step(state, data, 1e-3).u, cold.u)
+
+
+def test_reaction_counts_accumulate():
+    data = ProblemData(2, 1, 1, 2, 1, 1, 2)
+    grid = Grid(16.0, 401)
+    u, v = _first_diffused_state(data, grid)
+    counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
+    _reaction_implicit(u, v, data, 1e-3, counts=counts)
+    first = counts["reaction_newton_iterations"]
+    assert first >= 1
+    _reaction_implicit(u, v, data, 1e-3, counts=counts)
+    assert counts["reaction_newton_iterations"] == 2 * first
+    with pytest.raises(NewtonFailure):
+        _reaction_implicit(u, v, data, 1e3, max_iter=1, counts=counts)
+    assert counts["reaction_newton_iterations"] == 2 * first + 1
 
 
 def test_march_counts_rejections_by_cause():
