@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import conjugate, entropy
-from .errors import DomainError, EmptyCurve, ThetaTooLarge, UnsupportedRegime
+from .errors import DomainError, EmptyCurve, ThetaTooLarge, UnsupportedEntropy, UnsupportedRegime
 from .grids import integrate
 from .profile import ProblemData, ProfileSolution
 
@@ -60,9 +60,15 @@ class ConstantsReport:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
+def require_equal_orders(data: ProblemData, p: float) -> None:
+    """UnsupportedEntropy unless p = 1 or the reaction orders are equal."""
+    if p != 1.0 and data.alpha != data.beta:
+        raise UnsupportedEntropy("entropy families with p != 1 require equal reaction orders")
+
+
 def check_entropy_family(data: ProblemData, p: float) -> None:
     """UnsupportedEntropy for p != 1 at unequal orders, DomainError for p out of alpha's range."""
-    entropy.require_equal_orders(data, p)
+    require_equal_orders(data, p)
     if p == 1.0:
         return
     a = data.alpha
@@ -151,7 +157,7 @@ def select_certificate(
     (theta >= 1/2) and UnsupportedRegime when no result covers the request
     (UnsupportedEntropy, a subclass, for p != 1 at unequal orders).
     """
-    entropy.require_equal_orders(data, p)
+    require_equal_orders(data, p)
     a, b = data.alpha, data.beta
     if a == b:
         if p == 1.0:
@@ -236,17 +242,12 @@ def fit_log_slope(
     return float(coeffs[0])
 
 
-def verify_decay(
-    curve,
-    cert: RateCertificate,
-    slack: float = 0.05,
-    fit_window: tuple[float, float] | None = None,
-) -> VerificationVerdict:
+def verify_decay(curve, cert: RateCertificate, slack: float = 0.05) -> VerificationVerdict:
     """Judge sampled entropy values against the certificate envelope.
 
     Passes when every sample satisfies E(tau_i) <= (1 + slack) envelope
     rooted at the first sample.  The late-time slope is fitted over the
-    second half of the curve unless a window is given.
+    second half of the curve.
     """
     pts = [(float(t), float(e)) for t, e in curve]
     if not pts:
@@ -262,8 +263,7 @@ def verify_decay(
         env = gronwall_envelope(cert, E0, t - t0)
         ratio = (0.0 if e <= 1e-300 else math.inf) if env == 0.0 else e / env
         worst = max(worst, ratio)
-    if fit_window is None:
-        fit_window = (t0 + 0.5 * (taus[-1] - t0), float(taus[-1]))
+    fit_window = (t0 + 0.5 * (taus[-1] - t0), float(taus[-1]))
     slope = fit_log_slope(taus, values, fit_window)
     return VerificationVerdict(
         passed=worst <= 1.0 + slack,

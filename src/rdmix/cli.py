@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 import time
 from dataclasses import asdict
@@ -18,14 +19,12 @@ import numpy as np
 
 from . import __version__, runio
 from .certificates import check_entropy_family, compute_constants, select_certificate, verify_decay
-from .conjugate import PhiFamily, m_hat, phi_conjugate_bound, phi_conjugate_numeric
+from .conjugate import PhiFamily, check_m_hat, m_hat, phi_conjugate_bound, phi_conjugate_numeric
 from .errors import (
     DomainError, EmptyCurve, ParseError, RdmixError, ThetaTooLarge, UnsupportedRegime
 )
 from .profile import profile_invariants, solve_profile
 from .simulate import run
-
-logger = logging.getLogger("rdmix")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -68,7 +67,14 @@ def cmd_profile(args) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_NUMERICAL
 
 
+def _check_slack(args) -> None:
+    """ParseError unless ``--slack`` is a finite nonnegative number."""
+    if not 0.0 <= args.slack < math.inf:
+        raise ParseError(0, "--slack", f"must be finite and nonnegative, got {args.slack}")
+
+
 def cmd_simulate(args) -> int:
+    _check_slack(args)
     config = _load_config(args.config)
     out = _outdir(args)
     t0 = time.time()
@@ -101,7 +107,7 @@ def cmd_simulate(args) -> int:
         "tau_end": config.tau_end,
         "samples": len(result.records),
         "steps_accepted": result.steps_accepted,
-        "steps_rejected": result.steps_rejected,
+        "steps_rejected": sum(result.rejected_by_cause.values()),
         "steps_rejected_by_cause": result.rejected_by_cause,
         "reaction_newton_iterations": result.reaction_newton_iterations,
         "reaction_midpoint_fallbacks": result.reaction_midpoint_fallbacks,
@@ -141,6 +147,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    _check_slack(args)
     columns = runio.read_diagnostics_csv(args.diagnostics)
     cert = runio.read_certificate_json(args.certificate)
     curve = list(zip(columns["tau"], columns["E_B"]))
@@ -188,20 +195,27 @@ def _conjugate_flags(args):
     def numbers(flag: str, text: str, sep: str, size: int | None = None) -> list[float]:
         try:
             values = [float(tok) for tok in text.split(sep)]
-            if size is None or len(values) == size:
+            if (size is None or len(values) == size) and all(map(math.isfinite, values)):
                 return values
         except ValueError:
             pass
-        want = f"{size or 'a list of'} {sep!r}-separated numbers"
+        want = f"{size or 'a list of'} {sep!r}-separated finite numbers"
         raise ParseError(0, flag, f"cannot parse {text!r} as {want}")
 
     alphas = numbers("--alpha", args.alpha, ",")
+    if min(alphas) < 1.0:
+        raise ParseError(0, "--alpha", f"each alpha must be >= 1, got {args.alpha!r}")
     lo, hi, count = numbers("--xi-range", args.xi_range, ":", 3)
     if not (count >= 1 and count.is_integer()):
         raise ParseError(0, "--xi-range", f"point count must be a positive integer, got {count:g}")
     pairs = []
     if args.m_hat:
         pairs = [numbers("--m-hat", pair, ":", 2) for pair in args.m_hat.split(",")]
+    for p, a in pairs:
+        try:
+            check_m_hat(p, a)
+        except DomainError as exc:
+            raise ParseError(0, "--m-hat", str(exc))
     return alphas, np.linspace(lo, hi, int(count)), pairs
 
 

@@ -207,7 +207,16 @@ def _quadratic_ratio(fam: PhiFamily, z: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(r), r, 0.0)
 
 
-def m_hat(p: float, alpha: float, base_points: int = 40_001) -> float:
+def check_m_hat(p: float, alpha: float) -> None:
+    """DomainError unless 0 < p <= max(alpha/2, alpha-1), where ``m_hat`` is defined."""
+    if not (0.0 < p <= max(alpha / 2.0, alpha - 1.0)):
+        raise DomainError(
+            f"quadratic-bound constant needs 0 < p <= max(alpha/2, alpha-1), "
+            f"got p={p}, alpha={alpha}"
+        )
+
+
+def m_hat(p: float, alpha: float) -> float:
     """Quadratic-bound constant sup_z (alpha^2 / 4 p^2) z^2 / phi_general(z).
 
     Valid for 0 < p <= max(alpha/2, alpha-1); the value is at least 1/4 (the
@@ -215,13 +224,9 @@ def m_hat(p: float, alpha: float, base_points: int = 40_001) -> float:
     may also sit at z -> inf when p is at the upper end of its range, where
     the limit is attached analytically.
     """
-    if not (0.0 < p <= max(alpha / 2.0, alpha - 1.0)):
-        raise DomainError(
-            f"quadratic-bound constant needs 0 < p <= max(alpha/2, alpha-1), "
-            f"got p={p}, alpha={alpha}"
-        )
+    check_m_hat(p, alpha)
     fam = PhiFamily("general_p_alpha", alpha, p)
-    z = np.logspace(-12, 12, base_points) - 1.0
+    z = np.logspace(-12, 12, 40_001) - 1.0
     z = z[np.abs(z) > 1e-13]
     candidates = [0.25, numeric_sup(lambda t: _quadratic_ratio(fam, t), z, tol=1e-13)]
     # growth-exponent-zero cases: finite limit at z -> inf

@@ -4,7 +4,8 @@ Pointwise generators: the Boltzmann function z log z - z + 1, the power family
 F_p with F_p'' = z^(p-2) and F_p(1) = F_p'(1) = 0, their convex conjugates,
 and the nonnegative reaction pairing (a - b)(log a - log b).  Functionals are
 trapezoid quadratures on the shared grid, with relative densities rho = u/U
-and zeta = v/V.
+and zeta = v/V.  Entropies E_p are evaluated for any p; the dissipation is
+decomposed for the Boltzmann entropy (p = 1) alone.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from functools import cached_property
 import numpy as np
 
 from .conjugate import numeric_sup
-from .errors import DomainError, UnsupportedEntropy
+from .errors import DomainError
 from .grids import Grid, check_values, derivative1, integrate
-from .profile import ProblemData, ProfileSolution
+from .profile import ProfileSolution
 
 # densities below this are treated as on the axis of the reaction pairing,
 # where the pairing is infinite; simulation enforces positivity, so hitting
@@ -132,7 +133,7 @@ def F_p(z: float | np.ndarray, p: float, z_min: float | None = None):
     return out if out.ndim else float(out)
 
 
-def F_p_conjugate(zeta: float, p: float, tol: float = 1e-10) -> float:
+def F_p_conjugate(zeta: float, p: float) -> float:
     """Legendre transform sup_z (zeta z - F_p(z)).
 
     Closed form 2 zeta / (2 - zeta) for p = 1/2 (finite for zeta < 2); other
@@ -144,7 +145,7 @@ def F_p_conjugate(zeta: float, p: float, tol: float = 1e-10) -> float:
         return 2.0 * zeta / (2.0 - zeta)
     if p < 1 and zeta >= 1.0 / (1.0 - p):
         raise DomainError(f"conjugate of F_p is finite only for zeta < {1/(1-p):g}")
-    return numeric_sup(lambda z: zeta * z - F_p(z, p), _FP_SWEEP, tol)
+    return numeric_sup(lambda z: zeta * z - F_p(z, p), _FP_SWEEP)
 
 
 def gamma_fn(a: float, b: float) -> float:
@@ -180,54 +181,26 @@ def relative_entropy(
     return integrate(state.grid, vals[0] + vals[1])
 
 
-def fisher_information(
-    dens: RelativeDensities, profile: ProfileSolution, p: float = 1.0
-) -> float:
-    """Gradient dissipation: integral of d1 U rho^(p-2) rho_y^2 + d2 V zeta^(p-2) zeta_y^2."""
+def fisher_information(dens: RelativeDensities, profile: ProfileSolution) -> float:
+    """Gradient dissipation: integral of d1 U rho_y^2 / rho + d2 V zeta_y^2 / zeta."""
     both = _clamped(dens)
-    vals = profile.d_UV * both ** (p - 2.0) * derivative1(dens.grid, both) ** 2
+    vals = profile.d_UV * both ** -1.0 * derivative1(dens.grid, both) ** 2
     return integrate(dens.grid, vals[0] + vals[1])
 
 
-def require_equal_orders(data: ProblemData, p: float) -> None:
-    """UnsupportedEntropy unless p = 1 or the reaction orders are equal."""
-    if p != 1.0 and data.alpha != data.beta:
-        raise UnsupportedEntropy("entropy families with p != 1 require equal reaction orders")
-
-
-def reactive_dissipation(
-    dens: RelativeDensities, profile: ProfileSolution, p: float = 1.0
-) -> float:
-    """Reaction dissipation; Boltzmann pairing for p = 1, power pairing for equal orders."""
-    require_equal_orders(profile.data, p)
+def reactive_dissipation(dens: RelativeDensities, profile: ProfileSolution) -> float:
+    """Reaction dissipation: integral of k U^alpha times the pairing of rho^alpha and zeta^beta."""
     d = profile.data
     rho, zeta = _clamped(dens)
-    if p == 1.0:
-        a, b = rho**d.alpha, zeta**d.beta
-        vals = profile.kU_alpha * (a - b) * (np.log(a) - np.log(b))
-    else:
-        if p == 0.0:
-            raise UnsupportedEntropy("reactive dissipation is not defined for p = 0")
-        a = d.alpha
-        vals = (
-            profile.kU_alpha
-            * (a / (p - 1.0))
-            * (zeta ** (p - 1.0) - rho ** (p - 1.0))
-            * (zeta**a - rho**a)
-        )
+    a, b = rho**d.alpha, zeta**d.beta
+    vals = profile.kU_alpha * (a - b) * (np.log(a) - np.log(b))
     return integrate(dens.grid, vals)
 
 
-def mixed_term(dens: RelativeDensities, profile: ProfileSolution, p: float = 1.0) -> float:
+def mixed_term(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Signed multiplier term; the only dissipation contribution without a sign."""
-    require_equal_orders(profile.data, p)
     d = profile.data
-    if p == 1.0:
-        vals = ((1.0 - dens.rho) * d.alpha - (1.0 - dens.zeta) * d.beta) * profile.Lambda
-    else:
-        if p == 0.0:
-            raise UnsupportedEntropy("mixed term is not defined for p = 0")
-        vals = (1.0 / p) * (dens.zeta**p - dens.rho**p) * d.alpha * profile.Lambda
+    vals = ((1.0 - dens.rho) * d.alpha - (1.0 - dens.zeta) * d.beta) * profile.Lambda
     return integrate(dens.grid, vals)
 
 
@@ -265,33 +238,31 @@ def hellinger_sq(state: State, profile: ProfileSolution) -> float:
 
 
 def dissipation_total(
-    dens: RelativeDensities,
-    state: State,
-    profile: ProfileSolution,
-    p: float = 1.0,
-    p_list: tuple[float, ...] = (),
+    state: State, profile: ProfileSolution, p_list: tuple[float, ...] = ()
 ) -> DiagnosticsRecord:
-    """Assemble one diagnostics record; the decomposition uses entropy family ``p``.
+    """Assemble one diagnostics record: the Boltzmann dissipation and its parts.
 
-    Each functional is evaluated once on the densities ``dens`` (E_B also
-    serves as E_1), and the profile's own arrays come from its cache.
+    The relative densities are formed once and every functional is evaluated
+    on them (E_B also serves as E_1, and E_p holds each p of ``p_list`` and
+    1); the profile's own arrays come from its cache.
     ``dissipation_residual`` is left NaN for the integrator to fill from
     sampled finite differences.
     """
     d = profile.data
+    dens = relative_densities(state, profile)
     E_B = relative_entropy(state, profile, 1.0, dens)
     E_p = {
         q: E_B if q == 1.0 else relative_entropy(state, profile, q, dens)
-        for q in dict.fromkeys((*p_list, p))
+        for q in dict.fromkeys((*p_list, 1.0))
     }
-    I_F = fisher_information(dens, profile, p)
-    D_re = reactive_dissipation(dens, profile, p)
-    I_L = mixed_term(dens, profile, p)
+    I_F = fisher_information(dens, profile)
+    D_re = reactive_dissipation(dens, profile)
+    I_L = mixed_term(dens, profile)
     if d.alpha > d.beta:
         I_L1, I_L2 = split_mixed_term(dens, profile)
     else:
         I_L1, I_L2 = I_L, 0.0  # the remainder part vanishes identically at equal orders
-    total = I_F + 0.5 * E_p[p] - I_L + math.exp(state.tau) * D_re
+    total = I_F + 0.5 * E_B - I_L + math.exp(state.tau) * D_re
     return DiagnosticsRecord(
         tau=state.tau,
         E_B=E_B,

@@ -14,12 +14,10 @@ class DomainError(RdmixError, ValueError):
 class NonConvergence(RdmixError):
     """Iterative solver failed to reach the requested tolerance."""
 
-    def __init__(self, iterations: int, residual: float, message: str = ""):
+    def __init__(self, iterations: int, residual: float):
         self.iterations = iterations
         self.residual = residual
-        super().__init__(
-            message or f"no convergence after {iterations} iterations (residual {residual:.3e})"
-        )
+        super().__init__(f"no convergence after {iterations} iterations (residual {residual:.3e})")
 
 
 class NonPositivity(RdmixError):

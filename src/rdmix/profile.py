@@ -26,6 +26,7 @@ from .errors import DomainError, NonConvergence, NonPositivity
 from .grids import Grid
 
 _DAMPING_FLOOR = 2.0**-30
+_MAX_NEWTON = 40
 
 
 @dataclass(frozen=True)
@@ -125,17 +126,16 @@ def _finish(grid: Grid, data: ProblemData, U: np.ndarray, residual_norm: float) 
     return ProfileSolution(grid, data, U, V, Lam, U1, U2, V1, V2, residual_norm)
 
 
-def solve_profile(
-    data: ProblemData, grid: Grid, tol: float = 1e-8, max_iter: int = 40
-) -> ProfileSolution:
+def solve_profile(data: ProblemData, grid: Grid, tol: float = 1e-8) -> ProfileSolution:
     """Solve the scalar profile equation by damped Newton.
 
     The Newton step keeps every iterate above half of the smaller boundary
     value (V = U^(alpha/beta) needs strict positivity); the step is halved
     until the residual decreases, down to a floor of 2^-30.
 
-    Raises NonConvergence when the residual stalls above ``tol`` and
-    NonPositivity when the damping floor is hit on the positivity constraint.
+    Raises NonConvergence when the residual stalls above ``tol`` or is still
+    above it after 40 Newton steps, and NonPositivity when the damping floor
+    is hit on the positivity constraint.
     """
     if tol <= 0:
         raise DomainError(f"tol must be positive, got {tol}")
@@ -164,7 +164,7 @@ def solve_profile(
 
     R = resid(U)
     rnorm = float(np.max(np.abs(R[1:-1])))
-    for iteration in range(max_iter):
+    for iteration in range(_MAX_NEWTON):
         if rnorm <= tol:
             return _finish(grid, data, U, rnorm)
         ab = fdops.jacobian_banded(grid, gp(U), wp(U))
@@ -197,7 +197,7 @@ def solve_profile(
             raise NonConvergence(iteration + 1, rnorm)
     if rnorm <= tol:
         return _finish(grid, data, U, rnorm)
-    raise NonConvergence(max_iter, rnorm)
+    raise NonConvergence(_MAX_NEWTON, rnorm)
 
 
 def closed_form_profile(data: ProblemData, grid: Grid) -> ProfileSolution:

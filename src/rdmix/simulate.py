@@ -18,11 +18,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import entropy
-from .entropy import DiagnosticsRecord, State, relative_densities
+from .entropy import DiagnosticsRecord, State
 from .errors import DomainError, NewtonFailure, PositivityLoss
 from .fdops import DriftDiffusionSolver
 from .grids import Grid, default_half_width, integrate
 from .profile import ProblemData, ProfileSolution, linear_diffusion_profile, solve_profile
+
+
+def _require_finite(obj, *names: str) -> None:
+    """DomainError naming the first of the fields ``names`` of ``obj`` that is not finite."""
+    for name in names:
+        if not math.isfinite(getattr(obj, name)):
+            raise DomainError(f"{name} must be finite, got {getattr(obj, name)}")
 
 
 @dataclass(frozen=True)
@@ -43,6 +50,9 @@ class InitialConditionSpec:
     def __post_init__(self):
         if self.kind not in ("profile_exact", "gaussian_bump", "shifted_erf", "file"):
             raise DomainError(f"unknown initial-condition kind {self.kind!r}")
+        _require_finite(self, "amplitude", "width", "center")
+        if self.width == 0.0:
+            raise DomainError("initial-condition width must be nonzero")
         if self.kind == "gaussian_bump" and self.amplitude <= -1.0:
             raise DomainError("multiplicative amplitude must exceed -1")
         if self.kind == "file" and not self.path:
@@ -64,6 +74,7 @@ class SimConfig:
     profile_tol: float = 1e-8
 
     def __post_init__(self):
+        _require_finite(self, "tau_end", "dtau_max", "sample_interval", "profile_tol")
         if not (0 < self.dtau_min <= self.dtau_initial <= self.dtau_max):
             raise DomainError(
                 "need 0 < dtau_min <= dtau_initial <= dtau_max, got "
@@ -71,8 +82,17 @@ class SimConfig:
             )
         if self.tau_end < 0:
             raise DomainError(f"tau_end must be nonnegative, got {self.tau_end}")
+        try:  # a step ending at tau_end scales its reaction by e^(tau_end + dtau) at most
+            math.exp(self.tau_end + self.dtau_max)
+        except OverflowError:
+            raise DomainError(f"tau_end = {self.tau_end} overflows the reaction prefactor e^tau")
         if self.sample_interval <= 0:
             raise DomainError(f"sample_interval must be positive, got {self.sample_interval}")
+        if not all(map(math.isfinite, self.p_list or ())):
+            raise DomainError(f"entropy families must be finite, got {self.p_list}")
+        if self.profile_tol <= 0:
+            raise DomainError(f"profile_tol must be positive, got {self.profile_tol}")
+        self.make_grid()  # Grid checks the half-width and the point count
 
     def make_grid(self) -> Grid:
         L = self.grid_half_width
@@ -232,19 +252,17 @@ def step(
     return State(state.grid, x, v, state.tau + dtau)
 
 
-def fill_dissipation_residuals(
-    records: list[DiagnosticsRecord], floor_frac: float = 0.01
-) -> None:
+def fill_dissipation_residuals(records: list[DiagnosticsRecord]) -> None:
     """Centered-difference consistency of the sampled entropy with its dissipation.
 
     Interior samples get |dE_B/dtau + D_B| over max(|D_B|, |dE/dtau|, floor)
-    with floor = floor_frac * max |D_B| over the run; the two end samples stay
-    NaN (no centered difference exists there).
+    with floor = 0.01 max |D_B| over the run; the two end samples stay NaN
+    (no centered difference exists there).
     """
     if len(records) < 3:
         return
     taus, E, D = (np.array([getattr(r, k) for r in records]) for k in ("tau", "E_B", "D_B_total"))
-    floor = floor_frac * float(np.max(np.abs(D))) + 1e-300
+    floor = 0.01 * float(np.max(np.abs(D))) + 1e-300
     dE = (E[2:] - E[:-2]) / (taus[2:] - taus[:-2])
     den = np.maximum(np.maximum(np.abs(D[1:-1]), np.abs(dE)), floor)
     for record, residual in zip(records[1:-1], np.abs(dE + D[1:-1]) / den):
@@ -261,7 +279,6 @@ class RunResult:
     final_state: State
     profile: ProfileSolution
     steps_accepted: int = 0
-    steps_rejected: int = 0
     # rejected steps by the name of the exception that rejected them
     rejected_by_cause: dict[str, int] = field(default_factory=_no_rejections)
     wall_time: float = 0.0
@@ -334,8 +351,7 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
         return step(st, config.data, dt, ws)
 
     def sample(st: State) -> DiagnosticsRecord:
-        dens = relative_densities(st, profile)
-        return entropy.dissipation_total(dens, st, profile, 1.0, p_list)
+        return entropy.dissipation_total(st, profile, p_list)
 
     records, state, accepted, rejected = _march(config, state, advance, sample)
     fill_dissipation_residuals(records)
@@ -344,7 +360,6 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
         state,
         profile,
         steps_accepted=accepted,
-        steps_rejected=sum(rejected.values()),
         rejected_by_cause=rejected,
         wall_time=time.perf_counter() - t_start,
         dtau_range=[min(ws.dtaus), max(ws.dtaus), len(ws.dtaus)] if ws.dtaus else None,

@@ -383,10 +383,24 @@ def test_usage_errors(tmp_path, capsys):
     bad = _write(tmp_path, "problem.alpha = 0.5\n", "bad.cfg")
     assert main(["profile", "--config", bad, "--out", str(tmp_path)]) == 3
     assert main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 3
-    # malformed conjugate flags
+    # config values that are not finite or out of range, and a tau_end whose e^tau overflows
+    for key, value in [
+        ("time.tau_end", "inf"), ("time.tau_end", "nan"), ("time.tau_end", "710"),
+        ("output.sample_interval", "nan"), ("solver.tol", "nan"), ("ic.amplitude", "nan"),
+        ("ic.width", "nan"), ("ic.width", "0"), ("entropy.p_list", "1,nan"),
+        ("grid.L", "nan"), ("grid.n", "4"), ("solver.tol", "0"),
+    ]:
+        lines = [line for line in SMALL_SIM_CFG.splitlines() if not line.startswith(key + " ")]
+        cfg = _write(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n", "value.cfg")
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3, key
+    # malformed conjugate and --slack flags, checked before anything is computed
     for flag in ("--alpha=1,x", "--xi-range=1:2", "--xi-range=-5:5:2.7", "--xi-range=-5:5:0",
-                 "--m-hat=0.5", "--m-hat=0.5:1,2"):
-        assert main(["conjugate", flag, "--out", str(tmp_path / "conj"), "--quiet"]) == 3
+                 "--m-hat=0.5", "--m-hat=0.5:1,2", "--alpha=nan", "--alpha=inf", "--alpha=0.5",
+                 "--xi-range=nan:1:3", "--xi-range=-inf:1:3", "--m-hat=nan:2", "--m-hat=5:2",
+                 "--m-hat=1:inf"):
+        assert main(["conjugate", flag, "--out", str(tmp_path / "conj"), "--quiet"]) == 3, flag
+    cfg = _write(tmp_path, SMALL_SIM_CFG)
+    assert main(["simulate", "--config", cfg, "--slack=nan", "--out", str(tmp_path)]) == 3
     # malformed verify inputs: a usage error, not a failed verification
     good_cert = '{"eta": 0.5, "mu": 0, "K": 0, "gamma": 1, "regime_tag": "t"}'
     good_csv = "tau,E_B\n0,1\n0.5,0.7\n"
@@ -412,6 +426,9 @@ def test_usage_errors(tmp_path, capsys):
     cert = _write(tmp_path, good_cert, "good.json")
     diag = _write(tmp_path, good_csv, "good.csv")
     assert main(["verify", "--diagnostics", diag, "--certificate", cert, "--quiet"]) == 0
+    for slack in ("nan", "inf", "-0.5"):
+        argv = ["verify", "--diagnostics", diag, "--certificate", cert, f"--slack={slack}"]
+        assert main(argv + ["--quiet"]) == 3, slack
 
 
 def test_verify_and_constants_write_only_with_out(tmp_path, monkeypatch):

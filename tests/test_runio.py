@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -104,7 +105,7 @@ _finite = st.floats(allow_nan=False, allow_infinity=False)
     st.none() | st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4).map(tuple),
     st.sampled_from(["profile_exact", "gaussian_bump", "shifted_erf", "file"]),
     st.floats(min_value=-0.99, max_value=5.0),
-    _finite,
+    _finite.filter(lambda w: w != 0.0),  # InitialConditionSpec rejects a zero width
     _finite,
     st.none() | st.text("abcxyz0123456789/._-", min_size=1, max_size=12),
 )
@@ -124,6 +125,14 @@ def test_config_round_trip_random(
     )
     assert runio.parse_config(runio.serialize_config(cfg)) == cfg
 
+
+
+def test_readme_config_block_parses_and_names_every_key():
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    runio.parse_config(block)
+    lines = (line.split("#", 1)[0] for line in block.splitlines())
+    assert {line.split("=", 1)[0].strip() for line in lines if "=" in line} == set(runio._SCHEMA)
 
 def test_csv_float_round_trip(tmp_path):
     path = tmp_path / "vals.csv"

@@ -456,7 +456,7 @@ def test_run_samples_through_dissipation_total_once_per_record(monkeypatch):
     total = entropy.dissipation_total
 
     def counting(*args, **kwargs):
-        calls.append(args[1].tau)
+        calls.append(args[0].tau)
         return total(*args, **kwargs)
 
     monkeypatch.setattr(entropy, "dissipation_total", counting)
