@@ -153,51 +153,41 @@ def select_certificate(
 ) -> RateCertificate:
     """Pick the decay certificate matching (alpha, beta, p).
 
-    Raises ThetaTooLarge when alpha > beta but the profile is not flat enough
-    (theta >= 1/2) and UnsupportedRegime when no result covers the request
-    (UnsupportedEntropy, a subclass, for p != 1 at unequal orders).
+    The Boltzmann certificate (p = 1) has eta = 1/2 at equal orders and
+    1/2 - theta at unequal orders, and the (mu, K, gamma) of alpha's band:
+    alpha = 1, 1 < alpha < 2 or alpha >= 2.  Raises ThetaTooLarge when
+    alpha > beta but the profile is not flat enough (theta >= 1/2) and
+    UnsupportedRegime when no result covers the request (UnsupportedEntropy,
+    a subclass, for p != 1 at unequal orders).
     """
     require_equal_orders(data, p)
-    a, b = data.alpha, data.beta
-    if a == b:
-        if p == 1.0:
+    a = data.alpha
+    if p == 1.0:
+        if a == data.beta:
             if data.d1 == data.d2:
                 return RateCertificate(0.5, 0.0, 0.0, 1.0, "equal-orders, equal diffusivities")
-            if a == 1.0:
-                return RateCertificate(0.5, report.mu0, report.K0, 1.0, "equal orders, alpha = 1")
-            if a < 2.0:
-                return RateCertificate(
-                    0.5, report.mu1, report.K1, 1.0, "equal orders, 1 < alpha < 2"
-                )
-            return RateCertificate(
-                0.5, 0.0, report.K2, 1.0 / (a - 1.0), "equal orders, alpha >= 2"
+            eta, orders = 0.5, "equal orders"
+        elif report.theta >= 0.5:  # alpha > beta >= 1: the profile must be flat enough
+            raise ThetaTooLarge(report.theta)
+        else:
+            eta, orders = 0.5 - report.theta, "unequal orders"
+        if a == 1.0:
+            return RateCertificate(eta, report.mu0, report.K0, 1.0, f"{orders}, alpha = 1")
+        if a < 2.0:
+            return RateCertificate(eta, report.mu1, report.K1, 1.0, f"{orders}, 1 < alpha < 2")
+        return RateCertificate(eta, 0.0, report.K2, 1.0 / (a - 1.0), f"{orders}, alpha >= 2")
+    if a == 1.0 and p == 0.5:
+        if report.mu_tilde_star is None or report.K_star is None:
+            raise UnsupportedRegime("constants were not computed for p = 1/2")
+        eta = 0.5 - report.mu_tilde_star
+        if eta <= 0.0:
+            raise UnsupportedRegime(
+                f"damping {report.mu_tilde_star:.3g} swallows the bonus rate 1/2"
             )
-        if a == 1.0 and p == 0.5:
-            if report.mu_tilde_star is None or report.K_star is None:
-                raise UnsupportedRegime("constants were not computed for p = 1/2")
-            eta = 0.5 - report.mu_tilde_star
-            if eta <= 0.0:
-                raise UnsupportedRegime(
-                    f"damping {report.mu_tilde_star:.3g} swallows the bonus rate 1/2"
-                )
-            return RateCertificate(eta, 0.0, report.K_star, 1.0, "hellinger, alpha = 1")
-        if report.mu_tilde is None or report.K_tilde is None:
-            raise UnsupportedRegime(f"no power-entropy certificate for p={p}, alpha={a}")
-        return RateCertificate(
-            0.5, report.mu_tilde, report.K_tilde, 1.0, f"power entropy p={p:g}"
-        )
-    # alpha > beta (Boltzmann only): the profile must be flat enough
-    if report.theta >= 0.5:
-        raise ThetaTooLarge(report.theta)
-    if a >= 2.0:
-        return RateCertificate(
-            0.5 - report.theta, 0.0, report.K2, 1.0 / (a - 1.0), "unequal orders, alpha >= 2"
-        )
-    if a > 1.0:
-        return RateCertificate(
-            0.5 - report.theta, report.mu1, report.K1, 1.0, "unequal orders, 1 < alpha < 2"
-        )
-    raise UnsupportedRegime("unequal orders require alpha > 1")
+        return RateCertificate(eta, 0.0, report.K_star, 1.0, "hellinger, alpha = 1")
+    if report.mu_tilde is None or report.K_tilde is None:
+        raise UnsupportedRegime(f"no power-entropy certificate for p={p}, alpha={a}")
+    return RateCertificate(0.5, report.mu_tilde, report.K_tilde, 1.0, f"power entropy p={p:g}")
 
 
 def gronwall_envelope(cert: RateCertificate, E0: float, tau: float) -> float:

@@ -106,12 +106,7 @@ def cmd_simulate(args) -> int:
     summary = {
         "tau_end": config.tau_end,
         "samples": len(result.records),
-        "steps_accepted": result.steps_accepted,
-        "steps_rejected": sum(result.rejected_by_cause.values()),
-        "steps_rejected_by_cause": result.rejected_by_cause,
-        "reaction_newton_iterations": result.reaction_newton_iterations,
-        "reaction_midpoint_fallbacks": result.reaction_midpoint_fallbacks,
-        "dtau_range": result.dtau_range,
+        **result.counters,
         "final": (
             {
                 "tau": result.records[-1].tau,

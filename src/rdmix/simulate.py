@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -110,13 +110,22 @@ class SimConfig:
         return tuple(dict.fromkeys(ps))
 
 
+def _bump(ic: InitialConditionSpec, y: np.ndarray) -> np.ndarray:
+    """amplitude exp(-((y - center) / width)^2) of the initial condition at the nodes y.
+
+    A tiny width overflows the scaled distance to inf, where the Gaussian is 0.
+    """
+    with np.errstate(over="ignore"):
+        return ic.amplitude * np.exp(-(((y - ic.center) / ic.width) ** 2))
+
+
 def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
     grid, ic, d = profile.grid, config.ic, config.data
     y = grid.nodes
     if ic.kind == "profile_exact":
         u, v = profile.U.copy(), profile.V.copy()
     elif ic.kind == "gaussian_bump":
-        bump = 1.0 + ic.amplitude * np.exp(-(((y - ic.center) / ic.width) ** 2))
+        bump = 1.0 + _bump(ic, y)
         u, v = profile.U * bump, profile.V * bump
     elif ic.kind == "shifted_erf":
         u = np.interp(y - ic.center, y, profile.U)
@@ -217,14 +226,13 @@ def _reaction_implicit(
 
 
 class _StepWorkspace:
-    """Cached banded operators for one (grid, data) pair, and one run's reaction state."""
+    """Cached banded operators for one (grid, data) pair, and one run's reaction solves."""
 
     def __init__(self, grid: Grid, data: ProblemData):
         self.solver_u = DriftDiffusionSolver(grid, data.d1, data.u_minus, data.u_plus)
         self.solver_v = DriftDiffusionSolver(grid, data.d2, data.v_minus, data.v_plus)
         self.increment = np.zeros(grid.n)  # x - u of the last reaction solve: the warm start
         self.counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
-        self.dtaus: set[float] = set()  # the step sizes that succeeded
 
 
 def step(
@@ -248,7 +256,6 @@ def step(
     scale = dtau * math.exp(state.tau + dtau) * data.k
     x, v = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)
     ws.increment = x - u
-    ws.dtaus.add(dtau)
     return State(state.grid, x, v, state.tau + dtau)
 
 
@@ -269,38 +276,35 @@ def fill_dissipation_residuals(records: list[DiagnosticsRecord]) -> None:
         record.dissipation_residual = residual
 
 
-def _no_rejections() -> dict[str, int]:
-    return {"PositivityLoss": 0, "NewtonFailure": 0}
-
-
 @dataclass
 class RunResult:
     records: list[DiagnosticsRecord]
     final_state: State
     profile: ProfileSolution
-    steps_accepted: int = 0
-    # rejected steps by the name of the exception that rejected them
-    rejected_by_cause: dict[str, int] = field(default_factory=_no_rejections)
-    wall_time: float = 0.0
-    # sums over every reaction solve (rejected steps' included), and the
-    # [min, max, count of distinct values] of the accepted step sizes
-    reaction_newton_iterations: int = 0
-    reaction_midpoint_fallbacks: int = 0
-    dtau_range: list | None = None
+    # the step counters of ``_march`` and the reaction solve's sums over every
+    # solve (rejected steps' included), under their summary.json keys
+    counters: dict
+    wall_time: float
+
+    @property
+    def steps_accepted(self) -> int:
+        return self.counters["steps_accepted"]
 
 
-def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, State, int, dict]:
+def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, State, dict]:
     """The sampling loop and step controller shared by ``run`` and ``run_linear``.
 
     ``advance(state, dtau)`` returns the next state or raises PositivityLoss
     or NewtonFailure, which rejects the step; ``sample(state)`` makes the
-    record of each sample instant.  Returns the records, the final state,
-    the accepted step count and the rejected step counts by cause.
+    record of each sample instant (none at tau_end = 0).  Returns the records,
+    the final state and the counters: accepted and rejected steps, rejections
+    by the name of the exception's class, and ``dtau_range``, the [min, max,
+    count of distinct values] of the accepted step sizes (None for no step).
     """
-    records = [sample(state)]
+    records = [sample(state)] if config.tau_end > 0.0 else []
     dtau = config.dtau_initial
-    accepted = 0
-    rejected = _no_rejections()
+    rejected = {"PositivityLoss": 0, "NewtonFailure": 0}
+    dtaus: list[float] = []
     streak = 0
     sample_idx = 1
     while state.tau < config.tau_end - 1e-12:
@@ -316,9 +320,9 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
                 raise
             dtau = max(0.5 * dtau, config.dtau_min)
             streak = 0
-            rejected["PositivityLoss" if isinstance(exc, PositivityLoss) else "NewtonFailure"] += 1
+            rejected[type(exc).__name__] += 1
             continue
-        accepted += 1
+        dtaus.append(dt)
         streak += 1
         if streak >= 5:
             dtau = min(1.2 * dtau, config.dtau_max)
@@ -326,7 +330,12 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
         if target - state.tau < 1e-12:
             records.append(sample(state))
             sample_idx += 1
-    return records, state, accepted, rejected
+    return records, state, {
+        "steps_accepted": len(dtaus),
+        "steps_rejected": sum(rejected.values()),
+        "steps_rejected_by_cause": rejected,
+        "dtau_range": [min(dtaus), max(dtaus), len(set(dtaus))] if dtaus else None,
+    }
 
 
 def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
@@ -341,9 +350,6 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
     if profile is None:
         profile = solve_profile(config.data, grid, tol=config.profile_tol)
     state = build_initial_state(config, profile)
-    if config.tau_end == 0.0:
-        return RunResult([], state, profile, wall_time=time.perf_counter() - t_start)
-
     ws = _StepWorkspace(grid, config.data)
     p_list = config.effective_p_list()
 
@@ -353,18 +359,9 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
     def sample(st: State) -> DiagnosticsRecord:
         return entropy.dissipation_total(st, profile, p_list)
 
-    records, state, accepted, rejected = _march(config, state, advance, sample)
+    records, state, counters = _march(config, state, advance, sample)
     fill_dissipation_residuals(records)
-    return RunResult(
-        records,
-        state,
-        profile,
-        steps_accepted=accepted,
-        rejected_by_cause=rejected,
-        wall_time=time.perf_counter() - t_start,
-        dtau_range=[min(ws.dtaus), max(ws.dtaus), len(ws.dtaus)] if ws.dtaus else None,
-        **ws.counts,
-    )
+    return RunResult(records, state, profile, counters | ws.counts, time.perf_counter() - t_start)
 
 
 def conserved_moment(state: State, profile: ProfileSolution) -> float:
@@ -385,35 +382,18 @@ class LinearRecord:
     E_phi: float
 
 
-def _phi_values(kind: str, z: np.ndarray, p: float) -> np.ndarray:
-    if kind == "boltzmann":
-        return entropy.lambda_B(z)
-    if kind == "quadratic":
-        return (z - 1.0) ** 2
-    if kind == "power":
-        return entropy.F_p(z, p)
-    raise DomainError(f"unknown entropy kind {kind!r}")
-
-
 def run_linear(
-    D: float,
-    A_minus: float,
-    A_plus: float,
-    phi_kind: str,
-    config: SimConfig,
-    p: float = 2.0,
+    D: float, A_minus: float, A_plus: float, config: SimConfig, p: float = 1.0
 ) -> tuple[list[LinearRecord], State]:
-    """Integrate the scaled single-species diffusion equation and sample E_phi.
+    """Integrate the scaled single-species diffusion equation and sample int U F_p(u/U).
 
     The initial datum is the linear profile plus an additive Gaussian bump of
     the configured amplitude; the state pair is (u, u) so the State container
     can be reused.  Steps follow the same adaptive controller as ``run``.
     """
     grid = config.make_grid()
-    y = grid.nodes
     U = linear_diffusion_profile(D, A_minus, A_plus, grid)
-    ic = config.ic
-    u = U + ic.amplitude * np.exp(-(((y - ic.center) / ic.width) ** 2))
+    u = U + _bump(config.ic, grid.nodes)
     u[0], u[-1] = A_minus, A_plus
     if np.min(u) <= 0 or np.min(U) <= 0:
         raise PositivityLoss("linear run needs positive profile and initial datum")
@@ -426,7 +406,7 @@ def run_linear(
         return State(grid, u_new, u_new, st.tau + dt)
 
     def sample(st: State) -> LinearRecord:
-        return LinearRecord(st.tau, integrate(grid, _phi_values(phi_kind, st.u / U, p) * U))
+        return LinearRecord(st.tau, integrate(grid, entropy.F_p(st.u / U, p) * U))
 
-    records, state, _, _ = _march(config, State(grid, u, u, 0.0), advance, sample)
+    records, state, _ = _march(config, State(grid, u, u, 0.0), advance, sample)
     return records, State(grid, state.u, state.u.copy(), state.tau)

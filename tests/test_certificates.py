@@ -6,6 +6,7 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from rdmix import (
+    ConstantsReport,
     Grid,
     ProblemData,
     RateCertificate,
@@ -16,7 +17,9 @@ from rdmix import (
     solve_profile,
     verify_decay,
 )
-from rdmix.errors import DomainError, EmptyCurve, ThetaTooLarge, UnsupportedRegime
+from rdmix.errors import (
+    DomainError, EmptyCurve, ThetaTooLarge, UnsupportedEntropy, UnsupportedRegime
+)
 
 
 # ------------------------------------------------------------- constants
@@ -138,6 +141,54 @@ def test_select_unsupported_regime(unequal_orders_profile):
     rep = compute_constants(unequal_orders_profile, data, 1.0)
     with pytest.raises(UnsupportedRegime):
         select_certificate(rep, data, 2.0)  # p != 1 with unequal orders
+
+
+# distinct values, so each certificate shows which constants it took
+_SYNTHETIC = ConstantsReport(
+    mu0=0.11, K0=0.12, mu1=0.21, K1=0.22, K2=0.32, theta=0.1,
+    mu_tilde=0.41, K_tilde=0.42, mu_tilde_star=0.125, K_star=0.52,
+)
+
+
+@pytest.mark.parametrize(
+    "orders, d2, p, expected",
+    [
+        ((2, 2), 1, 1.0, (0.5, 0.0, 0.0, 1.0, "equal-orders, equal diffusivities")),
+        ((4, 4), 1, 1.0, (0.5, 0.0, 0.0, 1.0, "equal-orders, equal diffusivities")),
+        ((1, 1), 3, 1.0, (0.5, 0.11, 0.12, 1.0, "equal orders, alpha = 1")),
+        ((1.5, 1.5), 3, 1.0, (0.5, 0.21, 0.22, 1.0, "equal orders, 1 < alpha < 2")),
+        ((2, 2), 3, 1.0, (0.5, 0.0, 0.32, 1.0, "equal orders, alpha >= 2")),
+        ((4, 4), 3, 1.0, (0.5, 0.0, 0.32, 1.0 / 3.0, "equal orders, alpha >= 2")),
+        ((1.5, 1), 3, 1.0, (0.4, 0.21, 0.22, 1.0, "unequal orders, 1 < alpha < 2")),
+        ((2, 1), 3, 1.0, (0.4, 0.0, 0.32, 1.0, "unequal orders, alpha >= 2")),
+        ((4, 1), 1, 1.0, (0.4, 0.0, 0.32, 1.0 / 3.0, "unequal orders, alpha >= 2")),
+        ((1, 1), 3, 0.5, (0.375, 0.0, 0.52, 1.0, "hellinger, alpha = 1")),
+        ((1, 1), 1, 0.5, (0.375, 0.0, 0.52, 1.0, "hellinger, alpha = 1")),
+        ((1.5, 1.5), 3, 0.75, (0.5, 0.41, 0.42, 1.0, "power entropy p=0.75")),
+        ((4, 4), 1, 3.0, (0.5, 0.41, 0.42, 1.0, "power entropy p=3")),
+    ],
+)
+def test_select_certificate_pins_every_regime(orders, d2, p, expected):
+    data = ProblemData(*orders, 1, d2, 1, 1, 2)
+    cert = select_certificate(_SYNTHETIC, data, p)
+    assert (cert.eta, cert.mu, cert.K, cert.gamma, cert.regime_tag) == expected
+
+
+@pytest.mark.parametrize(
+    "orders, p, change, error, message",
+    [
+        ((2, 1), 1.0, {"theta": 0.5}, ThetaTooLarge, "theta = 0.5 >= 1/2"),
+        ((1, 1), 0.5, {"K_star": None}, UnsupportedRegime, "constants were not computed"),
+        ((1, 1), 0.5, {"mu_tilde_star": 0.5}, UnsupportedRegime, "swallows the bonus rate"),
+        ((1.5, 1.5), 0.75, {"mu_tilde": None}, UnsupportedRegime, "no power-entropy certificate"),
+        ((2, 1), 0.5, {}, UnsupportedEntropy, "require equal reaction orders"),
+    ],
+)
+def test_select_certificate_errors(orders, p, change, error, message):
+    data = ProblemData(*orders, 1, 3, 1, 1, 2)
+    with pytest.raises(error, match=message) as info:
+        select_certificate(replace(_SYNTHETIC, **change), data, p)
+    assert type(info.value) is error
 
 
 def test_certificate_validation():

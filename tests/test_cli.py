@@ -8,6 +8,7 @@ import pytest
 from rdmix import RateCertificate, gronwall_envelope
 from rdmix import runio
 from rdmix.cli import main
+from rdmix.simulate import run
 
 ORACLE_CFG = """
 problem.alpha = 2
@@ -74,6 +75,11 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
     rc = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
     assert rc == 0
     summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {
+        "tau_end", "samples", "steps_accepted", "steps_rejected", "steps_rejected_by_cause",
+        "reaction_newton_iterations", "reaction_midpoint_fallbacks", "dtau_range", "final",
+        "fitted_slope", "constants", "verdicts", "notes", "diagnostics_csv",
+    }
     assert summary["verdicts"] and summary["verdicts"][0]["passed"]
     causes = summary["steps_rejected_by_cause"]
     assert causes == {"PositivityLoss": 0, "NewtonFailure": 0}
@@ -133,6 +139,31 @@ def test_cmd_simulate_tau_end_zero_header_only(tmp_path):
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     lines = (out / "diagnostics.csv").read_text().splitlines()
     assert len(lines) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert {key: summary[key] for key in (
+        "samples", "steps_accepted", "steps_rejected", "steps_rejected_by_cause",
+        "reaction_newton_iterations", "reaction_midpoint_fallbacks", "dtau_range",
+    )} == {
+        "samples": 0, "steps_accepted": 0, "steps_rejected": 0,
+        "steps_rejected_by_cause": {"PositivityLoss": 0, "NewtonFailure": 0},
+        "reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0, "dtau_range": None,
+    }
+
+
+def test_run_result_keeps_the_reads_of_the_reference_script(tmp_path):
+    # benchmarks/make_refs.py writes tau and E_B of each record and prints
+    # steps_accepted and wall_time; no test runs that script
+    cfg = _write(tmp_path, SMALL_SIM_CFG)
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    result = run(runio.parse_config(SMALL_SIM_CFG))
+    assert len(result.records) == summary["samples"]
+    assert [result.records[-1].tau, result.records[-1].E_B] == [
+        summary["final"]["tau"], summary["final"]["E_B"]
+    ]
+    assert result.steps_accepted == summary["steps_accepted"] > 0
+    assert 0.0 < result.wall_time < math.inf
 
 
 def test_cmd_simulate_deterministic_outputs(tmp_path):
