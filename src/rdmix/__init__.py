@@ -27,14 +27,13 @@ from .entropy import (
     fisher_information,
     gamma_fn,
     hellinger_sq,
-    lambda_B,
     mixed_term,
     reactive_dissipation,
     relative_densities,
     relative_entropy,
     split_mixed_term,
 )
-from .grids import Grid, default_half_width, derivative1, integrate
+from .fdops import Grid, default_half_width, integrate
 from .profile import (
     ProblemData,
     ProfileSolution,

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import conjugate, entropy
 from .errors import DomainError, EmptyCurve, ThetaTooLarge, UnsupportedEntropy, UnsupportedRegime
-from .grids import integrate
+from .fdops import integrate
 from .profile import ProblemData, ProfileSolution
 
 

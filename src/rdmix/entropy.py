@@ -18,7 +18,7 @@ import numpy as np
 
 from .conjugate import numeric_sup
 from .errors import DomainError
-from .grids import Grid, check_values, derivative1, integrate
+from .fdops import Grid, check_values, diff1, integrate
 from .profile import ProfileSolution
 
 # densities below this are treated as on the axis of the reaction pairing,
@@ -106,11 +106,6 @@ class DiagnosticsRecord:
     dissipation_residual: float = float("nan")
 
 
-def lambda_B(z: float | np.ndarray):
-    """Boltzmann function z log z - z + 1, continuously extended by 1 at z = 0."""
-    return F_p(z, 1.0)
-
-
 def F_p(z: float | np.ndarray, p: float, z_min: float | None = None):
     """Power-family entropy generator; p = 1 is Boltzmann, p = 0 the dual log branch.
 
@@ -156,7 +151,8 @@ def gamma_fn(a: float, b: float) -> float:
         return 0.0
     if a == 0.0 or b == 0.0:
         return math.inf
-    return (a - b) * (math.log(a) - math.log(b))
+    lo, hi = min(a, b), max(a, b)  # log1p keeps the pairing positive when log a == log b
+    return (hi - lo) * math.log1p((hi - lo) / lo)
 
 
 def _clamped(dens: RelativeDensities) -> np.ndarray:
@@ -184,7 +180,8 @@ def relative_entropy(
 def fisher_information(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Gradient dissipation: integral of d1 U rho_y^2 / rho + d2 V zeta_y^2 / zeta."""
     both = _clamped(dens)
-    vals = profile.d_UV * both ** -1.0 * derivative1(dens.grid, both) ** 2
+    # the derivative of the deviation from 1: the banded D1 of an all-ones row is roundoff, not 0
+    vals = profile.d_UV * both ** -1.0 * diff1(dens.grid, both - 1.0) ** 2
     return integrate(dens.grid, vals[0] + vals[1])
 
 

@@ -1,26 +1,96 @@
-"""Shared finite-difference machinery for the profile solver and time integrator.
+"""The mesh, the stencils and the quadrature that every layer shares.
 
-Interior nodes use fourth-order five-point stencils; the two nodes adjacent to
-the boundary fall back to the standard three-point second-order stencils (the
-solutions are flat to near machine precision there).  Both stencils come from
-one weight table, from which each grid gets its banded D2 and (y/2) D1
-operators once.  The steady profile residual, its Jacobian and the implicit
-time-step matrix are all built from that pair, so the profile equation and
-the integrator share one spatial operator.  A solved profile is a fixed
-point of the scheme only when d1 = d2: otherwise the diffusion half of a step
-moves it off the reaction equilibrium by dtau times the multiplier, and the
-reaction half pulls it back only in part, more fully as e^tau grows.
+Grids are uniform on [-L, L] with an odd point count, which puts y = 0 on a
+node; functionals are trapezoid quadratures on them.  Interior nodes use
+fourth-order five-point stencils; the two nodes adjacent to the boundary
+fall back to three-point second-order stencils (the solutions are flat to
+near machine precision there).  Both come from one weight table, from which
+each grid gets its banded D2, D1 and (y/2) D1 once.  The profile residual and
+its Jacobian, the implicit time step and the Fisher information's derivative
+are all built from them.
+
+A solved profile is a fixed point of the scheme only when d1 = d2.
+Otherwise the diffusion half of a step moves it off the reaction equilibrium
+by dtau times the multiplier and the reaction half pulls it back only in
+part, so the step settles on a steady state of its own, whose E_B floor
+scales like dtau^2 and does not vanish as e^tau grows (8.8e-7 at dtau 1e-2,
+2.2e-7 at 5e-3, for alpha = beta = 1, d = (1, 5), A+ = 3, to tau = 12).
 """
 
 from __future__ import annotations
 
+import math
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .grids import Grid
+from .errors import DomainError
+
+
+@dataclass(frozen=True)
+class Grid:
+    """Uniform mesh y_0 = -L, ..., y_{n-1} = L with spacing h = 2L/(n-1).
+
+    Grids compare and hash by (L, n) alone; ``nodes`` and ``h`` follow from them.
+    """
+
+    half_width: float
+    n: int
+    nodes: np.ndarray = field(init=False, repr=False, compare=False)
+    h: float = field(init=False, compare=False)
+
+    def __post_init__(self):
+        L, n = self.half_width, self.n
+        if not (np.isfinite(L) and L > 0):
+            raise DomainError(f"half_width must be positive and finite, got {L}")
+        if n < 3 or n % 2 == 0:
+            raise DomainError(f"point count must be odd and >= 3, got {n}")
+        nodes = np.linspace(-L, L, n)
+        nodes.setflags(write=False)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "h", 2.0 * L / (n - 1))
+
+
+def default_half_width(*equilibria: float) -> float:
+    """Domain half-width 8 * max(1, A+, A-).
+
+    The rule ignores the diffusivities, while an erf tail beyond L is
+    1 - erf(L / sqrt(2 (d1 + d2))): 1.5e-8 at d1 = d2 = 1 with A+- <= 1, but
+    3e-4 at d1 = d2 = 10 with A+- = (1, 2).
+    """
+    return 8.0 * max(1.0, *(abs(a) for a in equilibria))
+
+
+def _nodal(grid: Grid, f: np.ndarray) -> np.ndarray:
+    f = np.asarray(f, dtype=float)
+    if f.shape != (grid.n,):
+        raise DomainError(f"expected {grid.n} nodal values, got shape {f.shape}")
+    return f
+
+
+def check_values(grid: Grid, f: np.ndarray) -> np.ndarray:
+    """Validate a nodal value array against its grid; returns the array as float64."""
+    f = _nodal(grid, f)
+    if not np.all(np.isfinite(f)):
+        raise DomainError("nodal values must be finite")
+    return f
+
+
+def integrate(grid: Grid, f: np.ndarray) -> float:
+    """Trapezoid rule over [-L, L].
+
+    Raises DomainError unless the result is finite; a non-finite nodal value
+    makes the sum non-finite, so this checks the integrand in one pass.
+    """
+    f = _nodal(grid, f)
+    total = grid.h * (float(f.sum()) - 0.5 * (float(f[0]) + float(f[-1])))
+    if not math.isfinite(total):
+        raise DomainError(f"integral is not finite ({total})")
+    return total
+
 
 # The stencil table: (offsets, second-derivative weights, their divisor in
 # units of h^2, first-derivative weights, their divisor in units of h).  The
@@ -62,14 +132,14 @@ def operators(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _matvec(ab: np.ndarray, f: np.ndarray) -> np.ndarray:
-    """Product of a banded array (``solve_banded`` layout) with a vector."""
-    n = f.shape[0]
-    out = np.zeros(n)
+    """Product of a banded array (``solve_banded`` layout) with each row ``f[..., :]``."""
+    n = f.shape[-1]
+    out = np.zeros(f.shape)
     for k, off in enumerate(_OFFSETS):
         if off >= 0:
-            out[: n - off] += ab[k, off:] * f[off:]
+            out[..., : n - off] += ab[k, off:] * f[..., off:]
         else:
-            out[-off:] += ab[k, : n + off] * f[: n + off]
+            out[..., -off:] += ab[k, : n + off] * f[..., : n + off]
     return out
 
 
@@ -91,11 +161,14 @@ def jacobian_banded(grid: Grid, Gp: np.ndarray, Wp: np.ndarray) -> np.ndarray:
 
 
 def diff1(grid: Grid, f: np.ndarray) -> np.ndarray:
-    """First derivative with the solver's stencils (4th order inside)."""
+    """First derivative of each row ``f[..., :]`` with the solver's stencils (4th order inside).
+
+    The ends take one-sided second-order differences; values are not checked.
+    """
     h = grid.h
     out = _matvec(operators(grid)[1], f)
-    out[0] = (-3.0 * f[0] + 4.0 * f[1] - f[2]) / (2.0 * h)
-    out[-1] = (3.0 * f[-1] - 4.0 * f[-2] + f[-3]) / (2.0 * h)
+    out[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * h)
+    out[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * h)
     return out
 
 

@@ -23,7 +23,7 @@ from scipy.special import erf
 
 from . import fdops
 from .errors import DomainError, NonConvergence, NonPositivity
-from .grids import Grid
+from .fdops import Grid
 
 _DAMPING_FLOOR = 2.0**-30
 _MAX_NEWTON = 40

@@ -19,9 +19,8 @@ import numpy as np
 
 from . import entropy
 from .entropy import DiagnosticsRecord, State
-from .errors import DomainError, NewtonFailure, PositivityLoss
-from .fdops import DriftDiffusionSolver
-from .grids import Grid, default_half_width, integrate
+from .errors import DomainError, NewtonFailure, ParseError, PositivityLoss
+from .fdops import DriftDiffusionSolver, Grid, default_half_width, integrate
 from .profile import ProblemData, ProfileSolution, linear_diffusion_profile, solve_profile
 
 
@@ -119,6 +118,21 @@ def _bump(ic: InitialConditionSpec, y: np.ndarray) -> np.ndarray:
         return ic.amplitude * np.exp(-(((y - ic.center) / ic.width) ** 2))
 
 
+def _read_ic_file(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The u and v columns of an n-row y,u,v CSV; a ParseError naming ``ic.path`` if at fault."""
+    try:
+        cols = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+    except ValueError as exc:  # a cell that is not a number, or a ragged row
+        raise ParseError(0, "ic.path", f"{path}: {exc}")
+    if cols.shape != (n, 3):
+        fault = f"must hold {n} rows of y,u,v, got shape {cols.shape}"
+    elif not (np.isfinite(cols[:, 1:]).all() and cols[:, 1:].min() > 0.0):
+        fault = "u and v must be finite and positive"
+    else:
+        return cols[:, 1].copy(), cols[:, 2].copy()
+    raise ParseError(0, "ic.path", f"{path}: {fault}")
+
+
 def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
     grid, ic, d = profile.grid, config.ic, config.data
     y = grid.nodes
@@ -131,12 +145,7 @@ def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
         u = np.interp(y - ic.center, y, profile.U)
         v = np.interp(y - ic.center, y, profile.V)
     else:  # file
-        cols = np.loadtxt(ic.path, delimiter=",", skiprows=1)
-        if cols.shape != (grid.n, 3):
-            raise DomainError(
-                f"initial-condition file must hold {grid.n} rows of y,u,v, got {cols.shape}"
-            )
-        u, v = cols[:, 1].copy(), cols[:, 2].copy()
+        u, v = _read_ic_file(ic.path, grid.n)
     u[0], u[-1] = d.u_minus, d.u_plus
     v[0], v[-1] = d.v_minus, d.v_plus
     if np.min(u) <= 0 or np.min(v) <= 0:
@@ -367,8 +376,9 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
 def conserved_moment(state: State, profile: ProfileSolution) -> float:
     """Weighted excess mass int beta (u - U) + alpha (v - V) dy.
 
-    The reaction cancels from its evolution; for equal diffusivities the
-    quantity obeys pure drift-diffusion and decays exactly like e^(-tau/2).
+    The reaction cancels from its evolution, and the rest is in divergence
+    form: integrating by parts leaves d/dtau m = -m/2 at any diffusivities,
+    so the quantity decays exactly like e^(-tau/2).
     """
     d = profile.data
     return integrate(

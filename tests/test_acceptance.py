@@ -27,7 +27,6 @@ from rdmix import (
     conserved_moment,
     gronwall_envelope,
     hellinger_sq,
-    lambda_B,
     m_hat,
     phi_conjugate_bound,
     phi_conjugate_numeric,
@@ -285,7 +284,7 @@ def test_criterion_10_entropy_inequality_suite(rng, equal_orders_profile):
     ps_b = rng.uniform(1e-3, 3.0, size=10_000)
     for z, pa, pb in zip(zs, ps_a, ps_b):
         # Boltzmann domination for p in (0,1) and the half-family lower bound
-        if pa * F_p(z, pa) > lambda_B(z) * (1 + 1e-12) + 1e-15:
+        if pa * F_p(z, pa) > F_p(z, 1.0) * (1 + 1e-12) + 1e-15:
             violations += 1
         if F_p(z, pb) < (0.5 / max(pb, 1.0 - pb)) * F_p(z, 0.5) * (1 - 1e-12) - 1e-15:
             violations += 1

@@ -409,6 +409,33 @@ def test_invalid_initial_condition_is_a_config_error(tmp_path, capsys, ic_lines)
     assert "config error" in capsys.readouterr().err
 
 
+def _ic_rows(n, cell=None):
+    """Rows y,u,v of an n-node initial condition; ``cell`` replaces v at the middle node."""
+    rows = [[f"{k}", "2.0", "2.0"] for k in range(n)]
+    if cell is not None:
+        rows[n // 2][2] = cell
+    return "y,u,v\n" + "".join(",".join(row) + "\n" for row in rows)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [_ic_rows(11, "abc"), _ic_rows(10), _ic_rows(12), _ic_rows(11, "nan"), _ic_rows(11, "0"),
+     _ic_rows(11, "-1.5"), _ic_rows(11, "inf"), "y,u,v\n1,2\n"],
+    ids=["non-numeric", "short", "long", "nan", "zero", "negative", "inf", "columns"],
+)
+def test_malformed_initial_condition_file_is_a_config_error(tmp_path, capsys, text):
+    ic = _write(tmp_path, text, "ic.csv")
+    text = SMALL_SIM_CFG.replace("grid.n = 401", "grid.n = 11")
+    text = text.replace("ic.kind = gaussian_bump", f"ic.kind = file\nic.path = {ic}")
+    cfg = _write(tmp_path, text)
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert "config error" in err and "ic.path" in err
+    # the same file with a good value runs
+    _write(tmp_path, _ic_rows(11), "ic.csv")
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path)]) == 3  # missing --config
     bad = _write(tmp_path, "problem.alpha = 0.5\n", "bad.cfg")

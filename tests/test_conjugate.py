@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rdmix import PhiFamily, c_tilde, lambda_B, m_hat, phi, phi_conjugate_bound, phi_conjugate_numeric
+from rdmix import F_p, PhiFamily, c_tilde, m_hat, phi, phi_conjugate_bound, phi_conjugate_numeric
 from rdmix import conjugate
 from rdmix.conjugate import numeric_sup
 from rdmix.entropy import F_p_conjugate
@@ -167,7 +167,7 @@ def test_appendix_lower_bounds():
         assert np.all(pos >= lower - 1e-12)
     fam1 = PhiFamily("boltzmann_alpha", 1.0)
     z = np.linspace(-0.999, 30.0, 4001)
-    lamb = np.array([lambda_B(1.0 + t) for t in z])
+    lamb = np.array([F_p(1.0 + t, 1.0) for t in z])
     assert np.all(phi(fam1, z) >= lamb - 1e-12)
 
 
