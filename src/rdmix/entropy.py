@@ -47,6 +47,13 @@ class State:
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "v", v)
 
+    @classmethod
+    def trusted(cls, grid: Grid, u: np.ndarray, v: np.ndarray, tau: float) -> State:
+        """A State of nodal float64 arrays that the caller has proven finite and positive."""
+        state = object.__new__(cls)
+        state.__dict__.update(grid=grid, u=u, v=v, tau=tau)
+        return state
+
     @cached_property
     def uv(self) -> np.ndarray:
         """u and v as the rows of one (2, n) array."""

@@ -4,9 +4,10 @@ One step is an implicit-explicit split: diffusion and drift advance by a
 backward-Euler banded solve per species with the boundary values pinned, then
 the reaction advances by a pointwise implicit solve with prefactor e^(tau +
 dtau).  The local reaction conserves beta u + alpha v, so the per-node solve
-reduces to a bracketed scalar Newton iteration on that invariant line; this
-keeps both concentrations positive for any step size.  Within a run each solve
-starts from the previous step's increment and stops on a proven error bound.
+reduces to a scalar equation on that invariant line whose root keeps both
+concentrations positive for any step size.  At orders of at most 2 it is a
+quadratic, solved in closed form; at other orders a bracketed Newton iteration,
+warm-started within a run, solves it and stops on a proven error bound.
 """
 
 from __future__ import annotations
@@ -234,6 +235,29 @@ def _reaction_implicit(
     return x, vv
 
 
+def _reaction_exact(
+    u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The root of ``_reaction_implicit``'s residual in closed form, at orders of at most 2.
+
+    With s = scale it is A x^2 + B x - C: (A, B, C) is (0, 1 + 2s, u + s m) at (1, 1),
+    (0, 1 + 2 s m, u + s m^2/2) at (2, 2) and (2s, 1 + s, u + s m) at (2, 1).  The root
+    2C / (B + sqrt(B^2 + 4AC)) adds positive terms only, each divided by 1 + s to stay finite.
+    """
+    a, b = data.alpha, data.beta
+    m = b * u + a * v
+    r = 1.0 / (1.0 + scale)
+    w = scale * r  # s / (1 + s)
+    if b == 1.0 and a == 2.0:  # B / (1 + s) = 1
+        c = r * u + w * m
+        x = 2.0 * c / (1.0 + np.sqrt(1.0 + 8.0 * w * c))
+    elif a == 1.0:
+        x = (r * u + w * m) / (r + 2.0 * w)
+    else:
+        x = (r * u + 0.5 * w * m * m) / (r + 2.0 * w * m)
+    return x, (m - b * x) / a
+
+
 class _StepWorkspace:
     """Cached banded operators for one (grid, data) pair, and one run's reaction solves."""
 
@@ -249,23 +273,30 @@ def step(
 ) -> State:
     """Advance one implicit-explicit step of size dtau.
 
-    The reaction solve starts from the diffusion output plus the workspace's
-    last increment x - u (zero, a cold start, without a workspace or in a fresh one).
-    Raises PositivityLoss when the diffusion half produces a nonpositive value
-    and NewtonFailure when the reaction solve does not settle (callers should
-    reject the step and halve dtau).
+    The reaction root is exact at orders of at most 2 (``_reaction_exact``); elsewhere
+    Newton starts from the diffusion output plus the workspace's last increment x - u
+    (zero, a cold start, without a workspace or in a fresh one).  Raises PositivityLoss
+    when the diffusion half gives a value that is not positive (NaN included) and
+    NewtonFailure when the reaction solve does not settle (callers should reject the
+    step and halve dtau); DomainError, as ``State`` would, unless the result is finite
+    and positive.
     """
     if dtau <= 0:
         raise DomainError(f"dtau must be positive, got {dtau}")
     ws = workspace or _StepWorkspace(state.grid, data)
     u = ws.solver_u.step(state.u, dtau)
     v = ws.solver_v.step(state.v, dtau)
-    if np.min(u) <= 0.0 or np.min(v) <= 0.0:
+    if not (u.min() > 0.0 and v.min() > 0.0):
         raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={state.tau:.4g}")
     scale = dtau * math.exp(state.tau + dtau) * data.k
-    x, v = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)
-    ws.increment = x - u
-    return State(state.grid, x, v, state.tau + dtau)
+    if data.alpha in (1.0, 2.0) and data.beta in (1.0, 2.0):  # the residual is a quadratic
+        x, v = _reaction_exact(u, v, data, scale)
+    else:
+        x, v = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)
+        ws.increment = x - u
+    if not (0.0 < x.min() and x.max() < math.inf and 0.0 < v.min() and v.max() < math.inf):
+        raise DomainError("state concentrations must be finite and positive nodewise")
+    return State.trusted(state.grid, x, v, state.tau + dtau)
 
 
 def fill_dissipation_residuals(records: list[DiagnosticsRecord]) -> None:
@@ -318,10 +349,11 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
     sample_idx = 1
     while state.tau < config.tau_end - 1e-12:
         target = min(sample_idx * config.sample_interval, config.tau_end)
-        if target - state.tau < 1e-14:
+        gap = target - state.tau
+        if gap < 1e-14:
             sample_idx += 1
             continue
-        dt = min(dtau, target - state.tau)
+        dt = gap if gap < dtau - 1e-12 else dtau  # a gap within roundoff of dtau takes dtau
         try:
             state = advance(state, dt)
         except (PositivityLoss, NewtonFailure) as exc:
@@ -336,7 +368,8 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
         if streak >= 5:
             dtau = min(1.2 * dtau, config.dtau_max)
             streak = 0
-        if target - state.tau < 1e-12:
+        if target - state.tau < 1e-12:  # on the target up to roundoff: stamp it exactly
+            state = State.trusted(state.grid, state.u, state.v, target)
             records.append(sample(state))
             sample_idx += 1
     return records, state, {
@@ -411,7 +444,7 @@ def run_linear(
 
     def advance(st: State, dt: float) -> State:
         u_new = solver.step(st.u, dt)
-        if np.min(u_new) <= 0.0:
+        if not (u_new.min() > 0.0):  # a NaN fails this test too
             raise PositivityLoss(f"diffusion step went nonpositive at tau={st.tau:.4g}")
         return State(grid, u_new, u_new, st.tau + dt)
 

@@ -19,7 +19,8 @@ from rdmix import (
     step,
 )
 from rdmix.errors import DomainError, NewtonFailure, PositivityLoss
-from rdmix.simulate import _march, _reaction_implicit, _StepWorkspace
+from rdmix import simulate
+from rdmix.simulate import _march, _reaction_exact, _reaction_implicit, _StepWorkspace
 
 
 def _config(data, tau_end=0.2, **kw):
@@ -403,16 +404,112 @@ def test_reaction_solve_meets_its_tolerance(alpha, beta_frac, log_scale, seed, g
 
 
 def test_affine_reaction_takes_one_iteration_per_solve():
-    # at orders (1, 1) the residual is affine, so one Newton step is exact
+    # at orders (1, 1) the residual is affine, so one Newton step is exact; ``run``
+    # takes the closed-form root there, so the Newton solve is called on its states
     data = ProblemData(1, 1, 1, 3, 1, 1, 2)
     cfg = _config(data, tau_end=0.2, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    state = build_initial_state(cfg, solve_profile(data, cfg.make_grid()))
+    ws = _StepWorkspace(state.grid, data)
+    counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
+    increment = np.zeros(state.grid.n)
+    for _ in range(200):
+        u, v = ws.solver_u.step(state.u, 1e-3), ws.solver_v.step(state.v, 1e-3)
+        scale = 1e-3 * math.exp(state.tau + 1e-3) * data.k
+        x, _ = _reaction_implicit(u, v, data, scale, guess=u + increment, counts=counts)
+        increment = x - u
+        state = step(state, data, 1e-3, ws)
+        assert np.max(np.abs(state.u - x)) <= 1e-15 * (x.max() + 1.0)
+    assert counts["reaction_newton_iterations"] == 200
+    assert counts["reaction_midpoint_fallbacks"] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    orders=st.sampled_from([(1.0, 1.0), (2.0, 2.0), (2.0, 1.0)]),
+    log_scale=st.floats(-9.0, 300.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_exact_reaction_root_meets_the_newton_tolerance(orders, log_scale, seed):
+    a, b = orders
+    scale = 10.0**log_scale
+    u, v = 10.0 ** np.random.default_rng(seed).uniform(-3.0, 1.0, (2, 64))
+    m = b * u + a * v
+    below, above = _bisected_root(u, v, a, b, scale)
+    x, v_new = _reaction_exact(u, v, ProblemData(a, b, 1, 1, 1, 1, 2), scale)
+    assert np.isfinite(x).all() and np.isfinite(v_new).all()
+    assert x.min() > 0.0 and v_new.min() > 0.0
+    error = np.maximum(np.maximum(below - x, x - above), 0.0)
+    assert error.max() <= 1e-15 * (x.max() + 1.0)
+    assert np.max(np.abs(b * x + a * v_new - m)) <= 1e-14 * np.max(m)
+
+
+@pytest.mark.parametrize(
+    "alpha, beta, newton",
+    [(1, 1, False), (2, 2, False), (2, 1, False), (1.5, 1.5, True), (4, 4, True)],
+)
+def test_newton_runs_only_off_the_quadratic_orders(alpha, beta, newton):
+    data = ProblemData(alpha, beta, 1, 3, 1, 1, 2)
+    cfg = _config(data, tau_end=0.01, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    iterations = run(cfg).counters["reaction_newton_iterations"]
+    assert iterations >= 10 if newton else iterations == 0
+
+
+def test_fixed_steps_land_on_the_sample_targets_with_one_step_size():
+    # 0.001 summed twenty times is not 0.02: a step that reaches a target
+    # within roundoff must still be dtau, and the sample is stamped on the target
+    data = ProblemData(2, 1, 1, 2, 1, 1, 2)
+    cfg = _config(data, tau_end=0.1, sample_interval=0.02)
     result = run(cfg)
-    counters = result.counters
-    solves = counters["steps_accepted"] + counters["steps_rejected_by_cause"]["NewtonFailure"]
-    assert solves == 200
-    assert counters["reaction_newton_iterations"] == solves
-    assert counters["reaction_midpoint_fallbacks"] == 0
-    assert counters["dtau_range"][1] == 1e-3 and counters["dtau_range"][2] >= 1
+    assert result.counters["dtau_range"] == [1e-3, 1e-3, 1]
+    assert result.counters["steps_accepted"] == 100
+    assert [r.tau for r in result.records] == [0.0] + [i * 0.02 for i in range(1, 5)] + [0.1]
+    assert result.final_state.tau == 0.1
+
+
+class _NaNSolver:
+    """A drift-diffusion solver stub whose output has a NaN at one node."""
+
+    def __init__(self, *args):
+        pass
+
+    def step(self, u, dtau):
+        out = u.copy()
+        out[len(out) // 2] = np.nan
+        return out
+
+
+def test_a_nan_diffusion_output_is_a_positivity_loss(monkeypatch):
+    # before the reaction solve: a NaN passed on spins the Newton solve to its
+    # iteration limit and comes out of the closed-form root as a NaN
+    grid = Grid(16.0, 401)
+    state = State(grid, np.full(grid.n, 1.5), np.full(grid.n, 1.2), 0.0)
+    for data in (ProblemData(2, 1, 1, 2, 1, 1, 2), ProblemData(4, 4, 1, 3, 1, 1, 2)):
+        ws = _StepWorkspace(grid, data)
+        ws.solver_v = _NaNSolver()
+        with pytest.raises(PositivityLoss):
+            step(state, data, 1e-3, ws)
+    monkeypatch.setattr(simulate, "DriftDiffusionSolver", _NaNSolver)
+    cfg = _config(ProblemData(1, 1, 1, 1, 1, 1, 2), tau_end=0.01, dtau_min=1e-4)
+    with pytest.raises(PositivityLoss):
+        run_linear(1.0, 1.0, 2.0, cfg)
+
+
+def test_step_rejects_a_reaction_output_that_is_not_positive_and_finite(monkeypatch):
+    # the stepped State is not validated again, so step raises what State would
+    data = ProblemData(2, 1, 1, 2, 1, 1, 2)
+    grid = Grid(16.0, 401)
+    state = State(grid, np.full(grid.n, 1.5), np.full(grid.n, 1.2), 0.0)
+    exact = simulate._reaction_exact
+    for node_value in (np.nan, np.inf, 0.0, -1.0):
+
+        def spoiled(*args, value=node_value):
+            x, v = exact(*args)
+            x[7] = value
+            return x, v
+
+        monkeypatch.setattr(simulate, "_reaction_exact", spoiled)
+        with pytest.raises(DomainError, match="finite and positive"):
+            step(state, data, 1e-3)
 
 
 def _warm_and_cold_steps(data, nsteps=20, dtau=1e-3):
