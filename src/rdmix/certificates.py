@@ -4,7 +4,7 @@ Every certificate is a tuple (eta, mu, K, gamma) for the differential
 inequality  E' <= -(eta - mu e^-tau) E + K e^(-gamma tau), whose closed-form
 consequence is the envelope
 
-    E(tau) <= e^(-eta tau + mu) (E(0) + R(tau)),   R(tau) = K int_0^tau e^((eta-gamma) s) ds.
+    E(tau) <= e^(mu - eta tau) (E(0) + K int_0^tau e^((eta-gamma) s) ds).
 
 The constants are quadratures and sup-norms of the profile multiplier; which
 tuple applies depends on the reaction orders and the entropy family.
@@ -34,10 +34,11 @@ class RateCertificate:
     regime_tag: str
 
     def __post_init__(self):
-        if not (self.eta > 0 and self.gamma > 0):
-            raise DomainError(f"rates must be positive, got eta={self.eta}, gamma={self.gamma}")
-        if self.mu < 0 or self.K < 0:
-            raise DomainError(f"mu and K must be nonnegative, got mu={self.mu}, K={self.K}")
+        # a NaN or inf constant gives NaN or infinite envelopes, which hide a failure
+        if not (0 < self.eta < math.inf and 0 < self.gamma < math.inf):
+            raise DomainError(f"rates must lie in (0, inf), got eta={self.eta}, gamma={self.gamma}")
+        if not (0 <= self.mu < math.inf and 0 <= self.K < math.inf):
+            raise DomainError(f"mu and K must lie in [0, inf), got mu={self.mu}, K={self.K}")
 
 
 @dataclass
@@ -107,7 +108,11 @@ def compute_constants(
         power_integral = integrate(grid, power_integrand)
 
     if a == 1.0:
-        boost = math.exp(rep.lambda_star / k)
+        ratio = rep.lambda_star / k
+        try:
+            boost = math.exp(ratio)
+        except OverflowError:
+            raise UnsupportedRegime(f"e^(lambda_star/k) overflows at lambda_star/k = {ratio:.6g}")
         rep.mu0 = rep.lambda_star**2 * boost / (2.0 * k)
         rep.K0 = boost / k * integrate(grid, a**2 * Lam**2 / U)
         prov["mu0"] = "lambda_star^2 e^(lambda_star/k) / (2k)"
@@ -191,22 +196,24 @@ def select_certificate(
 
 
 def gronwall_envelope(cert: RateCertificate, E0: float, tau: float) -> float:
-    """Decay envelope at elapsed time tau from initial value E0.
+    """Decay envelope at elapsed time tau from initial value E0: the integral form as
 
-    Returns the tighter of the exactly evaluated integral form and the
-    simplified closed form (they coincide when eta = gamma).
+        e^(mu - eta tau) E0 + e^(mu - min(eta, gamma) tau) K (1 - e^(-g tau)) / g,
+
+    g = |eta - gamma| (tau at g = 0), so that no factor overflows before the envelope
+    does.  Past the float range it is math.inf: vacuous, every sample's ratio is 0.
     """
-    if tau < 0:
-        raise DomainError(f"tau must be nonnegative, got {tau}")
-    if E0 < 0:
-        raise DomainError(f"E0 must be nonnegative, got {E0}")
+    if not (tau >= 0.0 and E0 >= 0.0):  # a NaN fails too
+        raise DomainError(f"tau and E0 must be nonnegative, got tau={tau}, E0={E0}")
     eta, mu, K, gam = cert.eta, cert.mu, cert.K, cert.gamma
-    if eta == gam:
-        return math.exp(-eta * tau + mu) * (E0 + K * tau)
-    R = K * (math.exp((eta - gam) * tau) - 1.0) / (eta - gam)
-    integral_form = math.exp(-eta * tau + mu) * (E0 + R)
-    simplified = math.exp(-min(eta, gam) * tau + mu) * (E0 + 2.0 * K / abs(eta - gam))
-    return min(integral_form, simplified)
+    g = abs(eta - gam)
+    ramp = tau if g == 0.0 else -math.expm1(-g * tau) / g
+    terms = ((E0, mu - eta * tau), (K * ramp, mu - min(eta, gam) * tau))
+    try:  # c e^x as e^(x + log c) where e^x alone may overflow; a zero c adds 0, not 0 inf
+        return sum((c * math.exp(x) if x < 709.0 else math.exp(x + math.log(c))
+                    for c, x in terms if c), 0.0)
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -243,10 +250,10 @@ def verify_decay(curve, cert: RateCertificate, slack: float = 0.05) -> Verificat
     if not pts:
         raise EmptyCurve("decay verification needs at least one sample")
     taus, values = np.array(pts).T
-    if np.any(np.diff(taus) < 0):
+    if not np.all(np.diff(taus) >= 0):  # a NaN fails too
         raise DomainError("samples must be sorted by tau")
-    if np.any(values < 0):
-        raise DomainError("entropy samples must be nonnegative")
+    if not (values.min() >= 0.0 and values.max() < math.inf):  # a NaN fails too
+        raise DomainError("entropy samples must be finite and nonnegative")
     t0, E0 = pts[0]
     worst = 0.0
     for t, e in pts:

@@ -175,29 +175,24 @@ def c_tilde(alpha: float) -> float:
     return (2.0 / alpha**2) ** (1.0 / (alpha - 1.0)) * (alpha - 1.0) / alpha
 
 
-def phi_conjugate_bound(alpha: float, xi: float, include_small_xi: bool = True) -> float:
+def phi_conjugate_bound(alpha: float, xi: float) -> float:
     """Tightest analytic upper bound for the boltzmann-kind conjugate at xi.
 
-    Branches: exponential for alpha = 1, max of power growth and quadratic
-    for alpha in (1, 2], pure power growth for alpha >= 2 (at alpha = 2 both
-    branches apply and the minimum is taken).  The quadratic xi^2 / (2 alpha),
-    valid whenever |xi| <= alpha, joins the minimum unless
-    ``include_small_xi`` is false (which isolates the growth-branch value).
+    The growth branch is exponential for alpha = 1, the max of power growth and
+    the quadratic xi^2 / (2 alpha) for 1 < alpha < 2, and pure power growth for
+    alpha >= 2.  Where |xi| <= alpha the quadratic is valid too, and the
+    smaller of the two is taken.
     """
     if alpha < 1.0:
         raise DomainError(f"bound needs alpha >= 1, got {alpha}")
-    candidates = []
+    quadratic = xi**2 / (2.0 * alpha)
     if alpha == 1.0:
-        candidates.append(math.exp(xi) - xi - 1.0)
+        growth = math.exp(xi) - xi - 1.0
     else:
-        power = c_tilde(alpha) * abs(xi) ** (alpha / (alpha - 1.0))
-        if alpha <= 2.0:
-            candidates.append(max(power, xi**2 / (2.0 * alpha)))
-        if alpha >= 2.0:
-            candidates.append(power)
-    if include_small_xi and abs(xi) <= alpha:
-        candidates.append(xi**2 / (2.0 * alpha))
-    return min(candidates)
+        growth = c_tilde(alpha) * abs(xi) ** (alpha / (alpha - 1.0))
+        if alpha < 2.0:
+            growth = max(growth, quadratic)
+    return min(growth, quadratic) if abs(xi) <= alpha else growth
 
 
 def _quadratic_ratio(fam: PhiFamily, z: np.ndarray) -> np.ndarray:

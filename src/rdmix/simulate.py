@@ -1,13 +1,13 @@
 """Time integration of the scaled system with per-step positivity enforcement.
 
-One step is an implicit-explicit split: diffusion and drift advance by a
-backward-Euler banded solve per species with the boundary values pinned, then
-the reaction advances by a pointwise implicit solve with prefactor e^(tau +
-dtau).  The local reaction conserves beta u + alpha v, so the per-node solve
-reduces to a scalar equation on that invariant line whose root keeps both
-concentrations positive for any step size.  At orders of at most 2 it is a
-quadratic, solved in closed form; at other orders a bracketed Newton iteration,
-warm-started within a run, solves it and stops on a proven error bound.
+One step is a Lie splitting of two backward-Euler halves: a drift-diffusion
+half, one banded solve per species with the boundary values pinned, then a
+reaction half, a pointwise implicit solve with prefactor e^(tau + dtau).  The
+local reaction conserves beta u + alpha v, so the per-node solve reduces to a
+scalar equation on that invariant line whose root keeps both concentrations
+positive for any step size.  At orders of at most 2 it is a quadratic, solved
+in closed form; at other orders a bracketed Newton iteration, warm-started
+within a run, solves it and stops on a proven error bound.
 """
 
 from __future__ import annotations
@@ -189,8 +189,6 @@ def _reaction_implicit(
     # f'' = scale (g1 - g2) with g1 = c1 x^(a-2) and g2 = c2 vv^(b-2), each monotone
     # in x; an order of 1 (zero coefficient) or 2 (zero exponent) makes its g constant
     c1, c2 = a * a * (a - 1.0), b**3 * (b - 1.0) / a
-    flat = a in (1.0, 2.0) and b in (1.0, 2.0)
-    M = abs(c1 - c2)  # |f''| / scale, for good when flat
 
     def at(x, vv):  # x^(a-1), vv^(b-1), g1 and g2 at the iterate x
         x_a1, vv_b1 = x ** (a - 1.0), vv ** (b - 1.0)
@@ -215,17 +213,15 @@ def _reaction_implicit(
         # the iterates stay in [0, m/beta], so max |x| is max x
         tol = 1e-15 * (x.max() + 1.0)
         x, vv = xn, (m - b * xn) / a
-        if not flat:  # each g is monotone, so its values at the step's ends bound |g1 - g2|
-            x_a1, vv_b1, h1, h2 = at(x, vv)
-            M = np.maximum(np.maximum(g1, h1) - np.minimum(g2, h2),
-                           np.maximum(g2, h2) - np.minimum(g1, h1))
-            g1, g2 = h1, h2
+        # each g is monotone, so its values at the step's ends bound |f''| / scale by M
+        x_a1, vv_b1, h1, h2 = at(x, vv)
+        M = np.maximum(np.maximum(g1, h1) - np.minimum(g2, h2),
+                       np.maximum(g2, h2) - np.minimum(g1, h1))
+        g1, g2 = h1, h2
         bounded = not replaced and 0.5 * scale * (M * dx * dx).max() <= 0.5 * tol
         done = bounded or np.abs(dx).max() <= tol
         if done:
             break
-        if flat:
-            x_a1, vv_b1, g1, g2 = at(x, vv)
     if counts is not None:
         counts["reaction_newton_iterations"] += it
         counts["reaction_midpoint_fallbacks"] += fallbacks
@@ -268,26 +264,31 @@ class _StepWorkspace:
         self.counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
 
 
+def _diffuse(solver: DriftDiffusionSolver, w: np.ndarray, dtau: float, tau: float) -> np.ndarray:
+    """The drift-diffusion half of a step for one species; PositivityLoss unless positive."""
+    w = solver.step(w, dtau)
+    if not w.min() > 0.0:  # a NaN fails this test too
+        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={tau:.4g}")
+    return w
+
+
 def step(
     state: State, data: ProblemData, dtau: float, workspace: _StepWorkspace | None = None
 ) -> State:
-    """Advance one implicit-explicit step of size dtau.
+    """Advance one Lie-splitting step of size dtau: drift-diffusion, then reaction.
 
     The reaction root is exact at orders of at most 2 (``_reaction_exact``); elsewhere
     Newton starts from the diffusion output plus the workspace's last increment x - u
     (zero, a cold start, without a workspace or in a fresh one).  Raises PositivityLoss
-    when the diffusion half gives a value that is not positive (NaN included) and
-    NewtonFailure when the reaction solve does not settle (callers should reject the
-    step and halve dtau); DomainError, as ``State`` would, unless the result is finite
-    and positive.
+    (``_diffuse``) or NewtonFailure, on which callers should reject the step and halve
+    dtau; DomainError unless 0 < dtau < inf and, as ``State`` would, unless the result
+    is finite and positive.
     """
-    if dtau <= 0:
-        raise DomainError(f"dtau must be positive, got {dtau}")
+    if not 0.0 < dtau < math.inf:
+        raise DomainError(f"dtau must be positive and finite, got {dtau}")
     ws = workspace or _StepWorkspace(state.grid, data)
-    u = ws.solver_u.step(state.u, dtau)
-    v = ws.solver_v.step(state.v, dtau)
-    if not (u.min() > 0.0 and v.min() > 0.0):
-        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={state.tau:.4g}")
+    u = _diffuse(ws.solver_u, state.u, dtau, state.tau)
+    v = _diffuse(ws.solver_v, state.v, dtau, state.tau)
     scale = dtau * math.exp(state.tau + dtau) * data.k
     if data.alpha in (1.0, 2.0) and data.beta in (1.0, 2.0):  # the residual is a quadratic
         x, v = _reaction_exact(u, v, data, scale)
@@ -380,7 +381,7 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
     }
 
 
-def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
+def run(config: SimConfig) -> RunResult:
     """March the system to tau_end with adaptive step control and sampling.
 
     The step is halved on rejection (positivity loss or a reaction solver
@@ -388,11 +389,9 @@ def run(config: SimConfig, profile: ProfileSolution | None = None) -> RunResult:
     clamped to [dtau_min, dtau_max]; steps land exactly on sample instants.
     """
     t_start = time.perf_counter()
-    grid = config.make_grid() if profile is None else profile.grid
-    if profile is None:
-        profile = solve_profile(config.data, grid, tol=config.profile_tol)
+    profile = solve_profile(config.data, config.make_grid(), tol=config.profile_tol)
     state = build_initial_state(config, profile)
-    ws = _StepWorkspace(grid, config.data)
+    ws = _StepWorkspace(profile.grid, config.data)
     p_list = config.effective_p_list()
 
     def advance(st: State, dt: float) -> State:
@@ -443,10 +442,8 @@ def run_linear(
     solver = DriftDiffusionSolver(grid, D, A_minus, A_plus)
 
     def advance(st: State, dt: float) -> State:
-        u_new = solver.step(st.u, dt)
-        if not (u_new.min() > 0.0):  # a NaN fails this test too
-            raise PositivityLoss(f"diffusion step went nonpositive at tau={st.tau:.4g}")
-        return State(grid, u_new, u_new, st.tau + dt)
+        u_new = _diffuse(solver, st.u, dt, st.tau)
+        return State.trusted(grid, u_new, u_new, st.tau + dt)
 
     def sample(st: State) -> LinearRecord:
         return LinearRecord(st.tau, integrate(grid, entropy.F_p(st.u / U, p) * U))

@@ -196,6 +196,13 @@ def test_certificate_validation():
         RateCertificate(0.0, 0.0, 0.0, 1.0, "bad eta")
     with pytest.raises(DomainError):
         RateCertificate(0.5, -1.0, 0.0, 1.0, "bad mu")
+    # a NaN or infinite constant gives NaN or infinite envelopes, which hide a failure
+    for bad in (math.nan, math.inf):
+        for i in range(4):
+            constants = [0.5, 0.0, 0.0, 1.0]
+            constants[i] = bad
+            with pytest.raises(DomainError):
+                RateCertificate(*constants, "not finite")
 
 
 # -------------------------------------------------------------- envelope
@@ -224,6 +231,46 @@ def test_envelope_integral_form_below_simplified():
     got = gronwall_envelope(cert, E0, tau)
     assert got == pytest.approx(integral_form, rel=1e-12)
     assert got <= simplified + 1e-12
+
+
+@pytest.mark.parametrize("gap", [1e-13, -1e-13])
+@pytest.mark.parametrize("tau", [0.1, 5.0])
+def test_envelope_at_nearly_equal_rates(gap, tau):
+    # (1 - e^(-g tau)) / g = tau (1 - g tau / 2) up to (g tau)^2 / 6 < 1e-24 relative
+    cert = RateCertificate(0.5 + gap, 0.2, 1.5, 0.5, "test")
+    g = abs(cert.eta - cert.gamma)
+    want = math.exp(0.2 - cert.eta * tau) * 2.0 + math.exp(
+        0.2 - min(cert.eta, cert.gamma) * tau
+    ) * 1.5 * tau * (1.0 - 0.5 * g * tau)
+    assert gronwall_envelope(cert, 2.0, tau) == pytest.approx(want, rel=1e-12)
+
+
+def test_envelope_past_the_range_of_its_exponentials():
+    # e^((eta - gamma) tau) is e^750 and e^800 here: a product form would overflow
+    cert = RateCertificate(0.5, 0.0, 1.0, 0.25, "test")
+    assert gronwall_envelope(cert, 1.0, 3000.0) == 0.0  # 4 e^(-750) is below every float
+    cert = RateCertificate(0.5, 0.0, 1.0, 0.1, "test")
+    got = gronwall_envelope(cert, 1.0, 2000.0)
+    want = (math.exp(-0.1 * 2000.0) - math.exp(-0.5 * 2000.0)) / 0.4 + math.exp(-0.5 * 2000.0)
+    assert 0.0 < got < math.inf
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_envelope_rejects_a_negative_or_nan_time_or_start():
+    cert = RateCertificate(0.5, 0.3, 2.0, 1.0, "test")
+    for E0, tau in ((1.0, -1.0), (-1.0, 1.0), (1.0, math.nan), (math.nan, 1.0)):
+        with pytest.raises(DomainError, match="must be nonnegative"):
+            gronwall_envelope(cert, E0, tau)
+
+
+def test_envelope_beyond_the_float_range():
+    huge = RateCertificate(0.5, 1e23, 1.0, 1.0, "test")
+    assert gronwall_envelope(huge, 1.0, 2.0) == math.inf
+    assert gronwall_envelope(replace(huge, K=0.0), 0.0, 2.0) == 0.0  # never 0 inf = NaN
+    # a factor past the float range whose product is within it
+    assert gronwall_envelope(RateCertificate(0.5, 710.0, 0.0, 1.0, "test"), 1e-10, 0.0) == (
+        pytest.approx(math.exp(710.0 + math.log(1e-10)), rel=1e-12)
+    )
 
 
 def _ode_curve(cert: RateCertificate, E0: float, taus: np.ndarray) -> np.ndarray:

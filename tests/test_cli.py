@@ -284,6 +284,52 @@ def test_cmd_constants_domain_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
+# alpha = 1 scales mu0 and K0 by e^(lambda_star/k): about e^53 at k = 1e-3, past
+# the float range at k = 1e-5
+BOOSTED_CFG = """
+problem.alpha = 1
+problem.beta = 1
+problem.d1 = 1
+problem.d2 = 3
+problem.k = {k}
+problem.A_minus = 1
+problem.A_plus = 2
+grid.n = 401
+time.tau_end = 0.1
+"""
+
+
+def test_an_envelope_beyond_the_float_range_is_vacuous(tmp_path):
+    cfg = _write(tmp_path, BOOSTED_CFG.format(k="1e-3"))
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+    boltzmann = summary["verdicts"][0]
+    assert boltzmann["p"] == 1.0 and boltzmann["certificate"]["mu"] > 1e23
+    assert boltzmann["worst_ratio"] == 0.0 and boltzmann["passed"]
+
+
+@pytest.mark.parametrize("late_entropy, verdict", [(0.0, 0), (0.5, 1)])
+def test_verify_an_envelope_past_the_float_range_of_its_exponents(tmp_path, late_entropy, verdict):
+    # at tau = 3000, e^((eta - gamma) tau) = e^750 overflows; the envelope 4 e^(-750) is 0.0
+    runio.write_json(tmp_path / "cert.json", {"eta": 0.5, "mu": 0.0, "K": 1.0, "gamma": 0.25,
+                                              "regime_tag": "test"})
+    (tmp_path / "diag.csv").write_text(f"tau,E_B\n0,1\n1,0.5\n3000,{late_entropy}\n")
+    rc = main(["verify", "--diagnostics", str(tmp_path / "diag.csv"),
+               "--certificate", str(tmp_path / "cert.json"), "--quiet"])
+    assert rc == verdict
+
+
+def test_alpha_one_constants_past_the_float_range_are_a_numerical_failure(tmp_path, capsys):
+    cfg = _write(tmp_path, BOOSTED_CFG.format(k="1e-5"))
+    for argv in (["constants", "--config", cfg],
+                 ["sweep", "--config", cfg, "--param", "problem.k", "--values", "1e-5",
+                  "--out", str(tmp_path / "out")]):
+        assert main(argv + ["--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "UnsupportedRegime" in err
+        assert "e^(lambda_star/k) overflows at lambda_star/k = 5273.26" in err
+
+
 def test_cmd_conjugate_tables(tmp_path):
     out = tmp_path / "conj"
     rc = main(
@@ -469,11 +515,17 @@ def test_usage_errors(tmp_path, capsys):
         ("[0.5, 0, 0, 1]", good_csv),  # not an object
         ('"text"', good_csv),  # a JSON string
         ("7", good_csv),  # a JSON number
+        ('{"eta": 0.5, "mu": NaN, "K": 0, "gamma": 1}', good_csv),  # a NaN constant
+        ('{"eta": 0.5, "mu": 0, "K": Infinity, "gamma": 1}', good_csv),  # an infinite one
         (good_cert, "tau,E_B\n0,1\n0.5,abc\n"),  # non-numeric cell
         (good_cert, "tau,E_B\n0,1\n0.5\n"),  # short row
         (good_cert, "tau,E_p_1\n0,1\n0.5,0.7\n"),  # no E_B column
         (good_cert, "tau,E_B\n0,1\n0.5,-0.2\n"),  # negative entropy
         (good_cert, "tau,E_B\n0.5,1\n0,0.7\n"),  # tau out of order
+        (good_cert, "tau,E_B\n0,1\nnan,0.7\n"),  # a NaN tau
+        (good_cert, "tau,E_B\nnan,1\n"),  # a NaN tau in the only row
+        (good_cert, "tau,E_B\n0,1\n0.5,nan\n"),  # a NaN entropy
+        (good_cert, "tau,E_B\n0,inf\n0.5,1\n"),  # an infinite entropy
         (good_cert, "tau,E_B\n"),  # a header and no rows
     ]
     for i, (cert_text, csv_text) in enumerate(cases):

@@ -122,13 +122,9 @@ def test_conjugate_values_pinned():
 
 
 def test_conjugate_bound_examples():
-    # growth-branch values
-    assert phi_conjugate_bound(1.0, 1.0, include_small_xi=False) == pytest.approx(
-        math.e - 2.0, abs=1e-14
-    )
-    assert phi_conjugate_bound(3.0, 1.0, include_small_xi=False) == pytest.approx(
-        c_tilde(3.0), abs=1e-14
-    )
+    # growth-branch values, where |xi| > alpha keeps the quadratic out of the minimum
+    assert phi_conjugate_bound(1.0, 2.0) == pytest.approx(math.e**2 - 3.0, abs=1e-14)
+    assert phi_conjugate_bound(3.0, 4.0) == pytest.approx(c_tilde(3.0) * 4.0**1.5, abs=1e-14)
     assert c_tilde(3.0) == pytest.approx((2.0 / 9.0) ** 0.5 * (2.0 / 3.0), abs=1e-14)
     assert c_tilde(2.0) == pytest.approx(0.25, abs=1e-15)
     # tightest bound picks up the small-xi quadratic

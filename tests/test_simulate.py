@@ -112,6 +112,15 @@ def test_step_boundary_pinning_and_positivity():
     assert np.min(state.u) > 0 and np.min(state.v) > 0
 
 
+@pytest.mark.parametrize("dtau", [0.0, -1.0, math.nan, math.inf])
+def test_step_size_must_be_positive_and_finite(dtau):
+    data = ProblemData(2, 1, 1, 2, 1, 1, 2)
+    grid = Grid(16.0, 401)
+    state = State(grid, np.full(grid.n, 1.5), np.full(grid.n, 1.2), 0.0)
+    with pytest.raises(DomainError, match="dtau must be positive and finite"):
+        step(state, data, dtau)
+
+
 def test_stiff_relaxation_onto_constraint_manifold():
     # at large tau the reaction pins u^alpha = v^beta; halving dtau agrees
     data = ProblemData(2, 1, 1, 2, 1, 1, 1.2)
@@ -188,11 +197,9 @@ def test_conserved_moment_decay():
         sample_interval=0.25,
         ic=InitialConditionSpec("gaussian_bump", amplitude=0.3),
     )
-    grid = cfg.make_grid()
-    prof = solve_profile(data, grid)
-    state0 = build_initial_state(cfg, prof)
-    m0 = conserved_moment(state0, prof)
-    result = run(cfg, profile=prof)
+    result = run(cfg)
+    prof = result.profile
+    m0 = conserved_moment(build_initial_state(cfg, prof), prof)
     m_end = conserved_moment(result.final_state, prof)
     assert abs(m_end - math.exp(-0.5 * cfg.tau_end) * m0) <= 1e-4 * abs(m0) + 1e-10
 
