@@ -43,7 +43,8 @@ class RateCertificate:
 
 @dataclass
 class ConstantsReport:
-    """All decay constants computable from one profile; None where inapplicable."""
+    """The decay constants one certificate reads, from one profile; None elsewhere:
+    lambda_star and theta, and alpha's band (p = 1) or the power family's (p != 1)."""
 
     c_tilde_alpha: float | None = None
     lambda_star: float | None = None
@@ -61,21 +62,16 @@ class ConstantsReport:
     provenance: dict[str, str] = field(default_factory=dict)
 
 
-def require_equal_orders(data: ProblemData, p: float) -> None:
-    """UnsupportedEntropy unless p = 1 or the reaction orders are equal."""
-    if p != 1.0 and data.alpha != data.beta:
-        raise UnsupportedEntropy("entropy families with p != 1 require equal reaction orders")
-
-
 def check_entropy_family(data: ProblemData, p: float) -> None:
-    """UnsupportedEntropy for p != 1 at unequal orders, DomainError for p out of alpha's range."""
-    require_equal_orders(data, p)
+    """UnsupportedEntropy unless p = 1, or equal orders and alpha - 1 <= p <= p_max(alpha), p > 0."""
     if p == 1.0:
         return
+    if data.alpha != data.beta:
+        raise UnsupportedEntropy("entropy families with p != 1 require equal reaction orders")
     a = data.alpha
-    p_lo, p_hi = a - 1.0, max(a / 2.0, a - 1.0)
-    if not (p > 0.0 and p_lo <= p <= p_hi + 1e-12):
-        raise DomainError(
+    p_lo, p_hi = a - 1.0, conjugate.p_max(a)
+    if not (p > 0.0 and p_lo <= p <= p_hi):
+        raise UnsupportedEntropy(
             f"p={p} outside the admissible range [{max(p_lo, 0):g}, {p_hi:g}] for alpha={a}"
         )
 
@@ -83,11 +79,12 @@ def check_entropy_family(data: ProblemData, p: float) -> None:
 def compute_constants(
     profile: ProfileSolution, data: ProblemData, p: float = 1.0
 ) -> ConstantsReport:
-    """Evaluate every decay constant applicable to (alpha, beta, p).
+    """Evaluate the decay constants that the certificate for (alpha, beta, p) reads.
 
     Sup-norms are discrete maxima over grid nodes; integrals are the shared
     trapezoid quadrature, so the certificate inequalities hold against the
-    discretely evaluated functionals without extra quadrature slack.
+    discretely evaluated functionals without extra quadrature slack.  A
+    constant past the float range raises UnsupportedRegime naming it.
     """
     check_entropy_family(data, p)
     a, b, k = data.alpha, data.beta, data.k
@@ -101,34 +98,31 @@ def compute_constants(
     rep.theta = float((a - b) * np.max(np.abs(Lam / V)))
     prov["theta"] = "(alpha - beta) sup |Lambda / V|"
 
-    if a > 1.0:
-        rep.c_tilde_alpha = conjugate.c_tilde(a)
-        prov["c_tilde_alpha"] = "power-growth conjugate coefficient"
-        power_integrand = np.abs(a * Lam / U) ** (a / (a - 1.0))
-        power_integral = integrate(grid, power_integrand)
-
-    if a == 1.0:
-        ratio = rep.lambda_star / k
-        try:
-            boost = math.exp(ratio)
-        except OverflowError:
-            raise UnsupportedRegime(f"e^(lambda_star/k) overflows at lambda_star/k = {ratio:.6g}")
-        rep.mu0 = rep.lambda_star**2 * boost / (2.0 * k)
-        rep.K0 = boost / k * integrate(grid, a**2 * Lam**2 / U)
-        prov["mu0"] = "lambda_star^2 e^(lambda_star/k) / (2k)"
-        prov["K0"] = "e^(lambda_star/k)/k int Lambda^2 / U"
-    elif a < 2.0:
-        rep.mu1 = float(np.max(np.abs(a**2 * Lam**2 / U ** (3.0 - a)))) / k
-        rep.K1 = integrate(grid, a**2 * Lam**2 / (k * U ** (2.0 - a))) + (
-            rep.c_tilde_alpha / k ** (1.0 / (a - 1.0))
-        ) * power_integral
-        prov["mu1"] = "sup |alpha^2 Lambda^2 / U^(3-alpha)| / k"
-        prov["K1"] = "int alpha^2 Lambda^2/(k U^(2-alpha)) + c_tilde/k^(1/(alpha-1)) |alpha Lambda/U|^(alpha/(alpha-1))"
+    if p == 1.0:
+        if a == 1.0:
+            ratio = rep.lambda_star / k
+            boost = math.exp(ratio) if ratio <= 709.782712893384 else math.inf  # log(max float)
+            rep.mu0 = rep.lambda_star**2 * boost / (2.0 * k)
+            rep.K0 = boost / k * integrate(grid, a**2 * Lam**2 / U)
+            prov["mu0"] = "lambda_star^2 e^(lambda_star/k) / (2k)"
+            prov["K0"] = "e^(lambda_star/k)/k int Lambda^2 / U"
+        else:
+            rep.c_tilde_alpha = conjugate.c_tilde(a)
+            prov["c_tilde_alpha"] = "power-growth conjugate coefficient"
+            # c_tilde/k^(1/(alpha-1)) |alpha Lambda/U|^(alpha/(alpha-1)) as one power: no inf * 0
+            with np.errstate(over="ignore"):  # past the float range it is +inf, for the rule below
+                nodal = (2.0 * np.abs(a * Lam / U) ** a / (a * a * k)) ** (1.0 / (a - 1.0))
+                finite = math.isfinite(grid.h * float(nodal.sum()))
+            growth = (a - 1.0) / a * integrate(grid, nodal) if finite else math.inf
+            if a < 2.0:
+                rep.mu1 = float(np.max(np.abs(a**2 * Lam**2 / U ** (3.0 - a)))) / k
+                rep.K1 = integrate(grid, a**2 * Lam**2 / (k * U ** (2.0 - a))) + growth
+                prov["mu1"] = "sup |alpha^2 Lambda^2 / U^(3-alpha)| / k"
+                prov["K1"] = "int alpha^2 Lambda^2/(k U^(2-alpha)) + c_tilde/k^(1/(alpha-1)) |alpha Lambda/U|^(alpha/(alpha-1))"
+            else:
+                rep.K2 = growth
+                prov["K2"] = "c_tilde/k^(1/(alpha-1)) int |alpha Lambda/U|^(alpha/(alpha-1))"
     else:
-        rep.K2 = rep.c_tilde_alpha / k ** (1.0 / (a - 1.0)) * power_integral
-        prov["K2"] = "c_tilde/k^(1/(alpha-1)) int |alpha Lambda/U|^(alpha/(alpha-1))"
-
-    if p != 1.0:
         rep.kappa = math.sqrt(max(1.0 + p - a, 0.0))
         prov["kappa"] = "sqrt(1 + p - alpha)"
         forcing_integral = integrate(grid, Lam**2 / U**a)
@@ -138,9 +132,7 @@ def compute_constants(
             prov["K_tilde"] = "int Lambda^2 / U^alpha / (4k)"
         else:
             m_hat = conjugate.m_hat(p, a)
-            rep.mu_tilde = (
-                rep.kappa / k * m_hat * float(np.max(np.abs(Lam**2 / U ** (a + 1.0))))
-            )
+            rep.mu_tilde = rep.kappa / k * m_hat * float(np.max(np.abs(Lam**2 / U ** (a + 1.0))))
             fp_star = entropy.F_p_conjugate(rep.kappa, p)
             rep.K_tilde = m_hat / k * (rep.kappa * fp_star + 1.0) * forcing_integral
             prov["mu_tilde"] = "kappa/k M_hat sup |Lambda^2 / U^(alpha+1)|"
@@ -150,6 +142,9 @@ def compute_constants(
             rep.K_star = (11.0 + math.sqrt(2.0)) / (14.0 * k) * integrate(grid, Lam**2 / U)
             prov["mu_tilde_star"] = "sup|Lambda/U|^2 / (k sqrt 8)"
             prov["K_star"] = "(11 + sqrt 2)/(14 k) int Lambda^2 / U"
+    for name, value in vars(rep).items():  # one rule for a constant past the float range
+        if isinstance(value, float) and not math.isfinite(value):
+            raise UnsupportedRegime(f"{name} = {value} leaves the float range")
     return rep
 
 
@@ -160,12 +155,11 @@ def select_certificate(
 
     The Boltzmann certificate (p = 1) has eta = 1/2 at equal orders and
     1/2 - theta at unequal orders, and the (mu, K, gamma) of alpha's band:
-    alpha = 1, 1 < alpha < 2 or alpha >= 2.  Raises ThetaTooLarge when
-    alpha > beta but the profile is not flat enough (theta >= 1/2) and
-    UnsupportedRegime when no result covers the request (UnsupportedEntropy,
-    a subclass, for p != 1 at unequal orders).
+    alpha = 1, 1 < alpha < 2 or alpha >= 2.  Raises UnsupportedRegime when no
+    result covers the request: ThetaTooLarge when alpha > beta but the profile
+    is not flat enough (theta >= 1/2), UnsupportedEntropy for a p without one.
     """
-    require_equal_orders(data, p)
+    check_entropy_family(data, p)
     a = data.alpha
     if p == 1.0:
         if a == data.beta:

@@ -20,9 +20,7 @@ import numpy as np
 from . import __version__, runio
 from .certificates import check_entropy_family, compute_constants, select_certificate, verify_decay
 from .conjugate import PhiFamily, check_m_hat, m_hat, phi_conjugate_bound, phi_conjugate_numeric
-from .errors import (
-    DomainError, EmptyCurve, ParseError, RdmixError, ThetaTooLarge, UnsupportedRegime
-)
+from .errors import DomainError, EmptyCurve, ParseError, RdmixError, UnsupportedRegime
 from .profile import profile_invariants, solve_profile
 from .simulate import run
 
@@ -85,21 +83,20 @@ def cmd_simulate(args) -> int:
 
     notes: list[str] = []
     verdicts = []
-    report = None
+    reports = {}
     if result.records:
-        report = compute_constants(result.profile, config.data, 1.0)
         # the Boltzmann certificate plus every power-family certificate the
         # sampled entropy list supports; each is judged against its own curve
-        for p in [1.0] + [q for q in p_list if q != 1.0]:
-            curve = [(r.tau, r.E_B if p == 1.0 else r.E_p[p]) for r in result.records]
+        for p in dict.fromkeys((1.0, *p_list)):
             try:
-                rep = report if p == 1.0 else compute_constants(result.profile, config.data, p)
-                cert = select_certificate(rep, config.data, p)
-            except RdmixError as exc:
+                reports[p] = compute_constants(result.profile, config.data, p)
+                cert = select_certificate(reports[p], config.data, p)
+            except UnsupportedRegime as exc:
                 notes.append(f"no certificate for p = {p:g} ({type(exc).__name__}): {exc}")
                 continue
             if p == 1.0:
                 runio.write_json(out / "certificate.json", asdict(cert))
+            curve = [(r.tau, r.E_p[p]) for r in result.records]  # E_p holds 1 as E_B
             verdict = verify_decay(curve, cert, slack=args.slack)
             verdicts.append({"p": p, "certificate": asdict(cert), **asdict(verdict)})
 
@@ -116,8 +113,8 @@ def cmd_simulate(args) -> int:
             if result.records
             else None
         ),
-        "fitted_slope": verdicts[0]["fitted_slope"] if verdicts else None,
-        "constants": asdict(report) if report is not None else None,
+        "fitted_slope": next((v["fitted_slope"] for v in verdicts if v["p"] == 1.0), None),
+        "constants": asdict(reports[1.0]) if 1.0 in reports else None,
         "verdicts": verdicts,
         "notes": notes,
         "diagnostics_csv": str(diag_path),
@@ -163,7 +160,7 @@ def cmd_constants(args) -> int:
     config = _load_config(args.config)
     try:
         check_entropy_family(config.data, args.p)
-    except DomainError as exc:  # the flag is at fault, so say so before the solve
+    except UnsupportedRegime as exc:  # no certificate for this p: the flag is at fault
         raise ParseError(0, "--p", str(exc))
     grid = config.make_grid()
     sol = solve_profile(config.data, grid, tol=config.profile_tol)
@@ -180,7 +177,7 @@ def _certificate_or_note(report, data, p: float) -> dict:
     """``{"certificate": ...}``, or a null certificate and a note on why none applies."""
     try:
         return {"certificate": asdict(select_certificate(report, data, p))}
-    except (ThetaTooLarge, UnsupportedRegime) as exc:
+    except UnsupportedRegime as exc:
         return {"certificate": None, "note": str(exc)}
 
 

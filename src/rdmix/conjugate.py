@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, UnsupportedRegime
 
 _EDGE = 1e-9  # distance to the z = -1 pole for grid sweeps
 
@@ -172,7 +172,10 @@ def c_tilde(alpha: float) -> float:
     """Coefficient (2/alpha^2)^(1/(alpha-1)) (alpha-1)/alpha of the power-growth bound."""
     if alpha <= 1.0:
         raise DomainError(f"power-growth coefficient needs alpha > 1, got {alpha}")
-    return (2.0 / alpha**2) ** (1.0 / (alpha - 1.0)) * (alpha - 1.0) / alpha
+    try:
+        return (2.0 / alpha**2) ** (1.0 / (alpha - 1.0)) * (alpha - 1.0) / alpha
+    except OverflowError:  # alpha below about 1.00097
+        raise UnsupportedRegime(f"c_tilde_alpha leaves the float range at alpha = {alpha}")
 
 
 def phi_conjugate_bound(alpha: float, xi: float) -> float:
@@ -202,9 +205,14 @@ def _quadratic_ratio(fam: PhiFamily, z: np.ndarray) -> np.ndarray:
     return np.where(np.isfinite(r), r, 0.0)
 
 
+def p_max(alpha: float) -> float:
+    """The largest admissible p at alpha, max(alpha/2, alpha-1); p is compared to it exactly."""
+    return max(alpha / 2.0, alpha - 1.0)
+
+
 def check_m_hat(p: float, alpha: float) -> None:
     """DomainError unless 0 < p <= max(alpha/2, alpha-1), where ``m_hat`` is defined."""
-    if not (0.0 < p <= max(alpha / 2.0, alpha - 1.0)):
+    if not (0.0 < p <= p_max(alpha)):
         raise DomainError(
             f"quadratic-bound constant needs 0 < p <= max(alpha/2, alpha-1), "
             f"got p={p}, alpha={alpha}"

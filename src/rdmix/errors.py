@@ -37,20 +37,20 @@ class PositivityLoss(RdmixError):
     """A time step would produce a nonpositive concentration."""
 
 
-class ThetaTooLarge(RdmixError):
-    """Flatness number theta >= 1/2: no decay certificate in this regime."""
+class UnsupportedRegime(RdmixError):
+    """No certificate covers the request: its (alpha, beta, p), or a constant it reads."""
+
+
+class ThetaTooLarge(UnsupportedRegime):
+    """Flatness number theta >= 1/2 at unequal orders: no Boltzmann certificate."""
 
     def __init__(self, theta: float):
         self.theta = theta
         super().__init__(f"theta = {theta:.6g} >= 1/2; certificate unavailable")
 
 
-class UnsupportedRegime(RdmixError):
-    """No certificate covers the requested (alpha, beta, p) combination."""
-
-
 class UnsupportedEntropy(DomainError, UnsupportedRegime):
-    """Requested entropy family is not admissible (no certificate) for the given reaction orders."""
+    """Entropy family p has no certificate: p != 1 at unequal orders, or p out of alpha's range."""
 
 
 class EmptyCurve(RdmixError):

@@ -426,12 +426,13 @@ class LinearRecord:
 
 def run_linear(
     D: float, A_minus: float, A_plus: float, config: SimConfig, p: float = 1.0
-) -> tuple[list[LinearRecord], State]:
+) -> list[LinearRecord]:
     """Integrate the scaled single-species diffusion equation and sample int U F_p(u/U).
 
     The initial datum is the linear profile plus an additive Gaussian bump of
     the configured amplitude; the state pair is (u, u) so the State container
     can be reused.  Steps follow the same adaptive controller as ``run``.
+    Returns the sampled records.
     """
     grid = config.make_grid()
     U = linear_diffusion_profile(D, A_minus, A_plus, grid)
@@ -448,5 +449,4 @@ def run_linear(
     def sample(st: State) -> LinearRecord:
         return LinearRecord(st.tau, integrate(grid, entropy.F_p(st.u / U, p) * U))
 
-    records, state, _ = _march(config, State(grid, u, u, 0.0), advance, sample)
-    return records, State(grid, state.u, state.u.copy(), state.tau)
+    return _march(config, State(grid, u, u, 0.0), advance, sample)[0]

@@ -138,7 +138,7 @@ def test_criterion_02_linear_diffusion_decay():
     details = []
     ok = True
     for kind, p in (("boltzmann", 1.0), ("power", 2.0)):
-        records, _ = run_linear(1.0, 1.0, 2.0, cfg, p=p)
+        records = run_linear(1.0, 1.0, 2.0, cfg, p=p)
         e0 = records[0].E_phi
         worst = max(r.E_phi / (math.exp(-0.5 * r.tau) * e0) for r in records)
         taus = np.array([r.tau for r in records])

@@ -17,9 +17,11 @@ from rdmix import (
     solve_profile,
     verify_decay,
 )
+from rdmix.conjugate import c_tilde
 from rdmix.errors import (
     DomainError, EmptyCurve, ThetaTooLarge, UnsupportedEntropy, UnsupportedRegime
 )
+from rdmix.fdops import integrate
 
 
 # ------------------------------------------------------------- constants
@@ -73,6 +75,26 @@ def test_constants_alpha_one_uses_exponential_boost():
     assert rep.mu0 == pytest.approx(rep.lambda_star**2 * boost / (2 * data.k), rel=1e-12)
     assert rep.K0 > 0
     assert rep.K1 is None and rep.K2 is None
+
+
+@pytest.mark.parametrize("alpha", [1.05, 1.2, 1.5, 1.9, 2.0, 3.0, 4.0])
+def test_growth_term_matches_the_coefficient_form(alpha):
+    # K1's and K2's growth term is one power per node, (alpha-1)/alpha int (2|alpha
+    # Lambda/U|^alpha / (alpha^2 k))^(1/(alpha-1)); where the old product c_tilde /
+    # k^(1/(alpha-1)) int |alpha Lambda/U|^(alpha/(alpha-1)) is finite, they agree
+    data = ProblemData(alpha, alpha, 1, 3, 1, 1, 2)
+    sol = solve_profile(data, Grid(16.0, 401))
+    grid, U, Lam = sol.grid, sol.U, sol.Lambda
+    power = integrate(grid, np.abs(alpha * Lam / U) ** (alpha / (alpha - 1.0)))
+    for k in (0.05, 0.2, 0.5, 1.0, 2.0, 10.0):
+        rep = compute_constants(sol, replace(data, k=k), 1.0)
+        growth = c_tilde(alpha) / k ** (1.0 / (alpha - 1.0)) * power
+        if alpha < 2.0:
+            K = integrate(grid, alpha**2 * Lam**2 / (k * U ** (2.0 - alpha))) + growth
+            assert rep.K1 == pytest.approx(K, rel=1e-15, abs=0.0) and rep.K2 is None
+        else:
+            assert rep.K2 == pytest.approx(growth, rel=1e-15, abs=0.0) and rep.K1 is None
+        assert rep.c_tilde_alpha == c_tilde(alpha) and rep.mu0 is None and rep.kappa is None
 
 
 def test_constants_hellinger_matches_power_family():
@@ -189,6 +211,7 @@ def test_select_certificate_errors(orders, p, change, error, message):
     with pytest.raises(error, match=message) as info:
         select_certificate(replace(_SYNTHETIC, **change), data, p)
     assert type(info.value) is error
+    assert isinstance(info.value, UnsupportedRegime)  # every "no certificate" is one
 
 
 def test_certificate_validation():

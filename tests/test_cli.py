@@ -287,10 +287,10 @@ def test_cmd_constants_domain_error(tmp_path, capsys, monkeypatch):
 # alpha = 1 scales mu0 and K0 by e^(lambda_star/k): about e^53 at k = 1e-3, past
 # the float range at k = 1e-5
 BOOSTED_CFG = """
-problem.alpha = 1
-problem.beta = 1
+problem.alpha = {alpha}
+problem.beta = {alpha}
 problem.d1 = 1
-problem.d2 = 3
+problem.d2 = {d2}
 problem.k = {k}
 problem.A_minus = 1
 problem.A_plus = 2
@@ -300,7 +300,7 @@ time.tau_end = 0.1
 
 
 def test_an_envelope_beyond_the_float_range_is_vacuous(tmp_path):
-    cfg = _write(tmp_path, BOOSTED_CFG.format(k="1e-3"))
+    cfg = _write(tmp_path, BOOSTED_CFG.format(alpha=1, d2=3, k="1e-3"))
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
     summary = json.loads((tmp_path / "out" / "summary.json").read_text())
     boltzmann = summary["verdicts"][0]
@@ -320,14 +320,105 @@ def test_verify_an_envelope_past_the_float_range_of_its_exponents(tmp_path, late
 
 
 def test_alpha_one_constants_past_the_float_range_are_a_numerical_failure(tmp_path, capsys):
-    cfg = _write(tmp_path, BOOSTED_CFG.format(k="1e-5"))
+    cfg = _write(tmp_path, BOOSTED_CFG.format(alpha=1, d2=3, k="1e-5"))
     for argv in (["constants", "--config", cfg],
                  ["sweep", "--config", cfg, "--param", "problem.k", "--values", "1e-5",
                   "--out", str(tmp_path / "out")]):
         assert main(argv + ["--quiet"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "UnsupportedRegime" in err
-        assert "e^(lambda_star/k) overflows at lambda_star/k = 5273.26" in err
+        assert "mu0 = inf leaves the float range" in err
+
+
+def _main(capsys, argv):
+    """Exit code and stderr of one in-process run, which must print no traceback."""
+    rc = main(argv + ["--quiet"])
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return rc, err
+
+
+# (alpha, d2, k) whose Boltzmann constant named second is past the float range (K1:
+# k^100 underflows in the old c_tilde / k^(1/(alpha-1)); mu0: e^(lambda_star/k)
+# overflows), and the regimes of the p = 1/2 verdicts that simulate still gives
+PAST_RANGE = [
+    pytest.param((1.01, 3, "1e-5"), "K1", ["power entropy p=0.5"], id="alpha-1.01"),
+    # the p = 1/2 damping swallows the rate: a second note
+    pytest.param((1, 3, "1e-5"), "mu0", [], id="alpha-1"),
+    pytest.param((1, 1.01, "6e-7"), "mu0", ["hellinger, alpha = 1"], id="hellinger"),
+]
+
+
+@pytest.mark.parametrize("case, name, regimes", PAST_RANGE[::2])
+def test_constants_past_the_float_range_in_any_band_are_a_numerical_failure(
+    tmp_path, capsys, case, name, regimes
+):
+    cfg = _write(tmp_path, BOOSTED_CFG.format(alpha=case[0], d2=case[1], k=case[2]))
+    for argv in (["constants", "--config", cfg],
+                 ["sweep", "--config", cfg, "--param", "problem.k", "--values", case[2],
+                  "--out", str(tmp_path / "out")]):
+        rc, err = _main(capsys, argv)
+        assert rc == 2 and err.count("\n") == 1 and "UnsupportedRegime" in err
+        assert f"{name} = inf leaves the float range" in err
+
+
+@pytest.mark.parametrize("case, name, regimes", PAST_RANGE)
+def test_simulate_without_boltzmann_constants_completes_with_a_note(
+    tmp_path, capsys, case, name, regimes
+):
+    cfg = _write(tmp_path, BOOSTED_CFG.format(alpha=case[0], d2=case[1], k=case[2]))
+    out = tmp_path / "out"
+    assert _main(capsys, ["simulate", "--config", cfg, "--out", str(out)]) == (0, "")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["constants"] is None and not (out / "certificate.json").exists()
+    assert summary["notes"][0] == (
+        f"no certificate for p = 1 (UnsupportedRegime): {name} = inf leaves the float range"
+    )
+    # each p = 1/2 verdict passes on its own curve; its slope is not the summary's
+    assert [v["certificate"]["regime_tag"] for v in summary["verdicts"]] == regimes
+    assert all(v["passed"] and v["fitted_slope"] for v in summary["verdicts"])
+    assert summary["fitted_slope"] is None
+
+
+def test_constants_hellinger_certificate_needs_no_boltzmann_constant(tmp_path, capsys):
+    cfg = _write(tmp_path, BOOSTED_CFG.format(alpha=1, d2=1.01, k="6e-7"))
+    rc, _ = _main(capsys, ["constants", "--config", cfg, "--p", "0.5", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "constants.json").read_text())
+    cert = payload["certificate"]
+    assert cert["regime_tag"] == "hellinger, alpha = 1"
+    assert (cert["mu"], cert["gamma"]) == (0.0, 1.0)
+    assert cert["eta"] == pytest.approx(0.338, abs=1e-3) and cert["K"] == pytest.approx(1.29, abs=1e-2)
+    # a p != 1 report holds no constant of the Boltzmann bands
+    assert all(payload[key] is None for key in ("c_tilde_alpha", "mu0", "K0", "mu1", "K1", "K2"))
+
+
+def test_growth_term_that_underflows_gives_a_boltzmann_certificate(tmp_path, capsys):
+    # at alpha = 1.001 the growth term of K1 underflows to 0: K1 is finite, not inf * 0
+    cfg = _write(tmp_path, BOOSTED_CFG.format(alpha=1.001, d2=3, k="0.5"))
+    rc, _ = _main(capsys, ["constants", "--config", cfg, "--out", str(tmp_path)])
+    payload = json.loads((tmp_path / "constants.json").read_text())
+    assert rc == 0 and 0.0 < payload["K1"] < math.inf
+    assert payload["certificate"]["regime_tag"] == "equal orders, 1 < alpha < 2"
+    out = tmp_path / "sim"
+    assert _main(capsys, ["simulate", "--config", cfg, "--out", str(out)]) == (0, "")
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["notes"] == [] and [v["p"] for v in summary["verdicts"]] == [1.0, 0.5]
+    assert summary["fitted_slope"] == summary["verdicts"][0]["fitted_slope"]
+    assert summary["constants"]["K1"] == payload["K1"]
+
+
+@pytest.mark.parametrize("alpha, p", [(1, "0.5000000000005"), (1.5, "0.7500000000005")])
+def test_constants_p_just_past_the_admissible_range_is_a_usage_error(
+    tmp_path, capsys, monkeypatch, alpha, p
+):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the profile was solved for an inadmissible --p")
+
+    monkeypatch.setattr("rdmix.cli.solve_profile", no_solve)
+    cfg = _write(tmp_path, BOOSTED_CFG.format(alpha=alpha, d2=3, k=1))
+    rc, err = _main(capsys, ["constants", "--config", cfg, "--p", p])
+    assert rc == 3 and "outside the admissible range" in err
 
 
 def test_cmd_conjugate_tables(tmp_path):

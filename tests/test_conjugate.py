@@ -7,7 +7,7 @@ from rdmix import F_p, PhiFamily, c_tilde, m_hat, phi, phi_conjugate_bound, phi_
 from rdmix import conjugate
 from rdmix.conjugate import numeric_sup
 from rdmix.entropy import F_p_conjugate
-from rdmix.errors import DomainError
+from rdmix.errors import DomainError, UnsupportedRegime
 
 
 def test_phi_values():
@@ -215,6 +215,13 @@ def test_m_hat_domain():
         m_hat(1.5, 2.0)  # above max(alpha/2, alpha-1) = 1
     with pytest.raises(DomainError):
         m_hat(0.0, 2.0)
+
+
+def test_c_tilde_past_the_float_range_names_the_constant():
+    # (2/alpha^2)^(1/(alpha-1)) passes 2^1024 for alpha below about 1.00097
+    assert c_tilde(1.001) == pytest.approx(1.45e297, rel=1e-2)
+    with pytest.raises(UnsupportedRegime, match="c_tilde_alpha leaves the float range"):
+        c_tilde(1.0005)
 
 
 def test_quadratic_conjugate_bound():

@@ -266,7 +266,7 @@ def test_equilibration_diagnostic_bounded():
 def test_run_linear_profile_exact_stays_zero():
     data = ProblemData(1, 1, 1, 1, 1, 1, 2)
     cfg = _config(data, tau_end=0.5, grid_n=801, ic=InitialConditionSpec("profile_exact"))
-    records, _ = run_linear(1.0, 1.0, 2.0, cfg)
+    records = run_linear(1.0, 1.0, 2.0, cfg)
     assert all(abs(r.E_phi) <= 1e-12 for r in records)
 
 
@@ -281,7 +281,7 @@ def test_run_linear_decay_bound():
         ic=InitialConditionSpec("gaussian_bump", amplitude=0.3),
     )
     for p in (1.0, 2.0):
-        records, _ = run_linear(1.0, 1.0, 2.0, cfg, p=p)
+        records = run_linear(1.0, 1.0, 2.0, cfg, p=p)
         e0 = records[0].E_phi
         assert e0 > 0
         for rec in records:
@@ -300,7 +300,7 @@ def test_tiny_ic_width_leaves_a_spike_at_the_center():
     spike[k] = 1.2
     state = build_initial_state(cfg, prof)
     assert np.array_equal(state.u, prof.U * spike) and np.array_equal(state.v, prof.V * spike)
-    records, _ = run_linear(1.0, 1.0, 2.0, cfg)
+    records = run_linear(1.0, 1.0, 2.0, cfg)
     assert records[0].E_phi > 0 and all(map(math.isfinite, (r.E_phi for r in records)))
 
 
