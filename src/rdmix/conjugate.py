@@ -184,18 +184,30 @@ def phi_conjugate_bound(alpha: float, xi: float) -> float:
     The growth branch is exponential for alpha = 1, the max of power growth and
     the quadratic xi^2 / (2 alpha) for 1 < alpha < 2, and pure power growth for
     alpha >= 2.  Where |xi| <= alpha the quadratic is valid too, and the
-    smaller of the two is taken.
+    smaller of the two is taken.  Raises UnsupportedRegime where the bound
+    passes the float range (|xi| above about 2 at alpha = 1.001, or 1e154).
     """
     if alpha < 1.0:
         raise DomainError(f"bound needs alpha >= 1, got {alpha}")
-    quadratic = xi**2 / (2.0 * alpha)
-    if alpha == 1.0:
-        growth = math.exp(xi) - xi - 1.0
-    else:
-        growth = c_tilde(alpha) * abs(xi) ** (alpha / (alpha - 1.0))
-        if alpha < 2.0:
-            growth = max(growth, quadratic)
-    return min(growth, quadratic) if abs(xi) <= alpha else growth
+    try:  # a Python float power or exp past the float range raises OverflowError
+        quadratic = xi**2 / (2.0 * alpha)
+    except OverflowError:
+        quadratic = math.inf
+    try:
+        if alpha == 1.0:
+            growth = math.exp(xi) - xi - 1.0
+        else:
+            growth = c_tilde(alpha) * abs(xi) ** (alpha / (alpha - 1.0))
+            if alpha < 2.0:
+                growth = max(growth, quadratic)
+    except OverflowError:
+        growth = math.inf
+    bound = min(growth, quadratic) if abs(xi) <= alpha else growth
+    if bound == math.inf:
+        raise UnsupportedRegime(
+            f"phi_conjugate_bound = inf leaves the float range at alpha = {alpha}, xi = {xi}"
+        )
+    return bound
 
 
 def _quadratic_ratio(fam: PhiFamily, z: np.ndarray) -> np.ndarray:

@@ -7,7 +7,9 @@ fall back to three-point second-order stencils (the solutions are flat to
 near machine precision there).  Both come from one weight table, from which
 each grid gets its banded D2, D1 and (y/2) D1 once.  The profile residual and
 its Jacobian, the implicit time step and the Fisher information's derivative
-are all built from them.
+are all built from them.  The implicit step factors its interior band once
+per step size, without row interchanges wherever that is backward stable
+(every acceptance case), and then costs two triangular band sweeps.
 
 A solved profile is a fixed point of the scheme only when d1 = d2.
 Otherwise the diffusion half of a step moves it off the reaction equilibrium
@@ -25,6 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.linalg import LinAlgError
+from scipy.linalg.blas import dtbsv
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import DomainError
@@ -109,6 +112,9 @@ _THREE_POINT = ((-1, 0, 1), (1.0, -2.0, 1.0), 1.0, (-1.0, 0.0, 1.0), 2.0)
 # where ``ab[2 + i - j, j]`` holds entry (i, j).
 _OFFSETS = (2, 1, 0, -1, -2)
 
+# The rows of S B S^-1, S = diag(2^-i), over those of a band B in that layout.
+_SIMILARITY = np.array([[4.0], [2.0], [1.0], [0.5], [0.25]])
+
 
 @lru_cache(maxsize=2)
 def operators(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -184,11 +190,20 @@ def diff2(grid: Grid, f: np.ndarray) -> np.ndarray:
 class DriftDiffusionSolver:
     """Backward-Euler operator for u_tau = d u_yy + (y/2) u_y with pinned ends.
 
-    A step solves (I - dtau (d D2 + (y/2) D1)) u+ = u; the zero boundary rows
-    of the operators leave identity rows there (Dirichlet).  The LAPACK
-    ``dgbtrf`` LU factors of that matrix and their pivots are cached per step
-    size, so a step is one ``dgbtrs`` solve; this is what
-    ``scipy.linalg.solve_banded((2, 2), ...)`` computes, bit for bit.
+    A step solves (I - dtau (d D2 + (y/2) D1)) u+ = u with both ends pinned
+    (Dirichlet).  Their values move to the right-hand side through the four
+    couplings of rows 1, 2, n-3 and n-2, so the ends come out exact and the
+    interior band B of order n-2 is left, factored once per step size (nine
+    cached at most, then the cache starts over).  Where diffusion dominates,
+    elimination without row interchanges is backward stable on B, yet partial
+    pivoting swaps rows: the multipliers tend to -(1 + r), r = 7 - sqrt(48), as
+    dtau d / h^2 grows.  So ``dgbtrf`` factors S B S^-1, S = diag(2^-i), whose
+    subdiagonals are scaled by 1/2 and 1/4 and superdiagonals by 2 and 4; if
+    it swaps no rows, undoing S (exact in powers of two) gives B = L U without
+    interchanges and a step is two ``dtbsv`` sweeps.  Otherwise (a cell Peclet
+    number above about 1, such as d = 0.01 on L = 16) B keeps its pivoted
+    factors and a step is a ``dgbtrs`` solve.  ``factorizations`` counts the
+    step sizes factored, ``pivoted_factorizations`` those with pivoted factors.
     """
 
     def __init__(self, grid: Grid, d: float, bc_left: float, bc_right: float):
@@ -196,30 +211,60 @@ class DriftDiffusionSolver:
         self.d = float(d)
         self.bc_left = float(bc_left)
         self.bc_right = float(bc_right)
-        self._cache: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+        self.factorizations = 0
+        self.pivoted_factorizations = 0
+        self._cache: dict[float, tuple] = {}
+        D2, _, Y1 = operators(grid)
+        op = D2 * self.d + Y1
+        # entries (1, 0), (2, 0), (n-3, n-1) and (n-2, n-1): the couplings to the ends over -dtau
+        self._ends = (op[3, 0], op[4, 0], op[0, -1], op[1, -1])
+        # the interior of S op S^-1 in dgbtrf's layout, with two rows on top for the
+        # fill-in of pivoting; S B S^-1 is I - dtau times it
+        self._scaled = np.zeros((7, grid.n - 2), order="F")
+        self._scaled[2:] = op[:, 1:-1] * _SIMILARITY
 
-    def _factors(self, dtau: float) -> tuple[np.ndarray, np.ndarray]:
-        lu_piv = self._cache.get(dtau)
-        if lu_piv is not None:
-            return lu_piv
-        D2, _, Y1 = operators(self.grid)
-        # dgbtrf wants two extra rows on top for the fill-in of pivoting
-        ab = np.zeros((7, self.grid.n), order="F")
-        ab[2:] = -(dtau * (D2 * self.d + Y1))
+    def _factors(self, dtau: float) -> tuple:
+        """((L, U), None, couplings) without interchanges, else (lu, piv, couplings)."""
+        entry = self._cache.get(dtau)
+        if entry is not None:
+            return entry
+        ab = np.asarray_chkfinite(self._scaled * -dtau)
         ab[4] += 1.0
-        lu, piv, info = dgbtrf(np.asarray_chkfinite(ab), 2, 2, overwrite_ab=True)
+        lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
+        if info == 0 and np.array_equal(piv, np.arange(len(piv))):
+            lower, upper = np.ones((3, len(piv)), order="F"), np.empty((3, len(piv)), order="F")
+            # U's three diagonals, then L's two multiplier rows; undoing S is exact
+            for k, row in enumerate((*upper, *lower[1:])):
+                np.divide(lu[2 + k], _SIMILARITY[k], out=row)
+            factors, piv = (lower, upper), None
+        else:
+            ab = self._scaled * -dtau
+            ab[2:] /= _SIMILARITY
+            ab[4] += 1.0
+            factors, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
+            self.pivoted_factorizations += 1
         if info != 0:
             raise LinAlgError(f"banded LU factorization failed (dgbtrf info {info})")
+        self.factorizations += 1
         if len(self._cache) > 8:
             self._cache.clear()
-        self._cache[dtau] = lu, piv
-        return lu, piv
+        self._cache[dtau] = entry = factors, piv, tuple(-dtau * c for c in self._ends)
+        return entry
 
     def step(self, f: np.ndarray, dtau: float) -> np.ndarray:
-        rhs = f.copy()
-        rhs[0], rhs[-1] = self.bc_left, self.bc_right
-        lu, piv = self._factors(dtau)
-        x, info = dgbtrs(lu, 2, 2, np.asarray_chkfinite(rhs), piv, overwrite_b=True)
-        if info != 0:
-            raise ValueError(f"illegal value in argument {-info} of dgbtrs")
+        factors, piv, (c1, c2, c3, c4) = self._factors(dtau)
+        x = np.asarray_chkfinite(f, dtype=float).copy()
+        x[0], x[-1] = self.bc_left, self.bc_right
+        x[1] -= c1 * x[0]
+        x[2] -= c2 * x[0]
+        x[-3] -= c3 * x[-1]
+        x[-2] -= c4 * x[-1]
+        if piv is None:
+            lower, upper = factors
+            dtbsv(2, lower, x, offx=1, lower=1, diag=1, overwrite_x=1)
+            dtbsv(2, upper, x, offx=1, overwrite_x=1)
+        else:
+            x[1:-1], info = dgbtrs(factors, 2, 2, x[1:-1], piv)
+            if info != 0:
+                raise ValueError(f"illegal value in argument {-info} of dgbtrs")
         return x

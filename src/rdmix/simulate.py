@@ -263,6 +263,14 @@ class _StepWorkspace:
         self.increment = np.zeros(grid.n)  # x - u of the last reaction solve: the warm start
         self.counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
 
+    def all_counts(self) -> dict:
+        """The reaction solves' sums and the step sizes the two solvers factored, and pivoted."""
+        u, v = self.solver_u, self.solver_v
+        return self.counts | {
+            "diffusion_factorizations": u.factorizations + v.factorizations,
+            "diffusion_pivoted_factorizations": u.pivoted_factorizations + v.pivoted_factorizations,
+        }
+
 
 def _diffuse(solver: DriftDiffusionSolver, w: np.ndarray, dtau: float, tau: float) -> np.ndarray:
     """The drift-diffusion half of a step for one species; PositivityLoss unless positive."""
@@ -322,8 +330,9 @@ class RunResult:
     records: list[DiagnosticsRecord]
     final_state: State
     profile: ProfileSolution
-    # the step counters of ``_march`` and the reaction solve's sums over every
-    # solve (rejected steps' included), under their summary.json keys
+    # the step counters of ``_march``, the reaction solve's sums over every
+    # solve (rejected steps' included) and the drift-diffusion factorization
+    # counts, under their summary.json keys
     counters: dict
     wall_time: float
 
@@ -402,7 +411,8 @@ def run(config: SimConfig) -> RunResult:
 
     records, state, counters = _march(config, state, advance, sample)
     fill_dissipation_residuals(records)
-    return RunResult(records, state, profile, counters | ws.counts, time.perf_counter() - t_start)
+    counters |= ws.all_counts()
+    return RunResult(records, state, profile, counters, time.perf_counter() - t_start)
 
 
 def conserved_moment(state: State, profile: ProfileSolution) -> float:

@@ -78,8 +78,12 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
     assert set(summary) == {
         "tau_end", "samples", "steps_accepted", "steps_rejected", "steps_rejected_by_cause",
         "reaction_newton_iterations", "reaction_midpoint_fallbacks", "dtau_range", "final",
+        "diffusion_factorizations", "diffusion_pivoted_factorizations",
         "fitted_slope", "constants", "verdicts", "notes", "diagnostics_csv",
     }
+    # one step size, factored once per species, without row interchanges
+    counts = summary["diffusion_factorizations"], summary["diffusion_pivoted_factorizations"]
+    assert counts == (2, 0)
     assert summary["verdicts"] and summary["verdicts"][0]["passed"]
     causes = summary["steps_rejected_by_cause"]
     assert causes == {"PositivityLoss": 0, "NewtonFailure": 0}
@@ -143,11 +147,36 @@ def test_cmd_simulate_tau_end_zero_header_only(tmp_path):
     assert {key: summary[key] for key in (
         "samples", "steps_accepted", "steps_rejected", "steps_rejected_by_cause",
         "reaction_newton_iterations", "reaction_midpoint_fallbacks", "dtau_range",
+        "diffusion_factorizations", "diffusion_pivoted_factorizations",
     )} == {
         "samples": 0, "steps_accepted": 0, "steps_rejected": 0,
         "steps_rejected_by_cause": {"PositivityLoss": 0, "NewtonFailure": 0},
         "reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0, "dtau_range": None,
+        "diffusion_factorizations": 0, "diffusion_pivoted_factorizations": 0,
     }
+
+
+def test_cmd_simulate_convection_dominated_species_keeps_pivoted_factors(tmp_path):
+    # d2 = 0.01 on L = 16 puts v's cell Peclet number far above 1 at dtau 1e-2
+    cfg = _write(tmp_path, """
+problem.alpha = 1
+problem.beta = 1
+problem.d1 = 1
+problem.d2 = 0.01
+problem.A_minus = 1
+problem.A_plus = 2
+grid.L = 16
+grid.n = 2001
+time.tau_end = 0.2
+time.dtau = 1e-2
+time.dtau_max = 1e-2
+""")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    counts = summary["diffusion_factorizations"], summary["diffusion_pivoted_factorizations"]
+    assert counts == (2, 1)  # v's step size kept pivoted factors
+    assert len(summary["verdicts"]) == 2 and all(v["passed"] for v in summary["verdicts"])
 
 
 def test_run_result_keeps_the_reads_of_the_reference_script(tmp_path):
@@ -447,6 +476,18 @@ def test_cmd_conjugate_tables(tmp_path):
     assert mh[0] == "p,alpha,m_hat"
     assert float(mh[1].split(",")[2]) == pytest.approx(0.5, abs=1e-6)
     assert float(mh[2].split(",")[2]) == pytest.approx(0.25, abs=1e-6)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ("1.001", "phi_conjugate_bound = inf leaves the float range"),
+    ("1.0005", "c_tilde_alpha leaves the float range"),
+])
+def test_cmd_conjugate_past_the_float_range_is_a_numerical_failure(
+    tmp_path, capsys, alpha, message
+):
+    rc, err = _main(capsys, ["conjugate", "--alpha", alpha, "--out", str(tmp_path / "conj")])
+    assert rc == 2
+    assert err.count("\n") == 1 and "UnsupportedRegime" in err and message in err
 
 
 def test_cmd_sweep(tmp_path):

@@ -224,6 +224,19 @@ def test_c_tilde_past_the_float_range_names_the_constant():
         c_tilde(1.0005)
 
 
+def test_conjugate_bound_past_the_float_range_names_itself():
+    # |xi|^(alpha/(alpha-1)) = |xi|^1001 leaves the float range for |xi| above about 2
+    assert phi_conjugate_bound(1.001, 1.0) == 0.5 / 1.001  # the quadratic, |xi| <= alpha
+    for xi in (2.5, -5.0):
+        with pytest.raises(UnsupportedRegime, match="bound = inf leaves the float range"):
+            phi_conjugate_bound(1.001, xi)
+    with pytest.raises(UnsupportedRegime, match="phi_conjugate_bound = inf"):
+        phi_conjugate_bound(1.0, 800.0)  # e^xi
+    with pytest.raises(UnsupportedRegime, match="phi_conjugate_bound = inf"):
+        phi_conjugate_bound(2.0, 1e160)  # xi^2 as well
+    assert phi_conjugate_bound(1.0, -1e200) == 1e200  # e^xi - xi - 1, past xi^2's range
+
+
 def test_quadratic_conjugate_bound():
     for p, a in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0), (1.5, 2.5)):
         fam = PhiFamily("general_p_alpha", a, p)

@@ -1,5 +1,5 @@
 """The mesh, quadrature and stencils of ``fdops``; the drift-diffusion solver's
-cached LU factors give solve_banded's answer exactly."""
+cached factors give backward-stable steps near solve_banded's answer."""
 
 import numpy as np
 import pytest
@@ -88,27 +88,68 @@ def test_value_validation():
         integrate(g, np.array([np.nan] * g.n))
 
 
-def _reference(grid, d, dtau, f, bc_left, bc_right):
+def _full_band(grid, d, dtau):
+    """The whole step matrix I - dtau (d D2 + (y/2) D1) in the solve_banded layout."""
     D2, _, Y1 = operators(grid)
     ab = -(dtau * (D2 * d + Y1))
     ab[2] += 1.0
-    rhs = f.copy()
-    rhs[0], rhs[-1] = bc_left, bc_right
-    return solve_banded((2, 2), ab, rhs)
+    return ab
+
+
+def _check_step(solver, f, dtau):
+    """One step is backward stable, near solve_banded's answer and exact at the ends."""
+    grid, bcs = solver.grid, (solver.bc_left, solver.bc_right)
+    x = solver.step(f, dtau)
+    ab = _full_band(grid, solver.d, dtau)
+    b = f.copy()
+    b[0], b[-1] = bcs
+    residual = np.max(np.abs(_matvec(ab, x) - b))
+    norm_a = np.max(_matvec(np.abs(ab), np.ones(grid.n)))
+    assert residual <= 1e-14 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+    reference = solve_banded((2, 2), ab, b)
+    assert np.max(np.abs(x - reference)) <= 1e-10 * np.max(np.abs(reference))
+    assert (x[0], x[-1]) == bcs
 
 
 @pytest.mark.parametrize(
     "n, half_width, d",
     [(11, 4.0, 1.0), (401, 16.0, 3.0), (2001, 16.0, 0.25), (2001, 8.0, 50.0)],
 )
-def test_step_matches_solve_banded_bit_for_bit(n, half_width, d, rng):
+def test_step_without_interchanges_is_backward_stable(n, half_width, d, rng):
     grid = Grid(half_width, n)
     solver = DriftDiffusionSolver(grid, d, 1.0, 2.0)
     dtaus = [1e-3, 1e-2, 2.5e-4, 1.0]
     for dtau in dtaus + dtaus:  # the second pass hits the cache
-        f = 1.0 + rng.random(n)
-        out = solver.step(f, dtau)
-        assert np.array_equal(out, _reference(grid, d, dtau, f, 1.0, 2.0))
+        _check_step(solver, 1.0 + rng.random(n), dtau)
+    # every step size took the two triangular sweeps
+    assert (solver.factorizations, solver.pivoted_factorizations) == (4, 0)
+
+
+def test_convection_dominated_step_keeps_pivoted_factors(rng):
+    grid = Grid(16.0, 401)
+    solver = DriftDiffusionSolver(grid, 0.01, 1.0, 2.0)
+    _check_step(solver, 1.0 + rng.random(grid.n), 1e-3)
+    assert (solver.factorizations, solver.pivoted_factorizations) == (1, 0)
+    _check_step(solver, 1.0 + rng.random(grid.n), 0.1)
+    assert (solver.factorizations, solver.pivoted_factorizations) == (2, 1)
+
+
+def test_unscaled_factors_reproduce_the_interior_band():
+    grid, d, dtau = Grid(16.0, 401), 3.0, 1e-2
+    solver = DriftDiffusionSolver(grid, d, 1.0, 2.0)
+    (lower, upper), piv, _ = solver._factors(dtau)
+    assert piv is None
+    m = grid.n - 2
+    L, U, B = np.eye(m), np.zeros((m, m)), np.zeros((m, m))
+    ab = _full_band(grid, d, dtau)[:, 1:-1]
+    for k, off in enumerate((2, 1, 0, -1, -2)):  # entry (i, i + off)
+        i = np.arange(max(0, -off), m - max(0, off))
+        B[i, i + off] = ab[k, i + off]
+        if off >= 0:
+            U[i, i + off] = upper[2 - off, i + off]
+        else:
+            L[i, i + off] = lower[-off, i + off]
+    assert np.all(np.abs(L @ U - B) <= 4 * np.finfo(float).eps * (np.abs(L) @ np.abs(U)))
 
 
 def test_step_after_cache_cleared(rng):
@@ -121,7 +162,9 @@ def test_step_after_cache_cleared(rng):
     assert 1e-3 not in solver._cache
     again = solver.step(f, 1e-3)
     assert np.array_equal(again, first)
-    assert np.array_equal(again, _reference(grid, 2.0, 1e-3, f, 1.5, 0.5))
+    assert np.array_equal(again, solver.step(f, 1e-3))  # from the cache
+    assert np.array_equal(again, DriftDiffusionSolver(grid, 2.0, 1.5, 0.5).step(f, 1e-3))
+    assert solver.factorizations == 13
 
 
 def test_step_rejects_non_finite_input():

@@ -473,6 +473,14 @@ def test_fixed_steps_land_on_the_sample_targets_with_one_step_size():
     assert result.final_state.tau == 0.1
 
 
+def test_certify_shaped_run_factors_one_step_size_per_species_without_interchanges():
+    cfg = _config(ProblemData(2, 2, 1, 3, 1, 1, 2), tau_end=0.1, grid_n=2001,
+                  sample_interval=0.02, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    counters = run(cfg).counters
+    assert counters["diffusion_factorizations"] == 2
+    assert counters["diffusion_pivoted_factorizations"] == 0
+
+
 class _NaNSolver:
     """A drift-diffusion solver stub whose output has a NaN at one node."""
 
