@@ -104,6 +104,7 @@ def cmd_simulate(args) -> int:
         "tau_end": config.tau_end,
         "samples": len(result.records),
         **result.counters,
+        "excess_mass_initial": result.excess_mass_initial,
         "final": (
             {
                 "tau": result.records[-1].tau,

@@ -6,6 +6,14 @@ and the nonnegative reaction pairing (a - b)(log a - log b).  Functionals are
 trapezoid quadratures on the shared grid, with relative densities rho = u/U
 and zeta = v/V.  Entropies E_p are evaluated for any p; the dissipation is
 decomposed for the Boltzmann entropy (p = 1) alone.
+
+F_p loses no digits to cancellation near z = 1, at p = 1/2 and near p = 1
+alike (see its docstring).  One diagnostics sample (``dissipation_total``)
+forms rho, zeta, their logarithm and their excess over 1 once, in a
+``RelativeDensities``: the entropies and the reaction pairing share the
+logarithm (log a - log b = alpha log rho - beta log zeta), the Fisher
+information and the mixed term share the excess, and the squared Hellinger
+distance is E_(1/2) / 2 whenever p = 1/2 is sampled.
 """
 
 from __future__ import annotations
@@ -65,7 +73,9 @@ class RelativeDensities:
     """rho = u/U and zeta = v/V for a state over a profile, the rows of ``both``.
 
     A functional that treats the two species alike evaluates both rows in
-    one pass and adds them before its quadrature.
+    one pass and adds them before its quadrature.  The minimum, the excess
+    over 1 and the logarithm are each formed once, when a functional first
+    asks for them.
     """
 
     grid: Grid
@@ -84,11 +94,24 @@ class RelativeDensities:
         """The smallest value of rho and zeta."""
         return float(self.both.min())
 
+    @cached_property
+    def excess(self) -> np.ndarray:
+        """rho - 1 and zeta - 1, shared by the Fisher information and the mixed terms."""
+        return self.both - 1.0
+
+    @cached_property
+    def log(self) -> np.ndarray:
+        """log rho and log zeta, shared by the entropies and the reaction pairing."""
+        return np.log(self.both)
+
 
 def relative_densities(state: State, profile: ProfileSolution) -> RelativeDensities:
     if state.grid != profile.grid:
         raise DomainError("state and profile must share one grid")
-    return RelativeDensities(state.grid, state.uv / profile.UV)
+    both = np.empty((2, state.grid.n))
+    np.divide(state.u, profile.U, out=both[0])
+    np.divide(state.v, profile.V, out=both[1])
+    return RelativeDensities(state.grid, both)
 
 
 @dataclass
@@ -113,25 +136,39 @@ class DiagnosticsRecord:
     dissipation_residual: float = float("nan")
 
 
-def F_p(z: float | np.ndarray, p: float, z_min: float | None = None):
+def F_p(
+    z: float | np.ndarray, p: float, z_min: float | None = None, log_z: np.ndarray | None = None
+):
     """Power-family entropy generator; p = 1 is Boltzmann, p = 0 the dual log branch.
 
-    ``z`` is a float or an array (a float in gives a float out); ``z_min`` may
-    pass the minimum of ``z`` when it is known.
+    ``z`` is a float or an array (a float in gives a float out); ``z_min`` and
+    ``log_z`` may pass the minimum and the logarithm of ``z`` when they are known.
+    p = 1/2 is 2 ((z - 1) / (sqrt z + 1))^2, free of cancellation.  Other p
+    take p (p - 1) F_p = z^p - p z + p - 1 in one of two expm1 forms, l = log z:
+    expm1(p l) - p expm1(l) below p = 1/2, z expm1((p-1) l) - (p-1) expm1(l)
+    above it.  Against a decimal reference each loses the fewest digits on its
+    side, and neither divides a cancelled difference by p - 1, as the
+    closed form does near p = 1 and z = 1.
     """
     z = np.asarray(z, dtype=float)
     z_min = z.min() if z_min is None else z_min
     if not z_min >= 0 or (p <= 0 and z_min <= 0):  # a NaN fails too
         raise DomainError(f"F_p needs z >= 0 (z > 0 for p <= 0), got min z={z_min}, p={p}")
-    if p == 1.0 and z_min >= _DENSITY_CLAMP:  # the usual case: no clamp, no zero to extend at
-        out = z * np.log(z) - z + 1.0
-    elif p == 1.0:
-        safe = np.maximum(z, _DENSITY_CLAMP)
-        out = np.where(z > 0, safe * np.log(safe) - safe + 1.0, 1.0)
-    elif p == 0.0:
-        out = z - np.log(z) - 1.0
+    if p == 0.5:
+        out = 2.0 * ((z - 1.0) / (np.sqrt(z) + 1.0)) ** 2
+    elif z_min == 0.0:  # F_p(0) = 1/p for p > 0; the forms below take log z elsewhere
+        out = np.where(z > 0.0, F_p(np.where(z > 0.0, z, 1.0), p), 1.0 / p)
     else:
-        out = (z**p - p * z + p - 1.0) / (p * (p - 1.0))
+        log_z = np.log(z) if log_z is None else log_z
+        q = p - 1.0
+        if p == 1.0:
+            out = z * log_z - z + 1.0
+        elif p == 0.0:
+            out = z - log_z - 1.0
+        elif p < 0.5:
+            out = (np.expm1(p * log_z) - p * np.expm1(log_z)) / (p * q)
+        else:
+            out = (z * np.expm1(q * log_z) - q * np.expm1(log_z)) / (p * q)
     return out if out.ndim else float(out)
 
 
@@ -180,31 +217,34 @@ def relative_entropy(
     """E_p = integral of U F_p(u/U) + V F_p(v/V); ``dens`` may pass the state's densities."""
     if dens is None:
         dens = relative_densities(state, profile)
-    vals = profile.UV * F_p(dens.both, p, dens.lowest)
+    vals = profile.UV * F_p(dens.both, p, dens.lowest, dens.log if dens.lowest > 0.0 else None)
     return integrate(state.grid, vals[0] + vals[1])
 
 
 def fisher_information(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Gradient dissipation: integral of d1 U rho_y^2 / rho + d2 V zeta_y^2 / zeta."""
     both = _clamped(dens)
-    # the derivative of the deviation from 1: the banded D1 of an all-ones row is roundoff, not 0
-    vals = profile.d_UV * both ** -1.0 * diff1(dens.grid, both - 1.0) ** 2
+    # the derivative of the excess over 1: the banded D1 of an all-ones row is roundoff, not 0
+    vals = profile.d_UV * diff1(dens.grid, dens.excess) ** 2 / both
     return integrate(dens.grid, vals[0] + vals[1])
 
 
 def reactive_dissipation(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Reaction dissipation: integral of k U^alpha times the pairing of rho^alpha and zeta^beta."""
     d = profile.data
-    rho, zeta = _clamped(dens)
-    a, b = rho**d.alpha, zeta**d.beta
-    vals = profile.kU_alpha * (a - b) * (np.log(a) - np.log(b))
+    _clamped(dens)  # the pairing is infinite on the axes
+    # from the shared logs: log a - log b = alpha log rho - beta log zeta, and
+    # a - b = b expm1(log a - log b), which does not cancel where a is near b
+    log_b = d.beta * dens.log[1]
+    gap = d.alpha * dens.log[0] - log_b
+    vals = np.exp(log_b) * np.expm1(gap) * gap * profile.kU_alpha
     return integrate(dens.grid, vals)
 
 
 def mixed_term(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Signed multiplier term; the only dissipation contribution without a sign."""
     d = profile.data
-    vals = ((1.0 - dens.rho) * d.alpha - (1.0 - dens.zeta) * d.beta) * profile.Lambda
+    vals = (dens.excess[1] * d.beta - dens.excess[0] * d.alpha) * profile.Lambda
     return integrate(dens.grid, vals)
 
 
@@ -221,17 +261,16 @@ def split_mixed_term(
     With Psi(r) = alpha (r^(1/alpha) - 1) the first part pairs
     Psi(zeta^beta) - Psi(rho^alpha) with the multiplier; the remainder is
     nonpositive against the Boltzmann entropy up to the flatness number theta.
-    The rho contribution of the remainder vanishes identically.
+    Psi(rho^alpha) is alpha (rho - 1), so the rho contribution of the
+    remainder vanishes identically and is left out.
     """
     d = profile.data
     if d.alpha <= d.beta:
         raise DomainError("mixed-term split requires alpha > beta")
     a, b = d.alpha, d.beta
     psi_z = ramp(dens.zeta**b, a)
-    psi_r = ramp(dens.rho**a, a)  # equals a (rho - 1) exactly
-    part1 = integrate(dens.grid, (psi_z - psi_r) * profile.Lambda)
-    rem = (dens.zeta - 1.0 - psi_z / b) * b - (dens.rho - 1.0 - psi_r / a) * a
-    part2 = integrate(dens.grid, rem * profile.Lambda)
+    part1 = integrate(dens.grid, (psi_z - a * dens.excess[0]) * profile.Lambda)
+    part2 = integrate(dens.grid, (dens.excess[1] - psi_z / b) * b * profile.Lambda)
     return part1, part2
 
 
@@ -246,9 +285,10 @@ def dissipation_total(
 ) -> DiagnosticsRecord:
     """Assemble one diagnostics record: the Boltzmann dissipation and its parts.
 
-    The relative densities are formed once and every functional is evaluated
-    on them (E_B also serves as E_1, and E_p holds each p of ``p_list`` and
-    1); the profile's own arrays come from its cache.
+    The relative densities and their logarithm are formed once and every
+    functional is evaluated on them (E_B also serves as E_1, and E_p holds
+    each p of ``p_list`` and 1); the profile's own arrays come from its cache.
+    The squared Hellinger distance is E_(1/2) / 2 when 1/2 is sampled.
     ``dissipation_residual`` is left NaN for the integrator to fill from
     sampled finite differences.
     """
@@ -276,6 +316,6 @@ def dissipation_total(
         I_Lambda=I_L,
         I_Lambda_1=I_L1,
         I_Lambda_2=I_L2,
-        hellinger_sq=hellinger_sq(state, profile),
+        hellinger_sq=0.5 * E_p[0.5] if 0.5 in E_p else hellinger_sq(state, profile),
         D_B_total=total,
     )

@@ -335,6 +335,8 @@ class RunResult:
     # counts, under their summary.json keys
     counters: dict
     wall_time: float
+    # conserved_moment of the initial state, the excess mass that decays like e^(-tau/2)
+    excess_mass_initial: float
 
     @property
     def steps_accepted(self) -> int:
@@ -409,10 +411,11 @@ def run(config: SimConfig) -> RunResult:
     def sample(st: State) -> DiagnosticsRecord:
         return entropy.dissipation_total(st, profile, p_list)
 
+    excess_mass = conserved_moment(state, profile)
     records, state, counters = _march(config, state, advance, sample)
     fill_dissipation_residuals(records)
     counters |= ws.all_counts()
-    return RunResult(records, state, profile, counters, time.perf_counter() - t_start)
+    return RunResult(records, state, profile, counters, time.perf_counter() - t_start, excess_mass)
 
 
 def conserved_moment(state: State, profile: ProfileSolution) -> float:

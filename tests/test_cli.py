@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from rdmix import RateCertificate, gronwall_envelope
+from rdmix import RateCertificate, gronwall_envelope, solve_profile
 from rdmix import runio
 from rdmix.cli import main
-from rdmix.simulate import run
+from rdmix.simulate import build_initial_state, conserved_moment, run
 
 ORACLE_CFG = """
 problem.alpha = 2
@@ -78,7 +78,7 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
     assert set(summary) == {
         "tau_end", "samples", "steps_accepted", "steps_rejected", "steps_rejected_by_cause",
         "reaction_newton_iterations", "reaction_midpoint_fallbacks", "dtau_range", "final",
-        "diffusion_factorizations", "diffusion_pivoted_factorizations",
+        "diffusion_factorizations", "diffusion_pivoted_factorizations", "excess_mass_initial",
         "fitted_slope", "constants", "verdicts", "notes", "diagnostics_csv",
     }
     # one step size, factored once per species, without row interchanges
@@ -135,6 +135,22 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
     assert verdict["passed"] is True
     assert set(verdict) == {"certificate"} | verdict_keys
     assert set(verdict["certificate"]) == cert_keys
+
+
+@pytest.mark.parametrize("kind", ["gaussian_bump", "profile_exact"])
+def test_cmd_simulate_reports_the_initial_excess_mass(tmp_path, kind):
+    text = SMALL_SIM_CFG.replace("ic.kind = gaussian_bump", f"ic.kind = {kind}")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    reported = json.loads((out / "summary.json").read_text())["excess_mass_initial"]
+    config = runio.parse_config(text)
+    profile = solve_profile(config.data, config.make_grid(), tol=config.profile_tol)
+    expected = conserved_moment(build_initial_state(config, profile), profile)
+    assert reported == expected
+    if kind == "gaussian_bump":  # beta U + alpha V times the bump 0.2 exp(-y^2), integrated
+        assert reported > 0.1
+    else:  # the profile itself carries no excess mass
+        assert abs(reported) <= 1e-13
 
 
 def test_cmd_simulate_tau_end_zero_header_only(tmp_path):

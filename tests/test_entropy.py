@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -87,6 +88,7 @@ def test_generators_on_arrays_equal_scalar_calls():
     st.floats(min_value=1e-4, max_value=10.0),
     st.floats(min_value=1e-3, max_value=0.999),
 )
+@example(z=0.999999001, p=0.999)
 def test_F_p_boltzmann_comparison(z, p):
     # for p in (0, 1) the Boltzmann function dominates: p F_p(z) <= F_p(z, 1)
     assert p * F_p(z, p) <= F_p(z, 1.0) * (1.0 + 1e-12) + 1e-15
@@ -99,6 +101,28 @@ def test_F_p_boltzmann_comparison(z, p):
 )
 def test_F_p_lower_bound_hellinger(z, p):
     assert F_p(z, p) >= (0.5 / max(p, 1.0 - p)) * F_p(z, 0.5) * (1.0 - 1e-12)
+
+
+def _F_p_decimal(z: float, p: float) -> float:
+    """(z^p - p z + p - 1) / (p (p - 1)) in 50-digit decimal arithmetic at the float z."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        z, p = Decimal(z), Decimal(p)
+        return float(((z.ln() * p).exp() - p * z + p - 1) / (p * (p - 1)))
+
+
+@pytest.mark.parametrize("z", [1.0 + 1e-3, 1.0 - 1e-3, 1.0 + 1e-5, 1.0 - 1e-5])
+def test_F_p_half_has_no_cancellation(z):
+    assert F_p(z, 0.5) == pytest.approx(_F_p_decimal(z, 0.5), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("p", [-1.0, 1e-3, 0.25, 0.999, 1.001, 3.0])
+@pytest.mark.parametrize("z", [1.0 + 1e-3, 1.0 - 1e-3, 1.0 + 1e-5, 1.0 - 1e-5, 1e-3, 50.0])
+def test_F_p_general_forms_near_one(z, p):
+    # the expm1 forms lose digits like 1/|z - 1|, as the Boltzmann function
+    # does; the closed form lost them like 1/(p (1 - p) (z - 1)^2)
+    expected = _F_p_decimal(z, p)
+    assert F_p(z, p) == pytest.approx(expected, rel=max(1e-15 / abs(z - 1.0), 1e-15), abs=0.0)
 
 
 def test_F_p_conjugate_closed_form():
@@ -375,6 +399,19 @@ def test_dissipation_mixed_vanishes_equal_diffusivities(rng):
     assert abs(rec.I_Lambda) <= 1e-9  # Lambda vanishes when d1 = d2
 
 
+def test_dissipation_total_hellinger_without_half():
+    # without p = 1/2 in the list, H^2 comes from its own functional
+    data = ProblemData(2, 1, 1, 2, 1, 1, 2)
+    prof = solve_profile(data, Grid(16.0, 801))
+    state = _perturbed_state(prof, 0.1, -0.05)
+    rec = dissipation_total(state, prof, (1.0, 2.0))
+    assert set(rec.E_p) == {1.0, 2.0}
+    assert rec.hellinger_sq == hellinger_sq(state, prof)
+    with_half = dissipation_total(state, prof, (1.0, 0.5))
+    assert with_half.hellinger_sq == 0.5 * with_half.E_p[0.5]
+    assert with_half.hellinger_sq == pytest.approx(rec.hellinger_sq, rel=1e-13)
+
+
 # the six problems of the benchmark's simulate cases (and the certified runs)
 SIX_CASES = [
     (1, 1, 1, 3, 1, 1, 2),
@@ -425,23 +462,24 @@ def test_dissipation_total_equals_its_functionals(case):
 
 # every field of one record, as printed with repr before the functionals lost
 # their power-family branches (I_Fisher and D_B_total since the Fisher
-# information took the solver's fourth-order D1): an operation moved in any of
-# them changes a digit
+# information took the solver's fourth-order D1; E_p and hellinger_sq since F_p
+# took its expm1 and p = 1/2 forms and H^2 became E_(1/2) / 2): an operation
+# moved in any of them changes a digit
 PINNED_RECORDS = {
     (2, 2, 1, 3, 1, 1, 2): dict(
         E_B=0.10453512307739858,
-        E_p={0.5: 0.10404972900403638, 1.0: 0.10453512307739858, 2.0: 0.10579076057720771},
+        E_p={0.5: 0.10404972900403461, 1.0: 0.10453512307739858, 2.0: 0.10579076057720768},
         I_Fisher=0.39274195709355497,
         D_react=3.781625615273135,
         I_Lambda=0.029827977191165804,
         I_Lambda_1=0.029827977191165804,
         I_Lambda_2=0.0,
-        hellinger_sq=0.05202486450201729,
+        hellinger_sq=0.05202486450201731,
         D_B_total=8.030440362837071,
     ),
     (2, 1, 1, 2, 1, 1, 2): dict(
         E_B=0.08228718445334894,
-        E_p={0.5: 0.08235061849588633, 1.0: 0.08228718445334894, 2.0: 0.0823764615961927},
+        E_p={0.5: 0.08235061849588525, 1.0: 0.08228718445334894, 2.0: 0.08237646159619266},
         I_Fisher=0.25667287586867943,
         D_react=0.8498275496935256,
         I_Lambda=-0.006078594505804992,

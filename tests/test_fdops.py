@@ -48,6 +48,21 @@ def test_diff1_exact_on_quadratics():
         assert np.array_equal(_matvec(ab, rows)[1], _matvec(ab, rows[1]))
 
 
+@pytest.mark.parametrize("n", [3, 5, 7, 2001])
+def test_diff1_equals_the_banded_product_bit_for_bit(n):
+    # the slice-wise rows are D1 of operators() applied by _matvec, and the
+    # end rows are its one-sided second-order differences
+    g = Grid(16.0, n)
+    rng = np.random.default_rng(n)
+    for f in (rng.standard_normal(n), np.exp(g.nodes / 4.0), rng.standard_normal((2, n))):
+        expected = _matvec(operators(g)[1], f)
+        expected[..., 0] = (-3.0 * f[..., 0] + 4.0 * f[..., 1] - f[..., 2]) / (2.0 * g.h)
+        expected[..., -1] = (3.0 * f[..., -1] - 4.0 * f[..., -2] + f[..., -3]) / (2.0 * g.h)
+        got = diff1(g, f)
+        assert got.shape == f.shape
+        assert got.tobytes() == expected.tobytes()
+
+
 def test_integrate_constant():
     g = Grid(5.0, 11)
     assert integrate(g, np.ones(g.n)) == pytest.approx(10.0, abs=1e-12)
