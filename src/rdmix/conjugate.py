@@ -7,12 +7,11 @@ functions
     boltzmann kind:   phi(z) = ((1+z)^a - 1) log((1+z)^a)
     power kind:       phi(z) = (a/(p-1)) ((1+z)^((p-1)/p) - 1) ((1+z)^(a/p) - 1)
 
-(+inf for z <= -1).  Their Legendre transforms have no closed form; this
-module computes them numerically with ``numeric_sup`` (a log-grid sweep plus
-golden-section refinement, shared with the entropy conjugates; a column of xi
-values is refined in one batch by ``golden_refine``) and provides
-the analytic upper bounds and the quadratic-bound constants used by the rate
-certificates.
+(+inf for z <= -1).  Unlike the entropy conjugates, their Legendre transforms
+have no closed form; this module computes them by a log-grid sweep plus
+golden-section refinement (``golden_refine`` refines a column of xi values in
+one batch, ``numeric_sup`` one bracket) and provides the analytic upper bounds
+and the quadratic-bound constants used by the rate certificates.
 """
 
 from __future__ import annotations

@@ -1,19 +1,20 @@
 """Relative entropies and dissipation functionals for states against a profile.
 
 Pointwise generators: the Boltzmann function z log z - z + 1, the power family
-F_p with F_p'' = z^(p-2) and F_p(1) = F_p'(1) = 0, their convex conjugates,
-and the nonnegative reaction pairing (a - b)(log a - log b).  Functionals are
-trapezoid quadratures on the shared grid, with relative densities rho = u/U
-and zeta = v/V.  Entropies E_p are evaluated for any p; the dissipation is
-decomposed for the Boltzmann entropy (p = 1) alone.
+F_p with F_p'' = z^(p-2) and F_p(1) = F_p'(1) = 0, their convex conjugates in
+closed form, and the nonnegative reaction pairing (a - b)(log a - log b).
+Functionals are trapezoid quadratures on the shared grid, with relative
+densities rho = u/U and zeta = v/V.  Entropies E_p are evaluated for any p;
+the dissipation is decomposed for the Boltzmann entropy (p = 1) alone.
 
-F_p loses no digits to cancellation near z = 1, at p = 1/2 and near p = 1
-alike (see its docstring).  One diagnostics sample (``dissipation_total``)
+F_p is free of cancellation near z = 1 only at p = 1/2; elsewhere it loses
+digits like 1/|z - 1|, and near p = 1 it divides no cancelled difference by
+p - 1 (see its docstring).  One diagnostics sample (``dissipation_total``)
 forms rho, zeta, their logarithm and their excess over 1 once, in a
 ``RelativeDensities``: the entropies and the reaction pairing share the
-logarithm (log a - log b = alpha log rho - beta log zeta), the Fisher
-information and the mixed term share the excess, and the squared Hellinger
-distance is E_(1/2) / 2 whenever p = 1/2 is sampled.
+logarithm (log a - log b = alpha log rho - beta log zeta), and the Fisher
+information and the mixed term share the excess.  The squared Hellinger
+distance has one definition, E_(1/2) / 2.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .conjugate import numeric_sup
 from .errors import DomainError
 from .fdops import Grid, check_values, diff1, integrate
 from .profile import ProfileSolution
@@ -33,9 +33,6 @@ from .profile import ProfileSolution
 # where the pairing is infinite; simulation enforces positivity, so hitting
 # the clamp is a diagnostic failure rather than a value.
 _DENSITY_CLAMP = 1e-300
-
-# sweep nodes of the numeric F_p conjugate
-_FP_SWEEP = np.logspace(-12.0, 12.0, 4001)
 
 
 @dataclass(frozen=True)
@@ -61,11 +58,6 @@ class State:
         state = object.__new__(cls)
         state.__dict__.update(grid=grid, u=u, v=v, tau=tau)
         return state
-
-    @cached_property
-    def uv(self) -> np.ndarray:
-        """u and v as the rows of one (2, n) array."""
-        return np.stack((self.u, self.v))
 
 
 @dataclass(frozen=True)
@@ -173,18 +165,24 @@ def F_p(
 
 
 def F_p_conjugate(zeta: float, p: float) -> float:
-    """Legendre transform sup_z (zeta z - F_p(z)).
+    """Legendre transform sup_z (zeta z - F_p(z)), in closed form.
 
-    Closed form 2 zeta / (2 - zeta) for p = 1/2 (finite for zeta < 2); other
-    p are resolved by a log-grid search refined by golden section.
+    Solving F_p'(z) = zeta gives ((1 + (p-1) zeta)^(p/(p-1)) - 1) / p, taken as
+    expm1 of a log1p, with the limits expm1(zeta) at p = 1 and -log1p(-zeta) at
+    p = 0; for p > 1 it is -1/p (the maximiser z = 0) where zeta <= -1/(p-1).
+    DomainError for p < 1 and zeta >= 1/(1-p); inf past the float range.
     """
-    if p == 0.5:
-        if zeta >= 2.0:
-            raise DomainError(f"conjugate of F_(1/2) is finite only for zeta < 2, got {zeta}")
-        return 2.0 * zeta / (2.0 - zeta)
-    if p < 1 and zeta >= 1.0 / (1.0 - p):
-        raise DomainError(f"conjugate of F_p is finite only for zeta < {1/(1-p):g}")
-    return numeric_sup(lambda z: zeta * z - F_p(z, p), _FP_SWEEP)
+    if p < 1.0 and zeta >= 1.0 / (1.0 - p):
+        raise DomainError(f"conjugate of F_p is finite only for zeta < {1/(1-p):g}, got {zeta}")
+    t = (p - 1.0) * zeta
+    if p > 1.0 and t <= -1.0:
+        return -1.0 / p
+    if p == 0.0:
+        return -math.log1p(t)
+    try:
+        return math.expm1(zeta) if p == 1.0 else math.expm1(p / (p - 1.0) * math.log1p(t)) / p
+    except OverflowError:  # only p > 0 reaches past the float range, upward
+        return math.inf
 
 
 def gamma_fn(a: float, b: float) -> float:
@@ -275,9 +273,8 @@ def split_mixed_term(
 
 
 def hellinger_sq(state: State, profile: ProfileSolution) -> float:
-    """Squared Hellinger distance of (u, v) to (U, V); equals E_(1/2) / 2."""
-    vals = (np.sqrt(state.uv) - profile.sqrt_UV) ** 2
-    return integrate(state.grid, vals[0] + vals[1])
+    """Squared Hellinger distance of (u, v) to (U, V), defined as E_(1/2) / 2."""
+    return 0.5 * relative_entropy(state, profile, 0.5)
 
 
 def dissipation_total(
@@ -288,7 +285,8 @@ def dissipation_total(
     The relative densities and their logarithm are formed once and every
     functional is evaluated on them (E_B also serves as E_1, and E_p holds
     each p of ``p_list`` and 1); the profile's own arrays come from its cache.
-    The squared Hellinger distance is E_(1/2) / 2 when 1/2 is sampled.
+    The squared Hellinger distance is E_(1/2) / 2: the sampled E_p[1/2] when
+    1/2 is in ``p_list``, else E_(1/2) on the same densities.
     ``dissipation_residual`` is left NaN for the integrator to fill from
     sampled finite differences.
     """
@@ -306,6 +304,7 @@ def dissipation_total(
         I_L1, I_L2 = split_mixed_term(dens, profile)
     else:
         I_L1, I_L2 = I_L, 0.0  # the remainder part vanishes identically at equal orders
+    E_half = E_p[0.5] if 0.5 in E_p else relative_entropy(state, profile, 0.5, dens)
     total = I_F + 0.5 * E_B - I_L + math.exp(state.tau) * D_re
     return DiagnosticsRecord(
         tau=state.tau,
@@ -316,6 +315,6 @@ def dissipation_total(
         I_Lambda=I_L,
         I_Lambda_1=I_L1,
         I_Lambda_2=I_L2,
-        hellinger_sq=0.5 * E_p[0.5] if 0.5 in E_p else hellinger_sq(state, profile),
+        hellinger_sq=0.5 * E_half,
         D_B_total=total,
     )

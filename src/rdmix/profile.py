@@ -92,10 +92,6 @@ class ProfileSolution:
         return np.stack((self.U, self.V))
 
     @cached_property
-    def sqrt_UV(self) -> np.ndarray:
-        return np.sqrt(self.UV)
-
-    @cached_property
     def d_UV(self) -> np.ndarray:
         """Fisher weights d1 U and d2 V."""
         return np.stack((self.data.d1 * self.U, self.data.d2 * self.V))

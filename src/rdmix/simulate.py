@@ -149,11 +149,9 @@ def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
         u, v = _read_ic_file(ic.path, grid.n)
     u[0], u[-1] = d.u_minus, d.u_plus
     v[0], v[-1] = d.v_minus, d.v_plus
-    if np.min(u) <= 0 or np.min(v) <= 0:
-        raise PositivityLoss("initial condition is not positive everywhere")
     state = State(grid, u, v, 0.0)
-    if not math.isfinite(entropy.relative_entropy(state, profile, 1.0)):
-        raise DomainError("initial condition has infinite relative entropy")
+    with np.errstate(over="ignore"):  # an E_B past the float range is integrate's DomainError
+        entropy.relative_entropy(state, profile, 1.0)
     return state
 
 

@@ -219,10 +219,8 @@ def test_cmd_simulate_deterministic_outputs(tmp_path):
     assert (out1 / "diagnostics.csv").read_bytes() == (out2 / "diagnostics.csv").read_bytes()
 
 
-def test_cmd_simulate_theta_too_large_still_simulates(tmp_path):
-    cfg = _write(
-        tmp_path,
-        """
+# a flatness number theta >= 1/2: no rate certificate applies
+THETA_CFG = """
 problem.alpha = 4
 problem.beta = 1
 problem.d1 = 1
@@ -235,8 +233,11 @@ time.tau_end = 0.1
 time.dtau = 2e-3
 time.dtau_max = 2e-3
 output.sample_interval = 0.05
-""",
-    )
+"""
+
+
+def test_cmd_simulate_theta_too_large_still_simulates(tmp_path):
+    cfg = _write(tmp_path, THETA_CFG)
     out = tmp_path / "theta"
     rc = main(["simulate", "--config", cfg, "--out", str(out), "--quiet"])
     assert rc == 0  # no verdict to fail; the run itself completes
@@ -244,6 +245,23 @@ output.sample_interval = 0.05
     assert summary["verdicts"] == []
     assert any("ThetaTooLarge" in note for note in summary["notes"])
     assert summary["samples"] == 3
+
+
+def test_constants_and_sweep_without_a_certificate_hold_a_note(tmp_path):
+    cfg = _write(tmp_path, THETA_CFG)
+    out = tmp_path / "out"
+    assert main(["constants", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    payload = json.loads((out / "constants.json").read_text())
+    assert payload["certificate"] is None
+    assert "theta = 257.449 >= 1/2" in payload["note"]
+    argv = ["sweep", "--config", cfg, "--values", "2,1.05", "--out", str(out), "--quiet"]
+    assert main(argv) == 0
+    rows = json.loads((out / "sweep.json").read_text())["rows"]
+    assert [row["value"] for row in rows] == [2.0, 1.05]
+    for row in rows:
+        assert row["certificate"] is None
+        assert f"theta = {row['theta']:.6g} >= 1/2" in row["note"]
+    assert "theta = 257.449 >= 1/2" in rows[0]["note"]
 
 
 def test_cmd_simulate_emits_power_family_certificates(tmp_path):
@@ -628,6 +646,17 @@ def test_malformed_initial_condition_file_is_a_config_error(tmp_path, capsys, te
     # the same file with a good value runs
     _write(tmp_path, _ic_rows(11), "ic.csv")
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "out"), "--quiet"]) == 0
+
+
+def test_initial_condition_past_the_float_range_in_E_B_is_a_numerical_failure(tmp_path, capsys):
+    # u = 1e308 is finite and positive, but its relative entropy is not
+    ic = _write(tmp_path, _ic_rows(11).replace("\n5,2.0,", "\n5,1e308,"), "ic.csv")
+    text = SMALL_SIM_CFG.replace("grid.n = 401", "grid.n = 11")
+    text = text.replace("ic.kind = gaussian_bump", f"ic.kind = file\nic.path = {ic}")
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out), "--quiet"]) == 2
+    assert "integral is not finite" in capsys.readouterr().err
+    assert not (out / "diagnostics.csv").exists()
 
 
 def test_usage_errors(tmp_path, capsys):

@@ -107,7 +107,7 @@ def test_conjugate_tail_scan_equals_loop_reference():
 
 def test_conjugate_values_pinned():
     # repr of the values from the one-bracket-at-a-time refinement (F_p_conjugate
-    # at p = 0.75 since F_p took its expm1 form)
+    # since it took its closed form)
     boltzmann = [(1.0, -3.0, 1.2680029043204382), (1.5, 2.5, 0.7842847603387336),
                  (3.0, 4.75, 0.5584335234344747), (2.0, 0.0, 0.0)]
     for a, xi, value in boltzmann:
@@ -117,8 +117,8 @@ def test_conjugate_values_pinned():
     assert m_hat(0.5, 1.0) == 0.5
     assert m_hat(0.75, 1.5) == 0.27177970571594634
     assert m_hat(2.0, 3.0) == 0.2500000000043111
-    assert F_p_conjugate(0.7, 2.0) == 0.9450000000000001
-    assert F_p_conjugate(1.5, 0.75) == 4.128000000000001
+    assert F_p_conjugate(0.7, 2.0) == 0.945
+    assert F_p_conjugate(1.5, 0.75) == 4.127999999999999
     assert F_p_conjugate(-2.0, 1.0) == -0.8646647167633873
 
 

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from rdmix import (
@@ -25,7 +25,6 @@ from rdmix import (
     split_mixed_term,
 )
 from rdmix.conjugate import numeric_sup
-from rdmix.entropy import _FP_SWEEP
 from rdmix.errors import DomainError
 from tests.conftest import flat_profile
 
@@ -145,14 +144,111 @@ def test_F_p_conjugate_matches_grid_search():
 
 
 def test_numeric_sup_matches_closed_form_conjugates():
-    # the objective of F_p_conjugate on its own sweep nodes, at the two p with
-    # a closed-form conjugate (p = 1/2 is short-circuited by F_p_conjugate)
-    for zeta in (-3.0, -1.0, 0.0, 0.5, 1.0, 1.5, 1.9):
-        sup = numeric_sup(lambda z: zeta * z - F_p(z, 0.5), _FP_SWEEP)
-        assert sup == pytest.approx(2.0 * zeta / (2.0 - zeta), rel=1e-12, abs=1e-12)
-    for zeta in (-0.9, -0.5, 0.0, 1.0, 3.0, 10.0):
-        sup = numeric_sup(lambda z: zeta * z - F_p(z, 2.0), _FP_SWEEP)
-        assert sup == pytest.approx(zeta + zeta**2 / 2.0, rel=1e-12, abs=1e-12)
+    # a log-grid sweep of the conjugate's objective, refined, against the
+    # closed form, where the maximiser lies inside the sweep
+    sweep = np.logspace(-12.0, 12.0, 4001)
+    for p, zetas in ((0.5, (-3.0, -1.0, 0.0, 0.5, 1.0, 1.5, 1.9)),
+                     (2.0, (-0.9, -0.5, 0.0, 1.0, 3.0, 10.0))):
+        for zeta in zetas:
+            sup = numeric_sup(lambda z: zeta * z - F_p(z, p), sweep)
+            assert sup == pytest.approx(F_p_conjugate(zeta, p), rel=1e-12, abs=1e-12)
+
+
+def _F_p_conjugate_decimal(zeta: float, p: float) -> float:
+    """((1 + (p-1) zeta)^(p/(p-1)) - 1) / p and its limits, in 400-digit decimal arithmetic.
+
+    400 digits keep those of any |zeta| >= 1e-200 in 1 + (p-1) zeta.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 400
+        z, q = Decimal(zeta), Decimal(p)
+        if p == 1.0:
+            return float(z.exp() - 1)
+        if p == 0.0:
+            return float(-(1 - z).ln())
+        base = 1 + (q - 1) * z
+        if base <= 0:  # p > 1: the maximiser is z = 0
+            return float(-1 / q)
+        return float(((base.ln() * q / (q - 1)).exp() - 1) / q)
+
+
+CONJUGATE_P = [-1.0, 0.0, 1e-3, 0.25, 0.5, 0.75, 0.999, 1.0, 1.001, 2.0, 3.0]
+
+
+def _conjugate_zetas(p: float) -> list[float]:
+    """+-1e-8 and a spread of zeta; the kink for p > 1, and 0.9 / (1 - p) for p < 1."""
+    zetas = [-30.0, -3.0, -0.5, -1e-8, 0.0, 1e-8, 0.5, 3.0, 10.0]
+    if p > 1.0:
+        kink = -1.0 / (p - 1.0)
+        return zetas + [1.5 * kink, kink, 0.5 * kink]
+    if p < 1.0:
+        pole = 1.0 / (1.0 - p)
+        return [z for z in zetas if z < pole] + [0.9 * pole]
+    return zetas
+
+
+@pytest.mark.parametrize("p", CONJUGATE_P)
+def test_F_p_conjugate_matches_decimal_reference(p):
+    for zeta in _conjugate_zetas(p):
+        expected = _F_p_conjugate_decimal(zeta, p)
+        assert F_p_conjugate(zeta, p) == pytest.approx(expected, rel=1e-15, abs=0.0), zeta
+
+
+def test_F_p_conjugate_past_the_float_range_is_inf():
+    assert F_p_conjugate(30.0, 1.0) == math.expm1(30.0)
+    assert F_p_conjugate(800.0, 1.0) == math.inf
+    assert F_p_conjugate(2000.0, 1.001) == math.inf
+    with pytest.raises(DomainError):
+        F_p_conjugate(1.0 / 0.75, 0.25)
+    with pytest.raises(DomainError):
+        F_p_conjugate(1.0, 0.0)
+
+
+def _conjugate_condition(zeta: float, p: float) -> float:
+    """The condition of the float closed form, in units of one rounding.
+
+    With b = 1 + (p-1) zeta and x = p/(p-1) log b: a relative error in x moves
+    the value by at most 1 + max(x, 0) times as much, and a relative error in
+    (p-1) zeta moves x by |b - 1| / (b |log b|) times as much.
+    """
+    if p == 1.0:
+        x, b = zeta, 1.0
+    elif p == 0.0:
+        x, b = 0.0, 1.0 - zeta
+    else:
+        b = 1.0 + (p - 1.0) * zeta
+        if b <= 0.0:
+            return 1.0
+        x = p / (p - 1.0) * math.log(b)
+    spread = 1.0 if b == 1.0 else 1.0 + abs(b - 1.0) / (b * abs(math.log(b)))
+    return (1.0 + max(x, 0.0)) * spread
+
+
+# p and zeta of normal size: where p zeta / (p - 1) underflows the float
+# range, so do the digits of the closed form
+@settings(max_examples=200)
+@given(
+    st.one_of(
+        st.sampled_from(CONJUGATE_P),
+        st.floats(min_value=-2.0, max_value=-1e-6),
+        st.floats(min_value=1e-6, max_value=4.0),
+    ),
+    st.one_of(
+        st.just(0.0),
+        st.floats(min_value=-1e3, max_value=-1e-200),
+        st.floats(min_value=1e-200, max_value=1e3),
+    ),
+)
+@example(zeta=1e-8, p=0.999)
+@example(zeta=-1.0, p=2.0)
+def test_F_p_conjugate_closed_form_against_reference(p, zeta):
+    # like the F_p forms near z = 1, the closed form loses digits only where
+    # the conjugate itself is ill-conditioned: large values, and zeta near 1/(1-p)
+    assume(p >= 1.0 or zeta < 1.0 / (1.0 - p))
+    expected = _F_p_conjugate_decimal(zeta, p)
+    assume(abs(expected) < 1e300)
+    rel = 1e-15 * _conjugate_condition(zeta, p)
+    assert F_p_conjugate(zeta, p) == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 def test_F_p_conjugate_zero_at_origin():
@@ -400,7 +496,7 @@ def test_dissipation_mixed_vanishes_equal_diffusivities(rng):
 
 
 def test_dissipation_total_hellinger_without_half():
-    # without p = 1/2 in the list, H^2 comes from its own functional
+    # H^2 has one definition, E_(1/2) / 2, whether or not p = 1/2 is sampled
     data = ProblemData(2, 1, 1, 2, 1, 1, 2)
     prof = solve_profile(data, Grid(16.0, 801))
     state = _perturbed_state(prof, 0.1, -0.05)
@@ -409,7 +505,7 @@ def test_dissipation_total_hellinger_without_half():
     assert rec.hellinger_sq == hellinger_sq(state, prof)
     with_half = dissipation_total(state, prof, (1.0, 0.5))
     assert with_half.hellinger_sq == 0.5 * with_half.E_p[0.5]
-    assert with_half.hellinger_sq == pytest.approx(rec.hellinger_sq, rel=1e-13)
+    assert with_half.hellinger_sq == rec.hellinger_sq
 
 
 # the six problems of the benchmark's simulate cases (and the certified runs)
