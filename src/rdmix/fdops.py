@@ -9,8 +9,10 @@ each grid gets its banded D2, D1 and (y/2) D1 once.  The profile residual and
 its Jacobian, the implicit time step and the Fisher information's derivative
 are all built from them (``diff1`` applies D1 slice by slice, bit for bit).
 The implicit step factors its interior band once per step size, without row
-interchanges wherever that is backward stable (every acceptance case), and
-then costs two triangular band sweeps.
+interchanges wherever that is backward stable (every acceptance case), as
+L diag(d) U with both triangles unit-diagonal; a step then overwrites its row
+in place with a unit-lower band sweep, one division by d and a unit-upper band
+sweep.
 
 A solved profile is a fixed point of the scheme only when d1 = d2.
 Otherwise the diffusion half of a step moves it off the reaction equilibrium
@@ -218,10 +220,15 @@ class DriftDiffusionSolver:
     dtau d / h^2 grows.  So ``dgbtrf`` factors S B S^-1, S = diag(2^-i), whose
     subdiagonals are scaled by 1/2 and 1/4 and superdiagonals by 2 and 4; if
     it swaps no rows, undoing S (exact in powers of two) gives B = L U without
-    interchanges and a step is two ``dtbsv`` sweeps.  Otherwise (a cell Peclet
-    number above about 1, such as d = 0.01 on L = 16) B keeps its pivoted
-    factors and a step is a ``dgbtrs`` solve.  ``factorizations`` counts the
-    step sizes factored, ``pivoted_factorizations`` those with pivoted factors.
+    interchanges, kept as L, the diagonal d of U and U with d divided out of
+    its rows.  A step is then a unit-lower ``dtbsv`` sweep, one vector
+    division by d and a unit-upper sweep, which spares the upper sweep a
+    division per node.  Otherwise (a cell Peclet number above about 1, such
+    as d = 0.01 on L = 16) B keeps its pivoted factors and a step is a
+    ``dgbtrs`` solve.  ``factorizations`` counts the step sizes factored,
+    ``pivoted_factorizations`` those with pivoted factors.  ``step_in_place``
+    overwrites a row (of ``simulate.step``'s (2, n) buffer) unchecked; ``step``
+    checks and copies its input, then calls it.
     """
 
     def __init__(self, grid: Grid, d: float, bc_left: float, bc_right: float):
@@ -242,7 +249,11 @@ class DriftDiffusionSolver:
         self._scaled[2:] = op[:, 1:-1] * _SIMILARITY
 
     def _factors(self, dtau: float) -> tuple:
-        """((L, U), None, couplings) without interchanges, else (lu, piv, couplings)."""
+        """((L, U / d, d), None, ends) without interchanges, else (lu, piv, ends).
+
+        L and U / d, entry (i, j) of U over d_i, are unit-diagonal ``dtbsv`` bands;
+        ``ends`` are the terms that the pinned end values add to rows 1, 2, n-3 and n-2.
+        """
         entry = self._cache.get(dtau)
         if entry is not None:
             return entry
@@ -250,11 +261,16 @@ class DriftDiffusionSolver:
         ab[4] += 1.0
         lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
         if info == 0 and np.array_equal(piv, np.arange(len(piv))):
-            lower, upper = np.ones((3, len(piv)), order="F"), np.empty((3, len(piv)), order="F")
-            # U's three diagonals, then L's two multiplier rows; undoing S is exact
-            for k, row in enumerate((*upper, *lower[1:])):
-                np.divide(lu[2 + k], _SIMILARITY[k], out=row)
-            factors, piv = (lower, upper), None
+            m = len(piv)
+            lower, upper = np.ones((3, m), order="F"), np.zeros((3, m), order="F")
+            diag = lu[4].copy()
+            # U's two superdiagonals over the diagonal of their row, then L's two
+            # multiplier rows; undoing S is exact
+            np.divide(lu[2, 2:] / _SIMILARITY[0], diag[:-2], out=upper[0, 2:])
+            np.divide(lu[3, 1:] / _SIMILARITY[1], diag[:-1], out=upper[1, 1:])
+            for k in (1, 2):
+                np.divide(lu[4 + k], _SIMILARITY[2 + k], out=lower[k])
+            factors, piv = (lower, upper, diag), None
         else:
             ab = self._scaled * -dtau
             ab[2:] /= _SIMILARITY
@@ -266,23 +282,31 @@ class DriftDiffusionSolver:
         self.factorizations += 1
         if len(self._cache) > 8:
             self._cache.clear()
-        self._cache[dtau] = entry = factors, piv, tuple(-dtau * c for c in self._ends)
+        bcs = (self.bc_left, self.bc_left, self.bc_right, self.bc_right)
+        self._cache[dtau] = entry = factors, piv, tuple(
+            float(-dtau * c * bc) for c, bc in zip(self._ends, bcs))
         return entry
 
-    def step(self, f: np.ndarray, dtau: float) -> np.ndarray:
-        factors, piv, (c1, c2, c3, c4) = self._factors(dtau)
-        x = np.asarray_chkfinite(f, dtype=float).copy()
+    def step_in_place(self, x: np.ndarray, dtau: float) -> None:
+        """Overwrite the contiguous float64 nodal row ``x`` with its step; ``x`` is not checked."""
+        factors, piv, (e1, e2, e3, e4) = self._factors(dtau)
         x[0], x[-1] = self.bc_left, self.bc_right
-        x[1] -= c1 * x[0]
-        x[2] -= c2 * x[0]
-        x[-3] -= c3 * x[-1]
-        x[-2] -= c4 * x[-1]
+        x[1] -= e1
+        x[2] -= e2
+        x[-3] -= e3
+        x[-2] -= e4
         if piv is None:
-            lower, upper = factors
+            lower, upper, diag = factors
             dtbsv(2, lower, x, offx=1, lower=1, diag=1, overwrite_x=1)
-            dtbsv(2, upper, x, offx=1, overwrite_x=1)
+            x[1:-1] /= diag
+            dtbsv(2, upper, x, offx=1, diag=1, overwrite_x=1)
         else:
             x[1:-1], info = dgbtrs(factors, 2, 2, x[1:-1], piv)
             if info != 0:
                 raise ValueError(f"illegal value in argument {-info} of dgbtrs")
+
+    def step(self, f: np.ndarray, dtau: float) -> np.ndarray:
+        """The step of a copy of ``f``; ValueError unless ``f`` is finite."""
+        x = np.asarray_chkfinite(f, dtype=float).copy()
+        self.step_in_place(x, dtau)
         return x

@@ -8,6 +8,11 @@ scalar equation on that invariant line whose root keeps both concentrations
 positive for any step size.  At orders of at most 2 it is a quadratic, solved
 in closed form; at other orders a bracketed Newton iteration, warm-started
 within a run, solves it and stops on a proven error bound.
+
+Each half works on one (2, n) array, a row per species, and checks it once:
+the state is copied into a fresh buffer and solved in place row by row; the
+reaction writes x and v into the rows of a new array, which the stepped
+``State`` holds.  The input ``State`` is never written.
 """
 
 from __future__ import annotations
@@ -158,8 +163,8 @@ def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
 def _reaction_implicit(
     u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float, max_iter: int = 120,
     guess: np.ndarray | None = None, counts: dict[str, int] | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backward-Euler reaction solve at every node.
+) -> np.ndarray:
+    """Backward-Euler reaction solve at every node; the rows of the result are x and v.
 
     Solves x = u + scale * alpha (vv^beta - x^alpha) with vv = (m - beta x)/alpha
     and m = beta u + alpha v; the residual f has f' >= 1, so the root is unique
@@ -201,7 +206,9 @@ def _reaction_implicit(
         f = x - u - scale * a * (vv * vv_b1 - x * x_a1)
         np.putmask(hi, f > 0.0, x)
         np.putmask(lo, f < 0.0, x)
-        xn = x - f / (1.0 + sb2 * vv_b1 + sa2 * x_a1)
+        out = np.empty((2, len(u)))  # this iterate's x and vv
+        xn, vn = out
+        np.subtract(x, f / (1.0 + sb2 * vv_b1 + sa2 * x_a1), out=xn)
         outside = (xn < lo) | (xn > hi)
         replaced = np.count_nonzero(outside)
         if replaced:
@@ -210,7 +217,8 @@ def _reaction_implicit(
         dx = xn - x
         # the iterates stay in [0, m/beta], so max |x| is max x
         tol = 1e-15 * (x.max() + 1.0)
-        x, vv = xn, (m - b * xn) / a
+        np.divide(m - b * xn, a, out=vn)
+        x, vv = xn, vn
         # each g is monotone, so its values at the step's ends bound |f''| / scale by M
         x_a1, vv_b1, h1, h2 = at(x, vv)
         M = np.maximum(np.maximum(g1, h1) - np.minimum(g2, h2),
@@ -226,13 +234,11 @@ def _reaction_implicit(
     if not done:
         worst = int(np.argmax(np.abs(f)))
         raise NewtonFailure(worst, float(f[worst]))
-    return x, vv
+    return out
 
 
-def _reaction_exact(
-    u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """The root of ``_reaction_implicit``'s residual in closed form, at orders of at most 2.
+def _reaction_exact(u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float) -> np.ndarray:
+    """The root of ``_reaction_implicit``'s residual in closed form (rows x and v), at orders <= 2.
 
     With s = scale it is A x^2 + B x - C: (A, B, C) is (0, 1 + 2s, u + s m) at (1, 1),
     (0, 1 + 2 s m, u + s m^2/2) at (2, 2) and (2s, 1 + s, u + s m) at (2, 1).  The root
@@ -242,14 +248,17 @@ def _reaction_exact(
     m = b * u + a * v
     r = 1.0 / (1.0 + scale)
     w = scale * r  # s / (1 + s)
+    out = np.empty((2, len(u)))
+    x = out[0]
     if b == 1.0 and a == 2.0:  # B / (1 + s) = 1
         c = r * u + w * m
-        x = 2.0 * c / (1.0 + np.sqrt(1.0 + 8.0 * w * c))
+        np.divide(2.0 * c, 1.0 + np.sqrt(1.0 + 8.0 * w * c), out=x)
     elif a == 1.0:
-        x = (r * u + w * m) / (r + 2.0 * w)
+        np.divide(r * u + w * m, r + 2.0 * w, out=x)
     else:
-        x = (r * u + 0.5 * w * m * m) / (r + 2.0 * w * m)
-    return x, (m - b * x) / a
+        np.divide(r * u + 0.5 * w * m * m, r + 2.0 * w * m, out=x)
+    np.divide(m - b * x, a, out=out[1])
+    return out
 
 
 class _StepWorkspace:
@@ -270,40 +279,42 @@ class _StepWorkspace:
         }
 
 
-def _diffuse(solver: DriftDiffusionSolver, w: np.ndarray, dtau: float, tau: float) -> np.ndarray:
-    """The drift-diffusion half of a step for one species; PositivityLoss unless positive."""
-    w = solver.step(w, dtau)
-    if not w.min() > 0.0:  # a NaN fails this test too
-        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={tau:.4g}")
-    return w
-
-
 def step(
     state: State, data: ProblemData, dtau: float, workspace: _StepWorkspace | None = None
 ) -> State:
     """Advance one Lie-splitting step of size dtau: drift-diffusion, then reaction.
 
-    The reaction root is exact at orders of at most 2 (``_reaction_exact``); elsewhere
-    Newton starts from the diffusion output plus the workspace's last increment x - u
-    (zero, a cold start, without a workspace or in a fresh one).  Raises PositivityLoss
-    (``_diffuse``) or NewtonFailure, on which callers should reject the step and halve
-    dtau; DomainError unless 0 < dtau < inf and, as ``State`` would, unless the result
-    is finite and positive.
+    The state is copied into a (2, n) buffer, checked finite once and solved in place
+    row by row (``DriftDiffusionSolver.step_in_place``).  The reaction root, exact at
+    orders of at most 2 (``_reaction_exact``), elsewhere a Newton solve started from the
+    diffusion output plus the workspace's last increment x - u (zero, a cold start,
+    without a workspace or in a fresh one), fills the rows of the stepped ``State``.
+    Raises PositivityLoss (one minimum over the buffer) or NewtonFailure, on which
+    callers should reject the step and halve dtau: ``state`` is never written, so the
+    retry starts from it.  DomainError unless 0 < dtau < inf, unless ``state`` is
+    finite and, as ``State`` would, unless the result is finite and positive (one
+    minimum and one maximum).
     """
     if not 0.0 < dtau < math.inf:
         raise DomainError(f"dtau must be positive and finite, got {dtau}")
     ws = workspace or _StepWorkspace(state.grid, data)
-    u = _diffuse(ws.solver_u, state.u, dtau, state.tau)
-    v = _diffuse(ws.solver_v, state.v, dtau, state.tau)
+    buf = np.array((state.u, state.v))
+    if not np.isfinite(buf).all():
+        raise DomainError("state concentrations must be finite nodewise")
+    u, v = buf
+    ws.solver_u.step_in_place(u, dtau)
+    ws.solver_v.step_in_place(v, dtau)
+    if not buf.min() > 0.0:  # a NaN fails this test too
+        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={state.tau:.4g}")
     scale = dtau * math.exp(state.tau + dtau) * data.k
     if data.alpha in (1.0, 2.0) and data.beta in (1.0, 2.0):  # the residual is a quadratic
-        x, v = _reaction_exact(u, v, data, scale)
+        out = _reaction_exact(u, v, data, scale)
     else:
-        x, v = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)
-        ws.increment = x - u
-    if not (0.0 < x.min() and x.max() < math.inf and 0.0 < v.min() and v.max() < math.inf):
+        out = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)
+        ws.increment = out[0] - u
+    if not (out.min() > 0.0 and out.max() < math.inf):
         raise DomainError("state concentrations must be finite and positive nodewise")
-    return State.trusted(state.grid, x, v, state.tau + dtau)
+    return State.trusted(state.grid, out[0], out[1], state.tau + dtau)
 
 
 def fill_dissipation_residuals(records: list[DiagnosticsRecord]) -> None:
@@ -454,7 +465,9 @@ def run_linear(
     solver = DriftDiffusionSolver(grid, D, A_minus, A_plus)
 
     def advance(st: State, dt: float) -> State:
-        u_new = _diffuse(solver, st.u, dt, st.tau)
+        u_new = solver.step(st.u, dt)
+        if not u_new.min() > 0.0:  # a NaN fails this test too
+            raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={st.tau:.4g}")
         return State.trusted(grid, u_new, u_new, st.tau + dt)
 
     def sample(st: State) -> LinearRecord:

@@ -152,18 +152,19 @@ def test_convection_dominated_step_keeps_pivoted_factors(rng):
 def test_unscaled_factors_reproduce_the_interior_band():
     grid, d, dtau = Grid(16.0, 401), 3.0, 1e-2
     solver = DriftDiffusionSolver(grid, d, 1.0, 2.0)
-    (lower, upper), piv, _ = solver._factors(dtau)
+    (lower, upper, diag), piv, _ = solver._factors(dtau)
     assert piv is None
     m = grid.n - 2
-    L, U, B = np.eye(m), np.zeros((m, m)), np.zeros((m, m))
+    L, U, B = np.eye(m), np.eye(m), np.zeros((m, m))
     ab = _full_band(grid, d, dtau)[:, 1:-1]
     for k, off in enumerate((2, 1, 0, -1, -2)):  # entry (i, i + off)
         i = np.arange(max(0, -off), m - max(0, off))
         B[i, i + off] = ab[k, i + off]
-        if off >= 0:
+        if off > 0:
             U[i, i + off] = upper[2 - off, i + off]
-        else:
+        elif off < 0:
             L[i, i + off] = lower[-off, i + off]
+    U = np.diag(diag) @ U  # L diag(d) U~, both triangles unit-diagonal
     assert np.all(np.abs(L @ U - B) <= 4 * np.finfo(float).eps * (np.abs(L) @ np.abs(U)))
 
 

@@ -320,6 +320,68 @@ def test_rejection_on_positivity_loss():
     assert np.min(step(mild, data, 1e-3).u) > 0
 
 
+def _recorded_steps(data, ws):
+    """An ``advance`` over ``step`` recording each attempt's input State, dtau and bits after."""
+    attempts = []
+
+    def advance(st, dt):
+        try:
+            return step(st, data, dt, ws)
+        finally:
+            attempts.append((st, dt, st.u.tobytes() + st.v.tobytes()))
+
+    return advance, attempts
+
+
+def test_a_rejected_diffusion_half_leaves_its_input_untouched():
+    # the near-vacuum state of test_rejection_on_positivity_loss fails at every step
+    # size: each retry must start from the same State, bit for bit as it was built
+    data = ProblemData(1, 1, 1, 1, 1, 1, 2)
+    grid = Grid(8.0, 101)
+    prof = solve_profile(data, grid)
+    u = prof.U.copy()
+    u[1:-1] = 1e-12
+    state = State(grid, u, prof.V.copy(), 0.0)
+    bits = state.u.tobytes() + state.v.tobytes()
+    cfg = _config(data, tau_end=0.01, grid_n=101, grid_half_width=8.0, dtau_min=1.25e-4)
+    advance, attempts = _recorded_steps(data, _StepWorkspace(grid, data))
+    with pytest.raises(PositivityLoss):  # at dtau_min
+        _march(cfg, state, advance, lambda st: st.tau)
+    assert [dt for _, dt, _ in attempts] == [1e-3, 5e-4, 2.5e-4, 1.25e-4]
+    assert all(st is state and seen == bits for st, _, seen in attempts)
+
+
+def test_a_rejected_reaction_half_leaves_its_input_untouched(monkeypatch):
+    # at orders (4, 4) one Newton iteration from a cold start cannot settle a stiff
+    # solve: the first attempt raises NewtonFailure and the retry at dtau / 2 starts
+    # from the untouched input, as a fresh step from a copy of it does
+    data = ProblemData(4, 4, 1, 3, 1, 1, 2)
+    cfg = _config(data, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    start = build_initial_state(cfg, solve_profile(data, cfg.make_grid()))
+    state = State(start.grid, start.u, start.v, 4.0)  # scale = dtau e^(tau + dtau): stiff
+    copy = State(start.grid, start.u.copy(), start.v.copy(), 4.0)
+    bits = state.u.tobytes() + state.v.tobytes()
+    solve = simulate._reaction_implicit
+    scales = []
+
+    def first_call_one_iteration(*args, **kwargs):
+        scales.append(args[3])
+        return solve(*args, **kwargs, max_iter=1 if len(scales) == 1 else 120)
+
+    monkeypatch.setattr(simulate, "_reaction_implicit", first_call_one_iteration)
+    advance, attempts = _recorded_steps(data, _StepWorkspace(state.grid, data))
+    _, _, counters = _march(_config(data, tau_end=4.01, sample_interval=4.01), state, advance,
+                            lambda st: st.tau)
+    assert counters["steps_rejected_by_cause"] == {"PositivityLoss": 0, "NewtonFailure": 1}
+    assert scales[0] > 0.05
+    assert [dt for _, dt, _ in attempts[:2]] == [1e-3, 5e-4]
+    assert all(st is state and seen == bits for st, _, seen in attempts[:2])
+    monkeypatch.setattr(simulate, "_reaction_implicit", solve)
+    retried = step(copy, data, 5e-4, _StepWorkspace(state.grid, data))
+    first = attempts[2][0]  # the input of the third attempt is the retry's output
+    assert np.array_equal(first.u, retried.u) and np.array_equal(first.v, retried.v)
+
+
 def _first_diffused_state(data, grid, dtau=1e-3):
     """The certified-run state (bump 0.2, L 16) after the diffusion half of its first step."""
     prof = solve_profile(data, grid)
@@ -487,9 +549,12 @@ class _NaNSolver:
     def __init__(self, *args):
         pass
 
+    def step_in_place(self, x, dtau):
+        x[len(x) // 2] = np.nan
+
     def step(self, u, dtau):
         out = u.copy()
-        out[len(out) // 2] = np.nan
+        self.step_in_place(out, dtau)
         return out
 
 
@@ -518,9 +583,9 @@ def test_step_rejects_a_reaction_output_that_is_not_positive_and_finite(monkeypa
     for node_value in (np.nan, np.inf, 0.0, -1.0):
 
         def spoiled(*args, value=node_value):
-            x, v = exact(*args)
-            x[7] = value
-            return x, v
+            out = exact(*args)
+            out[0, 7] = value
+            return out
 
         monkeypatch.setattr(simulate, "_reaction_exact", spoiled)
         with pytest.raises(DomainError, match="finite and positive"):
