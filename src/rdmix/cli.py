@@ -13,6 +13,7 @@ import math
 import sys
 import time
 from dataclasses import asdict
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -266,7 +267,13 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process, built on first use.
+
+    Building it costs about a millisecond, mostly in message lookups, and
+    parsing leaves no state on it.
+    """
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to a key-value config file")
     common.add_argument("--out", help="output directory (default: out; verify and constants "
@@ -307,7 +314,9 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.WARNING if args.quiet else logging.INFO)
+    level = logging.WARNING if args.quiet else logging.INFO
+    logging.basicConfig(level=level)  # the first call in a process adds the handler
+    logging.getLogger("rdmix").setLevel(level)  # every call sets its own level
     needs_config = args.command in ("profile", "simulate", "constants", "sweep")
     if needs_config and not args.config:
         print("error: --config is required for this command", file=sys.stderr)

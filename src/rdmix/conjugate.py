@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -230,13 +231,16 @@ def check_m_hat(p: float, alpha: float) -> None:
         )
 
 
+@lru_cache(maxsize=64)
 def m_hat(p: float, alpha: float) -> float:
     """Quadratic-bound constant sup_z (alpha^2 / 4 p^2) z^2 / phi_general(z).
 
     Valid for 0 < p <= max(alpha/2, alpha-1); the value is at least 1/4 (the
     z -> 0 limit, from phi(z) = (alpha/p)^2 z^2 + higher order) and the sup
     may also sit at z -> inf when p is at the upper end of its range, where
-    the limit is attached analytically.
+    the limit is attached analytically.  The value depends on (p, alpha)
+    alone, so it is computed once per pair and process (the last 64 pairs
+    are kept); a DomainError is raised afresh on every call.
     """
     check_m_hat(p, alpha)
     fam = PhiFamily("general_p_alpha", alpha, p)

@@ -123,18 +123,21 @@ _SIMILARITY = np.array([[4.0], [2.0], [1.0], [0.5], [0.25]])
 def operators(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Banded D2, D1 and (y/2) D1 of the grid; rows 0 and n-1 are zero.
 
-    The arrays are cached per grid and read-only.
+    The arrays are cached per grid and read-only.  Each weight of a stencil
+    fills one band row over the slice of columns its rows lo .. hi-1 reach.
     """
-    y, h, n = grid.nodes, grid.h, grid.n
+    y2, h, n = grid.nodes / 2.0, grid.h, grid.n
     D2, D1, Y1 = (np.zeros((5, n)) for _ in range(3))
-    stencils = ((_FIVE_POINT, np.arange(2, n - 2)), (_THREE_POINT, np.array([1, n - 2])))
-    for (offs, w2, s2, w1, s1), rows in stencils:
+    # (stencil, lo, hi): at n = 3 the five-point run is empty (hi is kept >= lo,
+    # as a negative slice end would wrap) and both three-point rows are node 1
+    blocks = ((_FIVE_POINT, 2, max(n - 2, 2)), (_THREE_POINT, 1, 2), (_THREE_POINT, n - 2, n - 1))
+    for (offs, w2, s2, w1, s1), lo, hi in blocks:
         c2, c1 = 1.0 / (s2 * h**2), 1.0 / (s1 * h)
         for off, a2, a1 in zip(offs, w2, w1):
-            cols = rows + off
+            cols = slice(lo + off, hi + off)
             D2[2 - off, cols] = a2 * c2
             D1[2 - off, cols] = a1 * c1
-            Y1[2 - off, cols] = (y[rows] / 2.0) * a1 * c1
+            Y1[2 - off, cols] = y2[lo:hi] * a1 * c1
     for ab in (D2, D1, Y1):
         ab.setflags(write=False)
     return D2, D1, Y1

@@ -14,11 +14,12 @@ as an oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgbsv
 from scipy.special import erf
 
 from . import fdops
@@ -52,6 +53,15 @@ class ProblemData:
             v = getattr(self, name)
             if not (np.isfinite(v) and v > 0):
                 raise DomainError(f"{name} must be positive and finite, got {v}")
+        for name in ("A_minus", "A_plus"):
+            # A^alpha is the larger equilibrium power once A >= 1, as alpha >= beta
+            try:
+                math.pow(getattr(self, name), self.alpha)
+            except OverflowError:
+                raise DomainError(
+                    f"{name}^alpha leaves the float range at {name} = {getattr(self, name)}, "
+                    f"alpha = {self.alpha}"
+                )
 
     @property
     def u_minus(self) -> float:
@@ -127,73 +137,84 @@ def solve_profile(data: ProblemData, grid: Grid, tol: float = 1e-8) -> ProfileSo
 
     The Newton step keeps every iterate above half of the smaller boundary
     value (V = U^(alpha/beta) needs strict positivity); the step is halved
-    until the residual decreases, down to a floor of 2^-30.
+    until the residual decreases, down to a floor of 2^-30.  Each step is one
+    LAPACK ``dgbsv`` solve of the banded Jacobian (the routine that
+    ``scipy.linalg.solve_banded`` calls, so the same bits).
 
-    Raises NonConvergence when the residual stalls above ``tol`` or is still
-    above it after 40 Newton steps, and NonPositivity when the damping floor
-    is hit on the positivity constraint.
+    Raises DomainError unless ``tol`` is finite and positive, or when the
+    residual or Jacobian of an iterate is not finite (large equilibria whose
+    powers overflow in the residual); NonConvergence when the residual stalls above
+    ``tol``, is still above it after 40 Newton steps or the Jacobian is
+    singular; and NonPositivity when the damping floor is hit on the
+    positivity constraint.
     """
-    if tol <= 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be finite and positive, got {tol}")
     a, b, d1, d2 = data.alpha, data.beta, data.d1, data.d2
     gam = a / b
     lo_bc, hi_bc = data.u_minus, data.u_plus
-
-    def g(U):
-        return b * d1 * U + a * d2 * U**gam
-
-    def gp(U):
-        return b * d1 + a * d2 * gam * U ** (gam - 1.0)
-
-    def w(U):
-        return b * U + a * U**gam
-
-    def wp(U):
-        return b + a * gam * U ** (gam - 1.0)
 
     U = _erf_ramp(grid, lo_bc, hi_bc, np.sqrt(2.0 * (d1 + d2)))
     U[0], U[-1] = lo_bc, hi_bc
     floor = 0.5 * min(lo_bc, hi_bc)
 
     def resid(U):
-        return fdops.scalar_residual(grid, g(U), w(U))
+        # G = b d1 U + a d2 U^gam and W = b U + a U^gam share the power
+        P = U**gam
+        return fdops.scalar_residual(grid, b * d1 * U + a * d2 * P, b * U + a * P)
 
-    R = resid(U)
-    rnorm = float(np.max(np.abs(R[1:-1])))
-    for iteration in range(_MAX_NEWTON):
-        if rnorm <= tol:
-            return _finish(grid, data, U, rnorm)
-        ab = fdops.jacobian_banded(grid, gp(U), wp(U))
-        delta = solve_banded((2, 2), ab, -R[1:-1])
-        lam = 1.0
-        accepted = False
-        positivity_bound = False
-        while lam >= _DAMPING_FLOOR:
-            trial = U.copy()
-            trial[1:-1] = U[1:-1] + lam * delta
-            if np.min(trial) < floor:
-                positivity_bound = True
-                lam *= 0.5
-                continue
-            R_trial = resid(trial)
-            r_trial = float(np.max(np.abs(R_trial[1:-1])))
-            if r_trial < rnorm or r_trial <= tol:
-                U, R, rnorm = trial, R_trial, r_trial
-                accepted = True
+    # the (7, n-2) band of dgbsv: the Jacobian in rows 2 to 6, and two rows on
+    # top for the fill-in of pivoting, which dgbsv sets itself; each solve
+    # overwrites the band with its factors
+    band = np.empty((7, grid.n - 2), order="F")
+    # an overflow is caught below: a non-finite residual or Jacobian raises and a
+    # non-finite trial residual is rejected like any that does not decrease
+    with np.errstate(over="ignore", invalid="ignore"):
+        R = resid(U)
+        rnorm = float(np.max(np.abs(R[1:-1])))
+        for iteration in range(_MAX_NEWTON):
+            if rnorm <= tol:
                 break
-            positivity_bound = False
-            lam *= 0.5
-        if not accepted:
-            if positivity_bound:
-                raise NonPositivity(
-                    f"damping floor reached while enforcing U >= {floor:.3g} "
-                    f"(residual {rnorm:.3e})"
+            Q = U ** (gam - 1.0)  # dG/dU and dW/dU share it
+            band[2:] = fdops.jacobian_banded(grid, b * d1 + a * d2 * gam * Q, b + a * gam * Q)
+            if not (math.isfinite(rnorm) and np.isfinite(band[2:]).all()):
+                raise DomainError(
+                    f"profile Newton step {iteration + 1}: the residual or Jacobian is not "
+                    f"finite (residual {rnorm:.3e})"
                 )
-            # roundoff plateau: the residual cannot decrease further
-            raise NonConvergence(iteration + 1, rnorm)
-    if rnorm <= tol:
-        return _finish(grid, data, U, rnorm)
-    raise NonConvergence(_MAX_NEWTON, rnorm)
+            _, _, delta, info = dgbsv(2, 2, band, -R[1:-1], overwrite_ab=True, overwrite_b=True)
+            if info != 0:  # info > 0, an exactly zero pivot (f2py checks the arguments)
+                raise NonConvergence(iteration + 1, rnorm)
+            lam = 1.0
+            accepted = False
+            positivity_bound = False
+            while lam >= _DAMPING_FLOOR:
+                trial = U.copy()
+                trial[1:-1] = U[1:-1] + lam * delta
+                if np.min(trial) < floor:
+                    positivity_bound = True
+                    lam *= 0.5
+                    continue
+                R_trial = resid(trial)
+                r_trial = float(np.max(np.abs(R_trial[1:-1])))
+                if r_trial < rnorm or r_trial <= tol:
+                    U, R, rnorm = trial, R_trial, r_trial
+                    accepted = True
+                    break
+                positivity_bound = False
+                lam *= 0.5
+            if not accepted:
+                if positivity_bound:
+                    raise NonPositivity(
+                        f"damping floor reached while enforcing U >= {floor:.3g} "
+                        f"(residual {rnorm:.3e})"
+                    )
+                # roundoff plateau: the residual cannot decrease further
+                raise NonConvergence(iteration + 1, rnorm)
+        else:
+            if rnorm > tol:
+                raise NonConvergence(_MAX_NEWTON, rnorm)
+    return _finish(grid, data, U, rnorm)
 
 
 def closed_form_profile(data: ProblemData, grid: Grid) -> ProfileSolution:

@@ -1,12 +1,17 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rdmix
 from rdmix import RateCertificate, gronwall_envelope, solve_profile
-from rdmix import runio
+from rdmix import cli, runio
 from rdmix.cli import main
 from rdmix.simulate import build_initial_state, conserved_moment, run
 
@@ -752,3 +757,104 @@ def test_swapped_species_domain_error_names_the_users_key(tmp_path, capsys):
     assert main(argv + ["--out", str(tmp_path / "sweep")]) == 3
     err = capsys.readouterr().err
     assert "d1 must be positive" in err and "d2" not in err
+
+
+# alpha = beta = 1.5 on a coarse grid: quick, and with a p = 1/2 certificate
+SMALL_POWER_CFG = """
+problem.alpha = 1.5
+problem.beta = 1.5
+problem.d1 = 1
+problem.d2 = 2
+problem.A_minus = 1
+problem.A_plus = 2
+grid.L = 16
+grid.n = 201
+time.tau_end = 1
+"""
+
+
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """``python args`` in a fresh interpreter that imports this rdmix."""
+    src = str(Path(rdmix.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_out_of_process_outputs_equal_repeated_in_process_calls(tmp_path):
+    # the parser and m_hat are built once per process: a fresh process and the
+    # second in-process call, which finds both built, write the same bytes
+    cfg = _write(tmp_path, SMALL_POWER_CFG)
+    commands = {"profile": ["profile"], "constants": ["constants", "--p", "0.5"]}
+    for name, argv in commands.items():
+        done = _run_python("-m", "rdmix.cli", *argv, "--config", cfg,
+                           "--out", str(tmp_path / "fresh" / name), "--quiet")
+        assert done.returncode == 0, done.stderr
+    for call in ("first", "second"):
+        for name, argv in commands.items():
+            out = tmp_path / call / name
+            assert main(argv + ["--config", cfg, "--out", str(out), "--quiet"]) == 0
+    for call in ("first", "second"):
+        for name in ("profile/profile.csv", "constants/constants.json"):
+            assert (tmp_path / call / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+        reports = [json.loads((tmp_path / d / "profile" / "profile_report.json").read_text())
+                   for d in (call, "fresh")]
+        for report in reports:
+            del report["profile_csv"]  # the one path-bearing field
+        assert reports[0] == reports[1]
+
+
+def test_each_call_parses_with_its_own_defaults(tmp_path, monkeypatch):
+    seen = []
+    for command in ("simulate", "verify", "constants"):
+        monkeypatch.setitem(cli._COMMANDS, command, lambda args: seen.append(vars(args)) or 0)
+    cfg = _write(tmp_path, SMALL_SIM_CFG)
+    verify = ["verify", "--diagnostics", "d.csv", "--certificate", "c.json"]
+    assert main(verify + ["--slack", "0.5", "--quiet"]) == 0
+    assert main(["simulate", "--config", cfg]) == 0
+    assert main(verify) == 0
+    assert main(["constants", "--config", cfg, "--p", "0.5"]) == 0
+    assert main(["constants", "--config", cfg, "--out", "o"]) == 0
+    assert [(s["command"], s.get("slack"), s.get("p"), s["quiet"], s["out"]) for s in seen] == [
+        ("verify", 0.5, None, True, None),
+        ("simulate", 0.05, None, False, None),
+        ("verify", 0.05, None, False, None),
+        ("constants", None, 0.5, False, None),
+        ("constants", None, 1.0, False, "o"),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_quiet_sets_the_log_level_of_each_call(tmp_path):
+    # beta > alpha logs an INFO note on parsing; the first call of a process
+    # installs the handler, and each call then logs at its own level
+    cfg = _write(tmp_path, SMALL_SIM_CFG.replace("problem.alpha = 2", "problem.alpha = 1"))
+    code = (
+        "import sys\nfrom rdmix.cli import main\n"
+        "for quiet in sys.argv[2:]:\n"
+        "    argv = ['sweep', '--config', sys.argv[1], '--out', sys.argv[1] + '.out']\n"
+        "    assert main(argv + (['--quiet'] if quiet == 'quiet' else [])) == 0\n"
+    )
+    for order in (("verbose", "quiet"), ("quiet", "verbose")):
+        done = _run_python("-c", code, cfg, *order)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.count("normalizing orientation") == 1, (order, done.stderr)
+
+
+@pytest.mark.parametrize("alpha, beta, a_plus, code, message", [
+    (2, 2, "1e200", 3, "A_plus^alpha leaves the float range"),
+    (3, 1, "1e120", 3, "A_plus^alpha leaves the float range"),
+    # every equilibrium is finite, but the residual at the first iterate is not
+    (2, 1, "1e154", 2, "DomainError: profile Newton step 1"),
+])
+def test_equilibria_past_the_float_range_are_typed_errors(
+    tmp_path, capsys, alpha, beta, a_plus, code, message
+):
+    text = (ORACLE_CFG.replace("problem.alpha = 2", f"problem.alpha = {alpha}")
+            .replace("problem.beta = 2", f"problem.beta = {beta}")
+            .replace("problem.A_plus = 2", f"problem.A_plus = {a_plus}")
+            .replace("grid.n = 2001", "grid.n = 201"))
+    cfg = _write(tmp_path, text)
+    rc, err = _main(capsys, ["profile", "--config", cfg, "--out", str(tmp_path / "out")])
+    assert rc == code
+    assert message in err and len(err.splitlines()) == 1

@@ -245,3 +245,20 @@ def test_quadratic_conjugate_bound():
         for zeta in np.linspace(-10.0, 10.0, 41):
             num = phi_conjugate_numeric(fam, float(zeta), base_points=4000)
             assert num <= mh * (p * zeta / a) ** 2 + 1e-9
+
+
+def test_m_hat_is_computed_once_per_pair():
+    m_hat.cache_clear()
+    first = m_hat(0.75, 1.5)
+    assert m_hat.cache_info().misses == 1
+    assert m_hat(0.75, 1.5) is first and m_hat.cache_info().hits == 1
+    # the kept value is the one a fresh computation gives
+    assert m_hat.__wrapped__(0.75, 1.5) == first
+
+
+def test_m_hat_domain_error_is_raised_on_every_call():
+    m_hat.cache_clear()
+    for _ in range(3):
+        with pytest.raises(DomainError):
+            m_hat(1.5, 2.0)
+    assert m_hat.cache_info().currsize == 0

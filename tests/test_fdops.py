@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from rdmix import Grid, default_half_width, integrate
+from rdmix import Grid, default_half_width, fdops, integrate
 from rdmix.errors import DomainError
 from rdmix.fdops import DriftDiffusionSolver, _matvec, diff1, operators
 
@@ -195,3 +195,28 @@ def test_step_rejects_non_finite_input():
         solver.step(f, 1e-3)
     with pytest.raises(ValueError):
         solver.step(np.ones(grid.n), np.nan)
+
+
+def _entry_by_entry_operators(grid):
+    """D2, D1 and (y/2) D1 placed one stencil weight at a time from the stencil table."""
+    n, h, y = grid.n, grid.h, grid.nodes
+    bands = [np.zeros((5, n)) for _ in range(3)]
+    for i in range(1, n - 1):
+        offs, w2, s2, w1, s1 = fdops._FIVE_POINT if 2 <= i <= n - 3 else fdops._THREE_POINT
+        for off, a2, a1 in zip(offs, w2, w1):
+            # entry (i, i + off) of a band lies at row 2 - off, column i + off
+            bands[0][2 - off, i + off] = a2 * (1.0 / (s2 * h**2))
+            bands[1][2 - off, i + off] = a1 * (1.0 / (s1 * h))
+            bands[2][2 - off, i + off] = (y[i] / 2.0) * a1 * (1.0 / (s1 * h))
+    return bands
+
+
+@pytest.mark.parametrize("n", [3, 5, 7, 2001])
+def test_operators_equal_the_stencil_table_bit_for_bit(n):
+    grid = Grid(16.0, n)
+    for got, want in zip(operators(grid), _entry_by_entry_operators(grid)):
+        assert got.shape == (5, n)
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[2, 1] = 0.0

@@ -136,3 +136,30 @@ def test_fdops_derivatives_exact_on_low_degree_polynomials():
     resid = fdops.scalar_residual(g, y**3, y**2)
     np.testing.assert_allclose(resid[1:-1], 6.0 * y[1:-1] + y[1:-1] ** 2, atol=1e-10)
     assert resid[0] == resid[-1] == 0.0
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-8, np.nan, np.inf])
+def test_tolerance_must_be_finite_and_positive(tol):
+    # tol = inf would return the erf initial guess as the profile
+    with pytest.raises(DomainError, match="finite and positive"):
+        solve_profile(ProblemData(1.5, 1.5, 1, 1, 1, 1, 1.5), Grid(16.0, 201), tol=tol)
+
+
+@pytest.mark.parametrize("alpha, beta, a_minus, a_plus", [
+    (2, 2, 1, 1e200), (3, 1, 1, 1e120), (3, 1, 1e120, 1), (2, 1, np.float64(1e160), 1)])
+def test_equilibria_past_the_float_range_are_rejected(alpha, beta, a_minus, a_plus):
+    with pytest.raises(DomainError, match="leaves the float range"):
+        ProblemData(alpha, beta, 1, 1, 1, a_minus, a_plus)
+
+
+def test_non_finite_newton_residual_is_a_domain_error():
+    # A+^2 = 1e308 is finite, but the residual at the first iterate overflows
+    data = ProblemData(2, 1, 1, 1, 1, 1, 1e154)
+    with pytest.raises(DomainError, match="not finite"):
+        solve_profile(data, Grid(16.0, 201))
+
+
+def test_singular_newton_jacobian_is_a_nonconvergence(monkeypatch):
+    monkeypatch.setattr(fdops, "jacobian_banded", lambda grid, gp, wp: np.zeros((5, grid.n - 2)))
+    with pytest.raises(NonConvergence):
+        solve_profile(ProblemData(2, 1, 1, 2, 1, 1, 2), Grid(16.0, 201))
