@@ -3,6 +3,10 @@
 Configs are plain-text ``section.key = value`` lines with ``#`` comments.
 CSV and JSON writers format floats with ``repr`` (shortest round-trip
 decimal) and fixed column orders, so identical runs produce identical bytes.
+The CSV writer takes that ``repr`` once per distinct 64-bit pattern of a
+block of rows and reuses the string for every cell with the same bits; a
+float's ``repr`` depends on its bits alone, so the bytes are those of
+formatting each value in turn.
 """
 
 from __future__ import annotations
@@ -145,20 +149,34 @@ def serialize_config(config: SimConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
+# rows per formatting block: a few hundred keep one block's strings small, at
+# nearly the saving of deduplicating the whole table at once
+_BLOCK_ROWS = 250
+
+
 def write_csv(path, header: list[str], rows) -> None:
     """Write ``rows`` (an array, or an iterable of rows) of floats under ``header``.
 
-    The body is formatted in one pass: each value is the ``repr`` of a Python
-    float (shortest round-trip decimal; ``inf``, ``-inf``, ``nan``, ``-0.0``).
+    Each value is the ``repr`` of a Python float (shortest round-trip decimal;
+    ``inf``, ``-inf``, ``nan``, ``-0.0``).  The table is written in blocks of
+    ``_BLOCK_ROWS`` rows.  In each block ``repr`` runs once per distinct 64-bit
+    pattern and every cell with that pattern gets its string.  A ``repr`` is a
+    function of the bits, so the bytes equal those of formatting each value;
+    keying on the bits, not the values, keeps ``0.0`` apart from ``-0.0``.
     """
     table = np.array(rows if isinstance(rows, np.ndarray) else list(rows), dtype=np.float64)
     table = table.reshape(-1, len(header)) if table.size == 0 else table
     if table.ndim != 2 or table.shape[1] != len(header):
         raise ValueError(f"rows of shape {table.shape} do not fit {len(header)} columns")
-    line = ",".join(["%r"] * len(header)) + "\n"
+    bits = table.view(np.int64)
+    line = ",".join(["%s"] * len(header)) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.write(line * len(table) % tuple(table.ravel().tolist()))
+        for start in range(0, len(table), _BLOCK_ROWS):
+            block = bits[start:start + _BLOCK_ROWS]
+            distinct, inverse = np.unique(block.ravel(), return_inverse=True)
+            text = np.array([repr(v) for v in distinct.view(np.float64).tolist()], dtype=object)
+            fh.write(line * len(block) % tuple(text[inverse].tolist()))
 
 
 def write_json(path, obj) -> None:

@@ -97,7 +97,9 @@ class SimConfig:
             raise DomainError(f"entropy families must be finite, got {self.p_list}")
         if self.profile_tol <= 0:
             raise DomainError(f"profile_tol must be positive, got {self.profile_tol}")
-        self.make_grid()  # Grid checks the half-width and the point count
+        if self.grid_n < 5:  # the one-sided end rows of fdops.diff2 read four nodes each
+            raise DomainError(f"grid_n must be at least 5, got {self.grid_n}")
+        self.make_grid()  # Grid checks the half-width and that the point count is odd
 
     def make_grid(self) -> Grid:
         L = self.grid_half_width

@@ -664,6 +664,23 @@ def test_initial_condition_past_the_float_range_in_E_B_is_a_numerical_failure(tm
     assert not (out / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("command", ["profile", "simulate", "constants", "sweep"])
+def test_grid_of_fewer_than_five_points_is_a_config_error(tmp_path, capsys, command):
+    text = "problem.alpha = 2\nproblem.beta = 1\nproblem.A_minus = 1\nproblem.A_plus = 2\n"
+    text += "time.tau_end = 1\ngrid.n = 3\n"
+    argv = [command, "--config", _write(tmp_path, text), "--out", str(tmp_path / "out"), "--quiet"]
+    argv += ["--param", "problem.d2", "--values", "1,2"] if command == "sweep" else []
+    assert main(argv) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "config error: line 0: config: grid_n must be at least 5, got 3"
+    ]
+    # five points is the smallest grid: a result or a typed numerical failure
+    _write(tmp_path, text.replace("grid.n = 3", "grid.n = 5"))
+    rc = main(argv)
+    err = capsys.readouterr().err
+    assert rc == 0 or (rc == 2 and err.startswith("numerical failure: ")), err
+
+
 def test_usage_errors(tmp_path, capsys):
     assert main(["simulate", "--out", str(tmp_path)]) == 3  # missing --config
     bad = _write(tmp_path, "problem.alpha = 0.5\n", "bad.cfg")

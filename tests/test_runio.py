@@ -200,6 +200,34 @@ def test_write_csv_is_repr_of_each_value(tmp_path):
         runio.write_csv(tmp_path / "bad.csv", ["a", "b"], rows)
 
 
+def test_write_csv_keeps_both_zeros_apart(tmp_path):
+    # 0.0 == -0.0 as values, so a writer that merged equal values would print one for both
+    rows = [[0.0, -0.0, 1.0], [-0.0, 0.0, math.nan], [0.0, 0.0, -0.0], [-0.0, -0.0, 0.0]]
+    path = tmp_path / "zeros.csv"
+    runio.write_csv(path, ["a", "b", "c"], np.array(rows))
+    assert path.read_text() == "a,b,c\n0.0,-0.0,1.0\n-0.0,0.0,nan\n0.0,0.0,-0.0\n-0.0,-0.0,0.0\n"
+
+
+_SPECIAL_FLOATS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.5e-310,
+                   np.int64(0x7FF8000000000001).view(np.float64).item()]  # a NaN with a payload
+
+
+@given(
+    st.lists(st.sampled_from(_SPECIAL_FLOATS) | st.floats(), min_size=1, max_size=24),
+    st.integers(0, 600),
+    st.integers(1, 9),
+    st.integers(0, 2**32 - 1),
+)
+def test_write_csv_matches_rowwise_repr(tmp_path_factory, pool, n_rows, n_cols, seed):
+    # the cells repeat a small pool of values, over up to three blocks of rows
+    picks = np.random.default_rng(seed).integers(len(pool), size=(n_rows, n_cols))
+    table = np.array(pool, dtype=np.float64)[picks]
+    header = [f"c{j}" for j in range(n_cols)]
+    path = tmp_path_factory.getbasetemp() / "rowwise.csv"
+    runio.write_csv(path, header, table)
+    assert path.read_text() == _rowwise(header, table.tolist())
+
+
 def test_profile_csv_is_repr_of_each_value(tmp_path):
     cfg = runio.parse_config(MINIMAL + "problem.d2 = 3.7\n")
     sol = solve_profile(cfg.data, cfg.make_grid(), tol=cfg.profile_tol)
