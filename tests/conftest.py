@@ -25,6 +25,21 @@ def unequal_orders_profile():
 
 
 @pytest.fixture()
+def fresh_profile_memo():
+    """The solve_profile memo, emptied before and after the test.
+
+    A test that patches code beneath ``solve_profile`` takes it: an entry made
+    by an earlier test would otherwise be served and the patched path never run,
+    and a solution made under the patch would be served to later tests.
+    """
+    from rdmix.profile import _solve_profile
+
+    _solve_profile.cache_clear()
+    yield _solve_profile
+    _solve_profile.cache_clear()
+
+
+@pytest.fixture()
 def rng():
     return np.random.default_rng(20230405)
 

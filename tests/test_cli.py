@@ -875,3 +875,33 @@ def test_equilibria_past_the_float_range_are_typed_errors(
     rc, err = _main(capsys, ["profile", "--config", cfg, "--out", str(tmp_path / "out")])
     assert rc == code
     assert message in err and len(err.splitlines()) == 1
+
+
+MEMO_CFG = """
+problem.alpha = 2
+problem.beta = 1
+problem.d1 = 1
+problem.d2 = 2
+problem.A_minus = 1
+problem.A_plus = 2
+grid.L = 16
+grid.n = 401
+time.tau_end = 0.02
+time.dtau = 1e-2
+output.sample_interval = 0.01
+"""
+
+
+def test_one_process_solves_each_profile_once(tmp_path, fresh_profile_memo):
+    # profile, a sweep over A+ and 1.1 A+, constants and simulate on one config:
+    # two distinct profiles, so the solver itself runs twice
+    cfg = _write(tmp_path, MEMO_CFG)
+    for argv in (
+        ["profile"],
+        ["sweep", "--param", "problem.A_plus", "--values", "2,2.2"],
+        ["constants"],
+        ["simulate"],
+    ):
+        assert main(argv + ["--config", cfg, "--out", str(tmp_path / argv[0]), "--quiet"]) == 0
+    info = fresh_profile_memo.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 3, 2)

@@ -159,7 +159,78 @@ def test_non_finite_newton_residual_is_a_domain_error():
         solve_profile(data, Grid(16.0, 201))
 
 
-def test_singular_newton_jacobian_is_a_nonconvergence(monkeypatch):
-    monkeypatch.setattr(fdops, "jacobian_banded", lambda grid, gp, wp: np.zeros((5, grid.n - 2)))
+def _singular_jacobian(grid, gp, wp):
+    return np.zeros((5, grid.n - 2))
+
+
+def test_singular_newton_jacobian_is_a_nonconvergence(monkeypatch, fresh_profile_memo):
+    monkeypatch.setattr(fdops, "jacobian_banded", _singular_jacobian)
     with pytest.raises(NonConvergence):
         solve_profile(ProblemData(2, 1, 1, 2, 1, 1, 2), Grid(16.0, 201))
+
+
+def test_a_memo_entry_hides_a_patched_solver(monkeypatch, fresh_profile_memo):
+    # why a test that patches beneath solve_profile empties the memo first: an
+    # entry made before the patch is served, and the patched path never runs
+    data, g = ProblemData(2, 1, 1, 2, 1, 1, 2), Grid(16.0, 201)
+    sol = solve_profile(data, g)
+    monkeypatch.setattr(fdops, "jacobian_banded", _singular_jacobian)
+    assert solve_profile(data, g) is sol
+    fresh_profile_memo.cache_clear()
+    with pytest.raises(NonConvergence):
+        solve_profile(data, g)
+
+
+_ARRAYS = ("U", "V", "Lambda", "U1", "U2", "V1", "V2", "UV", "d_UV", "kU_alpha")
+
+
+def test_a_repeated_solve_is_the_same_read_only_solution(fresh_profile_memo):
+    data, g = ProblemData(2, 1, 1, 2, 1, 1, 2), Grid(16.0, 201)
+    sol = solve_profile(data, g)
+    assert solve_profile(data, g) is sol
+    info = fresh_profile_memo.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    for name in _ARRAYS:
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sol, name)[0] = 0.0
+
+
+def test_closed_form_profile_caches_read_only_arrays():
+    sol = closed_form_profile(ProblemData(2, 2, 1, 3, 1, 1, 2), Grid(8.0, 101))
+    for name in ("UV", "d_UV", "kU_alpha"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(sol, name)[0] = 0.0
+
+
+@pytest.mark.parametrize(
+    "data, tol",
+    [(ProblemData(2, 1, 1, 1, 1, 1, 1e154), 1e-8), (ProblemData(2, 1, 1, 2, 1, 1, 2), np.nan)],
+)
+def test_a_failed_solve_is_raised_on_every_call_and_never_stored(fresh_profile_memo, data, tol):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            solve_profile(data, Grid(16.0, 201), tol=tol)
+    info = fresh_profile_memo.cache_info()
+    assert (info.misses, info.currsize) == (2, 0)
+
+
+def test_default_and_explicit_tolerance_share_one_entry(fresh_profile_memo):
+    data, g = ProblemData(2, 1, 1, 2, 1, 1, 2), Grid(16.0, 201)
+    sol = solve_profile(data, g)
+    assert solve_profile(data, g, tol=1e-8) is sol
+    assert solve_profile(data, g, tol=np.float64(1e-8)) is sol
+    assert solve_profile(data, g, tol=1e-9) is not sol
+    assert fresh_profile_memo.cache_info().currsize == 2
+
+
+def test_the_memo_keeps_the_last_eight_solutions(fresh_profile_memo):
+    g = Grid(16.0, 201)
+    datas = [ProblemData(2, 1, 1, 2, 1, 1, 1.5 + 0.1 * i) for i in range(9)]
+    first = solve_profile(datas[0], g)
+    for data in datas[1:]:
+        solve_profile(data, g)
+    assert fresh_profile_memo.cache_info().currsize == 8
+    assert solve_profile(datas[-1], g) is solve_profile(datas[-1], g)
+    again = solve_profile(datas[0], g)  # evicted: solved anew, to the same bits
+    assert again is not first
+    assert all(np.array_equal(getattr(again, k), getattr(first, k)) for k in _ARRAYS)
