@@ -49,7 +49,7 @@ def cmd_profile(args) -> int:
     out = _outdir(args)
     csv_path = out / "profile.csv"
     runio.write_profile_csv(csv_path, sol)
-    checks = profile_invariants(sol, tol=max(config.profile_tol, 10.0 * sol.residual_norm))
+    checks = profile_invariants(sol, tol=config.profile_tol)
     report = {
         "residual_norm": sol.residual_norm,
         "multiplier_mismatch": sol.multiplier_mismatch(),

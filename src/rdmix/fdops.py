@@ -52,8 +52,8 @@ class Grid:
         L, n = self.half_width, self.n
         if not (np.isfinite(L) and L > 0):
             raise DomainError(f"half_width must be positive and finite, got {L}")
-        if n < 3 or n % 2 == 0:
-            raise DomainError(f"point count must be odd and >= 3, got {n}")
+        if n < 5 or n % 2 == 0:  # the one-sided end rows of diff2 read four nodes each
+            raise DomainError(f"point count must be odd and >= 5, got {n}")
         nodes = np.linspace(-L, L, n)
         nodes.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -128,9 +128,7 @@ def operators(grid: Grid) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """
     y2, h, n = grid.nodes / 2.0, grid.h, grid.n
     D2, D1, Y1 = (np.zeros((5, n)) for _ in range(3))
-    # (stencil, lo, hi): at n = 3 the five-point run is empty (hi is kept >= lo,
-    # as a negative slice end would wrap) and both three-point rows are node 1
-    blocks = ((_FIVE_POINT, 2, max(n - 2, 2)), (_THREE_POINT, 1, 2), (_THREE_POINT, n - 2, n - 1))
+    blocks = ((_FIVE_POINT, 2, n - 2), (_THREE_POINT, 1, 2), (_THREE_POINT, n - 2, n - 1))
     for (offs, w2, s2, w1, s1), lo, hi in blocks:
         c2, c1 = 1.0 / (s2 * h**2), 1.0 / (s1 * h)
         for off, a2, a1 in zip(offs, w2, w1):
@@ -229,9 +227,9 @@ class DriftDiffusionSolver:
     division per node.  Otherwise (a cell Peclet number above about 1, such
     as d = 0.01 on L = 16) B keeps its pivoted factors and a step is a
     ``dgbtrs`` solve.  ``factorizations`` counts the step sizes factored,
-    ``pivoted_factorizations`` those with pivoted factors.  ``step_in_place``
-    overwrites a row (of ``simulate.step``'s (2, n) buffer) unchecked; ``step``
-    checks and copies its input, then calls it.
+    ``pivoted_factorizations`` those with pivoted factors.  ``step`` is the one
+    solve: it overwrites a row in place and does not check it, so its caller
+    (``simulate._diffuse``, the drift-diffusion half) checks the rows once.
     """
 
     def __init__(self, grid: Grid, d: float, bc_left: float, bc_right: float):
@@ -290,7 +288,7 @@ class DriftDiffusionSolver:
             float(-dtau * c * bc) for c, bc in zip(self._ends, bcs))
         return entry
 
-    def step_in_place(self, x: np.ndarray, dtau: float) -> None:
+    def step(self, x: np.ndarray, dtau: float) -> None:
         """Overwrite the contiguous float64 nodal row ``x`` with its step; ``x`` is not checked."""
         factors, piv, (e1, e2, e3, e4) = self._factors(dtau)
         x[0], x[-1] = self.bc_left, self.bc_right
@@ -307,9 +305,3 @@ class DriftDiffusionSolver:
             x[1:-1], info = dgbtrs(factors, 2, 2, x[1:-1], piv)
             if info != 0:
                 raise ValueError(f"illegal value in argument {-info} of dgbtrs")
-
-    def step(self, f: np.ndarray, dtau: float) -> np.ndarray:
-        """The step of a copy of ``f``; ValueError unless ``f`` is finite."""
-        x = np.asarray_chkfinite(f, dtype=float).copy()
-        self.step_in_place(x, dtau)
-        return x

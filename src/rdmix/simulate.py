@@ -10,9 +10,9 @@ in closed form; at other orders a bracketed Newton iteration, warm-started
 within a run, solves it and stops on a proven error bound.
 
 Each half works on one (2, n) array, a row per species, and checks it once:
-the state is copied into a fresh buffer and solved in place row by row; the
-reaction writes x and v into the rows of a new array, which the stepped
-``State`` holds.  The input ``State`` is never written.
+the state is copied into a fresh buffer that ``_diffuse`` solves in place row
+by row; the reaction writes x and v into the rows of a new array, which the
+stepped ``State`` holds.  The input ``State`` is never written.
 """
 
 from __future__ import annotations
@@ -97,9 +97,7 @@ class SimConfig:
             raise DomainError(f"entropy families must be finite, got {self.p_list}")
         if self.profile_tol <= 0:
             raise DomainError(f"profile_tol must be positive, got {self.profile_tol}")
-        if self.grid_n < 5:  # the one-sided end rows of fdops.diff2 read four nodes each
-            raise DomainError(f"grid_n must be at least 5, got {self.grid_n}")
-        self.make_grid()  # Grid checks the half-width and that the point count is odd
+        self.make_grid()  # Grid checks the half-width and that the point count is odd and >= 5
 
     def make_grid(self) -> Grid:
         L = self.grid_half_width
@@ -281,33 +279,41 @@ class _StepWorkspace:
         }
 
 
+def _diffuse(solvers, rows: np.ndarray, dtau: float, tau: float) -> None:
+    """The drift-diffusion half of ``step`` and ``run_linear``: each row stepped in place.
+
+    DomainError unless ``rows`` is finite; PositivityLoss unless the stepped rows are positive.
+    """
+    if not np.isfinite(rows).all():
+        raise DomainError("state concentrations must be finite nodewise")
+    for solver, row in zip(solvers, rows):
+        solver.step(row, dtau)
+    if not rows.min() > 0.0:  # a NaN fails this test too
+        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={tau:.4g}")
+
+
 def step(
     state: State, data: ProblemData, dtau: float, workspace: _StepWorkspace | None = None
 ) -> State:
     """Advance one Lie-splitting step of size dtau: drift-diffusion, then reaction.
 
-    The state is copied into a (2, n) buffer, checked finite once and solved in place
-    row by row (``DriftDiffusionSolver.step_in_place``).  The reaction root, exact at
-    orders of at most 2 (``_reaction_exact``), elsewhere a Newton solve started from the
+    The state is copied into a (2, n) buffer, which the drift-diffusion half
+    (``_diffuse``) solves in place row by row.  The reaction root, exact at orders of
+    at most 2 (``_reaction_exact``), elsewhere a Newton solve started from the
     diffusion output plus the workspace's last increment x - u (zero, a cold start,
     without a workspace or in a fresh one), fills the rows of the stepped ``State``.
-    Raises PositivityLoss (one minimum over the buffer) or NewtonFailure, on which
-    callers should reject the step and halve dtau: ``state`` is never written, so the
-    retry starts from it.  DomainError unless 0 < dtau < inf, unless ``state`` is
-    finite and, as ``State`` would, unless the result is finite and positive (one
-    minimum and one maximum).
+    Raises PositivityLoss (``_diffuse``'s) or NewtonFailure, on which callers should
+    reject the step and halve dtau: ``state`` is never written, so the retry starts
+    from it.  DomainError unless 0 < dtau < inf, unless ``state`` is finite and, as
+    ``State`` would, unless the result is finite and positive (one minimum and one
+    maximum).
     """
     if not 0.0 < dtau < math.inf:
         raise DomainError(f"dtau must be positive and finite, got {dtau}")
     ws = workspace or _StepWorkspace(state.grid, data)
     buf = np.array((state.u, state.v))
-    if not np.isfinite(buf).all():
-        raise DomainError("state concentrations must be finite nodewise")
+    _diffuse((ws.solver_u, ws.solver_v), buf, dtau, state.tau)
     u, v = buf
-    ws.solver_u.step_in_place(u, dtau)
-    ws.solver_v.step_in_place(v, dtau)
-    if not buf.min() > 0.0:  # a NaN fails this test too
-        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={state.tau:.4g}")
     scale = dtau * math.exp(state.tau + dtau) * data.k
     if data.alpha in (1.0, 2.0) and data.beta in (1.0, 2.0):  # the residual is a quadratic
         out = _reaction_exact(u, v, data, scale)
@@ -467,10 +473,9 @@ def run_linear(
     solver = DriftDiffusionSolver(grid, D, A_minus, A_plus)
 
     def advance(st: State, dt: float) -> State:
-        u_new = solver.step(st.u, dt)
-        if not u_new.min() > 0.0:  # a NaN fails this test too
-            raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={st.tau:.4g}")
-        return State.trusted(grid, u_new, u_new, st.tau + dt)
+        rows = st.u[None].copy()
+        _diffuse((solver,), rows, dt, st.tau)
+        return State.trusted(grid, rows[0], rows[0], st.tau + dt)
 
     def sample(st: State) -> LinearRecord:
         return LinearRecord(st.tau, integrate(grid, entropy.F_p(st.u / U, p) * U))

@@ -64,3 +64,10 @@ def flat_profile(grid, value_u=1.0, value_v=1.0, data=None):
         V2=z.copy(),
         residual_norm=0.0,
     )
+
+
+def stepped(solver, f, dtau):
+    """The drift-diffusion step of a float64 copy of ``f`` (the solver overwrites its row)."""
+    x = np.array(f, dtype=float)
+    solver.step(x, dtau)
+    return x

@@ -672,7 +672,7 @@ def test_grid_of_fewer_than_five_points_is_a_config_error(tmp_path, capsys, comm
     argv += ["--param", "problem.d2", "--values", "1,2"] if command == "sweep" else []
     assert main(argv) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "config error: line 0: config: grid_n must be at least 5, got 3"
+        "config error: line 0: config: point count must be odd and >= 5, got 3"
     ]
     # five points is the smallest grid: a result or a typed numerical failure
     _write(tmp_path, text.replace("grid.n = 3", "grid.n = 5"))

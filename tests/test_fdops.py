@@ -8,6 +8,7 @@ from scipy.linalg import solve_banded
 from rdmix import Grid, default_half_width, fdops, integrate
 from rdmix.errors import DomainError
 from rdmix.fdops import DriftDiffusionSolver, _matvec, diff1, operators
+from tests.conftest import stepped
 
 
 def test_grid_construction():
@@ -17,7 +18,7 @@ def test_grid_construction():
     assert np.max(np.abs(np.diff(g.nodes) - g.h)) <= 1e-12 * g.h
 
 
-@pytest.mark.parametrize("bad", [(0.0, 5), (-1.0, 5), (1.0, 2), (1.0, 4), (1.0, 1)])
+@pytest.mark.parametrize("bad", [(0.0, 5), (-1.0, 5), (1.0, 2), (1.0, 4), (1.0, 1), (16.0, 3)])
 def test_grid_rejects_bad_parameters(bad):
     with pytest.raises(DomainError):
         Grid(*bad)
@@ -48,7 +49,7 @@ def test_diff1_exact_on_quadratics():
         assert np.array_equal(_matvec(ab, rows)[1], _matvec(ab, rows[1]))
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 2001])
+@pytest.mark.parametrize("n", [5, 7, 2001])
 def test_diff1_equals_the_banded_product_bit_for_bit(n):
     # the slice-wise rows are D1 of operators() applied by _matvec, and the
     # end rows are its one-sided second-order differences
@@ -114,7 +115,7 @@ def _full_band(grid, d, dtau):
 def _check_step(solver, f, dtau):
     """One step is backward stable, near solve_banded's answer and exact at the ends."""
     grid, bcs = solver.grid, (solver.bc_left, solver.bc_right)
-    x = solver.step(f, dtau)
+    x = stepped(solver, f, dtau)
     ab = _full_band(grid, solver.d, dtau)
     b = f.copy()
     b[0], b[-1] = bcs
@@ -172,27 +173,22 @@ def test_step_after_cache_cleared(rng):
     grid = Grid(16.0, 401)
     solver = DriftDiffusionSolver(grid, 2.0, 1.5, 0.5)
     f = 1.0 + rng.random(grid.n)
-    first = solver.step(f, 1e-3)
+    first = stepped(solver, f, 1e-3)
     for k in range(1, 12):  # more step sizes than the cache holds
-        solver.step(f, 1e-3 * (1.0 + 0.1 * k))
+        stepped(solver, f, 1e-3 * (1.0 + 0.1 * k))
     assert 1e-3 not in solver._cache
-    again = solver.step(f, 1e-3)
+    again = stepped(solver, f, 1e-3)
     assert np.array_equal(again, first)
-    assert np.array_equal(again, solver.step(f, 1e-3))  # from the cache
-    assert np.array_equal(again, DriftDiffusionSolver(grid, 2.0, 1.5, 0.5).step(f, 1e-3))
+    assert np.array_equal(again, stepped(solver, f, 1e-3))  # from the cache
+    assert np.array_equal(again, stepped(DriftDiffusionSolver(grid, 2.0, 1.5, 0.5), f, 1e-3))
     assert solver.factorizations == 13
 
 
 def test_step_rejects_non_finite_input():
+    # the solver does not check its row (simulate._diffuse does), but a step size
+    # that is not finite cannot be factored
     grid = Grid(8.0, 101)
     solver = DriftDiffusionSolver(grid, 1.0, 1.0, 2.0)
-    f = np.ones(grid.n)
-    f[50] = np.nan
-    with pytest.raises(ValueError):
-        solver.step(f, 1e-3)
-    f[50] = np.inf
-    with pytest.raises(ValueError):
-        solver.step(f, 1e-3)
     with pytest.raises(ValueError):
         solver.step(np.ones(grid.n), np.nan)
 
@@ -211,7 +207,7 @@ def _entry_by_entry_operators(grid):
     return bands
 
 
-@pytest.mark.parametrize("n", [3, 5, 7, 2001])
+@pytest.mark.parametrize("n", [5, 7, 2001])
 def test_operators_equal_the_stencil_table_bit_for_bit(n):
     grid = Grid(16.0, n)
     for got, want in zip(operators(grid), _entry_by_entry_operators(grid)):

@@ -21,6 +21,7 @@ from rdmix import (
 from rdmix.errors import DomainError, NewtonFailure, PositivityLoss
 from rdmix import simulate
 from rdmix.simulate import _march, _reaction_exact, _reaction_implicit, _StepWorkspace
+from tests.conftest import stepped
 
 
 def _config(data, tau_end=0.2, **kw):
@@ -119,6 +120,18 @@ def test_step_size_must_be_positive_and_finite(dtau):
     state = State(grid, np.full(grid.n, 1.5), np.full(grid.n, 1.2), 0.0)
     with pytest.raises(DomainError, match="dtau must be positive and finite"):
         step(state, data, dtau)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_step_rejects_a_state_that_is_not_finite(value):
+    # the drift-diffusion half checks its rows once; the solver itself does not
+    data = ProblemData(2, 1, 1, 2, 1, 1, 2)
+    grid = Grid(16.0, 401)
+    u = np.full(grid.n, 1.5)
+    u[200] = value
+    state = State.trusted(grid, u, np.full(grid.n, 1.2), 0.0)
+    with pytest.raises(DomainError, match="must be finite nodewise"):
+        step(state, data, 1e-3)
 
 
 def test_stiff_relaxation_onto_constraint_manifold():
@@ -388,7 +401,7 @@ def _first_diffused_state(data, grid, dtau=1e-3):
     cfg = _config(data, grid_n=grid.n, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
     state = build_initial_state(cfg, prof)
     ws = _StepWorkspace(grid, data)
-    return ws.solver_u.step(state.u, dtau), ws.solver_v.step(state.v, dtau)
+    return stepped(ws.solver_u, state.u, dtau), stepped(ws.solver_v, state.v, dtau)
 
 
 @pytest.mark.parametrize(
@@ -482,7 +495,7 @@ def test_affine_reaction_takes_one_iteration_per_solve():
     counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
     increment = np.zeros(state.grid.n)
     for _ in range(200):
-        u, v = ws.solver_u.step(state.u, 1e-3), ws.solver_v.step(state.v, 1e-3)
+        u, v = stepped(ws.solver_u, state.u, 1e-3), stepped(ws.solver_v, state.v, 1e-3)
         scale = 1e-3 * math.exp(state.tau + 1e-3) * data.k
         x, _ = _reaction_implicit(u, v, data, scale, guess=u + increment, counts=counts)
         increment = x - u
@@ -549,13 +562,8 @@ class _NaNSolver:
     def __init__(self, *args):
         pass
 
-    def step_in_place(self, x, dtau):
+    def step(self, x, dtau):
         x[len(x) // 2] = np.nan
-
-    def step(self, u, dtau):
-        out = u.copy()
-        self.step_in_place(out, dtau)
-        return out
 
 
 def test_a_nan_diffusion_output_is_a_positivity_loss(monkeypatch):
