@@ -5,9 +5,10 @@ half, one banded solve per species with the boundary values pinned, then a
 reaction half, a pointwise implicit solve with prefactor e^(tau + dtau).  The
 local reaction conserves beta u + alpha v, so the per-node solve reduces to a
 scalar equation on that invariant line whose root keeps both concentrations
-positive for any step size.  At orders of at most 2 it is a quadratic, solved
-in closed form; at other orders a bracketed Newton iteration, warm-started
-within a run, solves it and stops on a proven error bound.
+positive for any step size.  At orders of at most 2 it is a quadratic, and at
+(3, 1), (3, 3) and (4, 4) a cubic with one real root, solved in closed form; at
+other orders a bracketed Newton iteration, warm-started within a run, solves it
+and stops on a proven error bound.
 
 Each half works on one (2, n) array, a row per species, and checks it once:
 the state is copied into a fresh buffer that ``_diffuse`` solves in place row
@@ -237,20 +238,55 @@ def _reaction_implicit(
     return out
 
 
-def _reaction_exact(u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float) -> np.ndarray:
-    """The root of ``_reaction_implicit``'s residual in closed form (rows x and v), at orders <= 2.
+# the orders (alpha, beta) whose reaction root ``_reaction_exact`` takes in closed form
+_EXACT_ORDERS = frozenset({(1.0, 1.0), (2.0, 2.0), (2.0, 1.0), (3.0, 1.0), (3.0, 3.0), (4.0, 4.0)})
 
-    With s = scale it is A x^2 + B x - C: (A, B, C) is (0, 1 + 2s, u + s m) at (1, 1),
-    (0, 1 + 2 s m, u + s m^2/2) at (2, 2) and (2s, 1 + s, u + s m) at (2, 1).  The root
-    2C / (B + sqrt(B^2 + 4AC)) adds positive terms only, each divided by 1 + s to stay finite.
+
+def _reaction_exact(u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float) -> np.ndarray:
+    """The root of ``_reaction_implicit``'s residual in closed form at ``_EXACT_ORDERS``; rows x, v.
+
+    With s = scale, r = 1/(1 + s) and w = s r, every coefficient is divided by 1 + s to
+    stay finite.  At orders <= 2 the residual is a quadratic A x^2 + B x - C: (A, B, C)
+    is (0, 1 + 2s, u + s m) at (1, 1), (0, 1 + 2 s m, u + s m^2/2) at (2, 2) and
+    (2s, 1 + s, u + s m) at (2, 1); the root 2C / (B + sqrt(B^2 + 4AC)) adds positive
+    terms only.  The other orders give a cubic x^3 + P x = Q with P > 0, whose one real
+    root is 2 rho sinh(asinh(3 Q / (2 P rho)) / 3) with rho = sqrt(P / 3):
+
+    - (3, 1): 3 w x^3 + x = r u + w m, so x = 2 sinh(asinh(t) / 3) / (3 sqrt w) with
+      t = 4.5 sqrt(w) (r u + w m).
+    - (3, 3) and (4, 4): with c = u + v, x = (c - z)/2 and v+ = (c + z)/2, and
+      vv^a - x^a = z (3c^2 + z^2)/4 at a = 3, z c (c^2 + z^2)/2 at a = 4.  So
+      k3 z^3 + k1 z = r (v - u), with (k3, k1) = (1.5 w, r + 4.5 w c^2) at (3, 3) and
+      (4 w c, r + 4 w c^3) at (4, 4).  As z q = r (v - u) with q = k3 z^2 + k1, the
+      smaller species, x where z >= 0, is (c (q - r) + 2 r min(u, v)) / (2q), a sum of
+      positive terms; the larger is c minus it.  k3 is kept at least 1e-300 k1, so
+      rho stays finite where w c underflows: the cubic term it adds is below roundoff.
+
+    A zero scale (k dtau underflowed) leaves (u, v) as they are.
     """
+    if scale == 0.0:
+        return np.array((u, v))
     a, b = data.alpha, data.beta
-    m = b * u + a * v
     r = 1.0 / (1.0 + scale)
     w = scale * r  # s / (1 + s)
+    if a == b >= 3.0:
+        c = u + v
+        k3, k1_r = (1.5 * w, 4.5 * w * c * c) if a == 3.0 else (4.0 * w * c, 4.0 * w * c * c * c)
+        k1 = r + k1_r
+        rho = np.sqrt(k1 / (3.0 * np.maximum(k3, 1e-300 * k1)))
+        z = 2.0 * rho * np.sinh(np.arcsinh(1.5 * r * (v - u) / (k1 * rho)) / 3.0)
+        q_r = k3 * z * z + k1_r  # q - r
+        small = (c * q_r + 2.0 * r * np.minimum(u, v)) / (2.0 * (q_r + r))
+        large = c - small
+        return np.where(z >= 0.0, (small, large), (large, small))
+    m = b * u + a * v
     out = np.empty((2, len(u)))
     x = out[0]
-    if b == 1.0 and a == 2.0:  # B / (1 + s) = 1
+    if a == 3.0:  # (3, 1)
+        root_w = math.sqrt(w)
+        t = 4.5 * root_w * (r * u + w * m)
+        np.multiply(np.sinh(np.arcsinh(t) / 3.0), 2.0 / (3.0 * root_w), out=x)
+    elif b == 1.0 and a == 2.0:  # B / (1 + s) = 1
         c = r * u + w * m
         np.divide(2.0 * c, 1.0 + np.sqrt(1.0 + 8.0 * w * c), out=x)
     elif a == 1.0:
@@ -298,8 +334,8 @@ def step(
     """Advance one Lie-splitting step of size dtau: drift-diffusion, then reaction.
 
     The state is copied into a (2, n) buffer, which the drift-diffusion half
-    (``_diffuse``) solves in place row by row.  The reaction root, exact at orders of
-    at most 2 (``_reaction_exact``), elsewhere a Newton solve started from the
+    (``_diffuse``) solves in place row by row.  The reaction root, exact at the orders
+    of ``_EXACT_ORDERS`` (``_reaction_exact``), elsewhere a Newton solve started from the
     diffusion output plus the workspace's last increment x - u (zero, a cold start,
     without a workspace or in a fresh one), fills the rows of the stepped ``State``.
     Raises PositivityLoss (``_diffuse``'s) or NewtonFailure, on which callers should
@@ -315,7 +351,7 @@ def step(
     _diffuse((ws.solver_u, ws.solver_v), buf, dtau, state.tau)
     u, v = buf
     scale = dtau * math.exp(state.tau + dtau) * data.k
-    if data.alpha in (1.0, 2.0) and data.beta in (1.0, 2.0):  # the residual is a quadratic
+    if (data.alpha, data.beta) in _EXACT_ORDERS:
         out = _reaction_exact(u, v, data, scale)
     else:
         out = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)

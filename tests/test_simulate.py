@@ -23,6 +23,9 @@ from rdmix import simulate
 from rdmix.simulate import _march, _reaction_exact, _reaction_implicit, _StepWorkspace
 from tests.conftest import stepped
 
+# the orders whose reaction root ``step`` takes in closed form
+_EXACT_ORDERS = [(1.0, 1.0), (2.0, 2.0), (2.0, 1.0), (3.0, 1.0), (3.0, 3.0), (4.0, 4.0)]
+
 
 def _config(data, tau_end=0.2, **kw):
     defaults = dict(
@@ -365,10 +368,10 @@ def test_a_rejected_diffusion_half_leaves_its_input_untouched():
 
 
 def test_a_rejected_reaction_half_leaves_its_input_untouched(monkeypatch):
-    # at orders (4, 4) one Newton iteration from a cold start cannot settle a stiff
+    # at orders (4, 3) one Newton iteration from a cold start cannot settle a stiff
     # solve: the first attempt raises NewtonFailure and the retry at dtau / 2 starts
     # from the untouched input, as a fresh step from a copy of it does
-    data = ProblemData(4, 4, 1, 3, 1, 1, 2)
+    data = ProblemData(4, 3, 1, 3, 1, 1, 2)
     cfg = _config(data, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
     start = build_initial_state(cfg, solve_profile(data, cfg.make_grid()))
     state = State(start.grid, start.u, start.v, 4.0)  # scale = dtau e^(tau + dtau): stiff
@@ -507,7 +510,7 @@ def test_affine_reaction_takes_one_iteration_per_solve():
 
 @settings(max_examples=200, deadline=None)
 @given(
-    orders=st.sampled_from([(1.0, 1.0), (2.0, 2.0), (2.0, 1.0)]),
+    orders=st.sampled_from(_EXACT_ORDERS),
     log_scale=st.floats(-9.0, 300.0),
     seed=st.integers(0, 2**32 - 1),
 )
@@ -525,11 +528,49 @@ def test_exact_reaction_root_meets_the_newton_tolerance(orders, log_scale, seed)
     assert np.max(np.abs(b * x + a * v_new - m)) <= 1e-14 * np.max(m)
 
 
+@pytest.mark.parametrize("orders", _EXACT_ORDERS)
+def test_exact_reaction_root_without_reaction_returns_its_input(orders):
+    # k dtau may underflow to a zero scale, where the sinh forms of the cubic
+    # orders would multiply an infinite factor by 0; at the smallest subnormal
+    # scale the root stays finite and within the Newton tolerance
+    a, b = orders
+    u, v = 10.0 ** np.random.default_rng(5).uniform(-3.0, 1.0, (2, 64))
+    data = ProblemData(a, b, 1, 1, 1, 1, 2)
+    x, v_new = _reaction_exact(u, v, data, 1e-3 * 5e-324)
+    assert np.array_equal(x, u) and np.array_equal(v_new, v)
+    x, v_new = _reaction_exact(u, v, data, 5e-324)
+    below, above = _bisected_root(u, v, a, b, 5e-324)
+    assert np.isfinite(x).all() and np.isfinite(v_new).all()
+    error = np.maximum(np.maximum(below - x, x - above), 0.0)
+    assert error.max() <= 1e-15 * (x.max() + 1.0)
+
+
+def test_cubic_reaction_steps_match_the_newton_solve():
+    # 100 certify-shaped steps at orders (4, 4), whose root ``step`` takes in
+    # closed form: each lies within the Newton tolerance of the Newton solve
+    # on the same diffusion output
+    data = ProblemData(4, 4, 1, 3, 1, 1, 2)
+    cfg = _config(data, grid_n=2001, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    state = build_initial_state(cfg, solve_profile(data, cfg.make_grid()))
+    ws = _StepWorkspace(state.grid, data)
+    increment = np.zeros(state.grid.n)
+    for _ in range(100):
+        u, v = stepped(ws.solver_u, state.u, 1e-3), stepped(ws.solver_v, state.v, 1e-3)
+        scale = 1e-3 * math.exp(state.tau + 1e-3) * data.k
+        x, y = _reaction_implicit(u, v, data, scale, guess=u + increment)
+        increment = x - u
+        state = step(state, data, 1e-3, ws)
+        tol = 1e-15 * (x.max() + 1.0)
+        assert np.max(np.abs(state.u - x)) <= tol and np.max(np.abs(state.v - y)) <= tol
+    assert ws.counts["reaction_newton_iterations"] == 0
+
+
 @pytest.mark.parametrize(
     "alpha, beta, newton",
-    [(1, 1, False), (2, 2, False), (2, 1, False), (1.5, 1.5, True), (4, 4, True)],
+    [(1, 1, False), (2, 2, False), (2, 1, False), (3, 1, False), (3, 3, False), (4, 4, False),
+     (1.5, 1.5, True), (4, 3, True)],
 )
-def test_newton_runs_only_off_the_quadratic_orders(alpha, beta, newton):
+def test_newton_runs_only_off_the_closed_form_orders(alpha, beta, newton):
     data = ProblemData(alpha, beta, 1, 3, 1, 1, 2)
     cfg = _config(data, tau_end=0.01, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
     iterations = run(cfg).counters["reaction_newton_iterations"]
@@ -571,7 +612,8 @@ def test_a_nan_diffusion_output_is_a_positivity_loss(monkeypatch):
     # iteration limit and comes out of the closed-form root as a NaN
     grid = Grid(16.0, 401)
     state = State(grid, np.full(grid.n, 1.5), np.full(grid.n, 1.2), 0.0)
-    for data in (ProblemData(2, 1, 1, 2, 1, 1, 2), ProblemData(4, 4, 1, 3, 1, 1, 2)):
+    for data in (ProblemData(2, 1, 1, 2, 1, 1, 2), ProblemData(4, 4, 1, 3, 1, 1, 2),
+                 ProblemData(4, 3, 1, 3, 1, 1, 2)):
         ws = _StepWorkspace(grid, data)
         ws.solver_v = _NaNSolver()
         with pytest.raises(PositivityLoss):
@@ -623,7 +665,7 @@ def _warm_and_cold_steps(data, nsteps=20, dtau=1e-3):
 
 
 def test_warm_started_steps_match_cold_steps():
-    worst, warm, cold = _warm_and_cold_steps(ProblemData(4, 4, 1, 3, 1, 1, 2))
+    worst, warm, cold = _warm_and_cold_steps(ProblemData(4, 3, 1, 3, 1, 1, 2))
     assert worst <= 1.0
     assert warm <= cold
     # on (1.5, 1.5) the warm start saves iterations from the second step on
