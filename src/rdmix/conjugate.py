@@ -10,8 +10,9 @@ functions
 (+inf for z <= -1).  Unlike the entropy conjugates, their Legendre transforms
 have no closed form; this module computes them by a log-grid sweep plus
 golden-section refinement (``golden_refine`` refines a column of xi values in
-one batch, ``numeric_sup`` one bracket) and provides the analytic upper bounds
-and the quadratic-bound constants used by the rate certificates.
+float64 arrays over an index array, ``numeric_sup`` one bracket) and provides
+the analytic upper bounds and the quadratic-bound constants used by the rate
+certificates.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import numpy as np
 from .errors import DomainError, UnsupportedRegime
 
 _EDGE = 1e-9  # distance to the z = -1 pole for grid sweeps
+_SWEEP_POINTS = 10_000  # nodes of each phi_conjugate_numeric sweep
+_Z_MAX = 1e3  # its first upper end, extended by decades in the tail scan
 
 
 @dataclass(frozen=True)
@@ -76,38 +79,35 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def golden_refine(f, a, b, best, tol: float) -> np.ndarray:
-    """Golden-section refinement of many brackets ``[a_i, b_i]`` at once.
+    """Golden-section refinement of many brackets ``[a_i, b_i]`` at once, in float64 arrays.
 
     Each bracket takes exactly the steps of a scalar search and stops once it
-    is ``tol`` wide relative to its ends; the brackets still searching take
-    their steps together, so ``f(t, i)`` evaluates the new points ``t`` of the
-    brackets numbered ``i`` (a list) in one call.  The result is, per bracket,
-    the best of ``best[i]`` and the values seen.
+    is ``tol`` wide relative to its ends.  Each round updates the brackets of
+    the index array ``live`` elementwise, and ``f(t, live)`` evaluates their
+    new points ``t`` in one call.  The result is, per bracket, the first
+    largest of ``best[i]`` and the two last values, as ``max`` takes it.
     """
-    lo, hi = [float(x) for x in a], [float(x) for x in b]
-    c = [y - _GOLDEN * (y - x) for x, y in zip(lo, hi)]
-    d = [x + _GOLDEN * (y - x) for x, y in zip(lo, hi)]
-    every = list(range(len(lo)))
-    fc, fd = f(np.array(c), every).tolist(), f(np.array(d), every).tolist()
-    live = [i for i in every if hi[i] - lo[i] > tol * max(1.0, abs(lo[i]), abs(hi[i]))]
-    while live:
-        left, t = [], []
-        for i in live:
-            if fc[i] > fd[i]:  # the maximum lies in [a, d]: b <- d, d <- c, c is new
-                hi[i], d[i], fd[i] = d[i], c[i], fc[i]
-                t.append(hi[i] - _GOLDEN * (hi[i] - lo[i]))
-                left.append(True)
-            else:  # it lies in [c, b]: a <- c, c <- d, d is new
-                lo[i], c[i], fc[i] = c[i], d[i], fd[i]
-                t.append(lo[i] + _GOLDEN * (hi[i] - lo[i]))
-                left.append(False)
-        for i, to_left, x, v in zip(live, left, t, f(np.array(t), live).tolist()):
-            if to_left:
-                c[i], fc[i] = x, v
-            else:
-                d[i], fd[i] = x, v
-        live = [i for i in live if hi[i] - lo[i] > tol * max(1.0, abs(lo[i]), abs(hi[i]))]
-    return np.array([max(b0, x, y) for b0, x, y in zip(best, fc, fd)])
+    lo, hi = np.array(a, dtype=float), np.array(b, dtype=float)
+    c, d = hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo)
+    live = np.arange(len(lo))
+    fc, fd = np.array(f(c, live), dtype=float), np.array(f(d, live), dtype=float)
+    while True:
+        l, h = lo[live], hi[live]
+        live = live[h - l > tol * np.maximum(np.maximum(np.abs(l), np.abs(h)), 1.0)]
+        if not live.size:
+            top = np.where(fc > best, fc, best)  # as max, a tie (0.0, -0.0) keeps the earlier;
+            return np.where(fd > top, fd, top)  # np.maximum would keep the later
+        # left: the maximum lies in [lo, d], so hi <- d, d <- c and c is new;
+        # otherwise it lies in [c, hi], so lo <- c, c <- d and d is new
+        left = fc[live] > fd[live]
+        i, j = live[left], live[~left]
+        hi[i], d[i], fd[i] = d[i], c[i], fc[i]
+        lo[j], c[j], fc[j] = c[j], d[j], fd[j]
+        step = _GOLDEN * (hi[live] - lo[live])
+        t = np.where(left, hi[live] - step, lo[live] + step)
+        ft = f(t, live)
+        c[i], fc[i] = t[left], ft[left]
+        d[j], fd[j] = t[~left], ft[~left]
 
 
 def _bracket(z: np.ndarray, vals: np.ndarray):
@@ -127,15 +127,14 @@ def numeric_sup(f, z: np.ndarray, tol: float = 1e-10) -> float:
     return float(golden_refine(lambda t, i: f(t), [a], [b], [best], tol)[0])
 
 
-def phi_conjugate_numeric(
-    fam: PhiFamily, xi: float | np.ndarray, base_points: int = 10_000, z_max: float = 1e3
-) -> float | np.ndarray:
+def phi_conjugate_numeric(fam: PhiFamily, xi: float | np.ndarray) -> float | np.ndarray:
     """sup_z (xi z - phi(z)) over z in (-1, inf), by sweep and refinement.
 
-    The sweep is logarithmic in 1 + z so both the pole at z = -1 and the far
-    tail are resolved; the upper end is extended by decades until the
-    objective has decreased for three consecutive decades (the gap functions
-    grow superlinearly, so the sup is attained at finite z).  ``xi`` may be an
+    The sweep of ``_SWEEP_POINTS`` nodes (a constant) is logarithmic in 1 + z
+    so both the pole at z = -1 and the far tail are resolved; its upper end,
+    the constant ``_Z_MAX``, is extended by decades until the objective has
+    decreased for three consecutive decades (the gap functions grow
+    superlinearly, so the sup is attained at finite z).  ``xi`` may be an
     array: the decades are evaluated once, each xi gets its own upper end and
     sweep, then all the brackets are refined together, bit for bit as per xi.
     """
@@ -143,8 +142,8 @@ def phi_conjugate_numeric(
     if not np.all(np.isfinite(xis)):
         raise DomainError(f"xi must be finite, got {xi}")
     flat = xis.ravel()
-    # every xi scans the same decades 1 + z = 10^top, top = log10(1 + z_max) + k < 300
-    tops = [math.log10(1.0 + z_max)]
+    # every xi scans the same decades 1 + z = 10^top, top = log10(1 + _Z_MAX) + k < 300
+    tops = [math.log10(1.0 + _Z_MAX)]
     while tops[-1] < 300:
         tops.append(tops[-1] + 1.0)
     z_tail = np.array([10.0**t - 1.0 for t in tops[:-1]])
@@ -158,7 +157,7 @@ def phi_conjugate_numeric(
     for j, x in enumerate(flat.tolist()):
         top = tops[ends[j]]
         if top not in sweeps:
-            z = np.logspace(math.log10(_EDGE), top, base_points) - 1.0
+            z = np.logspace(math.log10(_EDGE), top, _SWEEP_POINTS) - 1.0
             with np.errstate(over="ignore", invalid="ignore"):
                 sweeps[top] = z, phi(fam, z)
         z, phi_z = sweeps[top]

@@ -238,12 +238,11 @@ def _reaction_implicit(
     return out
 
 
-# the orders (alpha, beta) whose reaction root ``_reaction_exact`` takes in closed form
-_EXACT_ORDERS = frozenset({(1.0, 1.0), (2.0, 2.0), (2.0, 1.0), (3.0, 1.0), (3.0, 3.0), (4.0, 4.0)})
+def _reaction_exact(u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float):
+    """The root of ``_reaction_implicit``'s residual in closed form, rows x, v; or None.
 
-
-def _reaction_exact(u: np.ndarray, v: np.ndarray, data: ProblemData, scale: float) -> np.ndarray:
-    """The root of ``_reaction_implicit``'s residual in closed form at ``_EXACT_ORDERS``; rows x, v.
+    The orders (alpha, beta) with a closed form are (1, 1), (2, 2), (2, 1), (3, 1), (3, 3)
+    and (4, 4); at any other order the result is None, whatever the scale.
 
     With s = scale, r = 1/(1 + s) and w = s r, every coefficient is divided by 1 + s to
     stay finite.  At orders <= 2 the residual is a quadratic A x^2 + B x - C: (A, B, C)
@@ -264,9 +263,11 @@ def _reaction_exact(u: np.ndarray, v: np.ndarray, data: ProblemData, scale: floa
 
     A zero scale (k dtau underflowed) leaves (u, v) as they are.
     """
+    a, b = data.alpha, data.beta
+    if (a, b) not in ((1.0, 1.0), (2.0, 2.0), (2.0, 1.0), (3.0, 1.0), (3.0, 3.0), (4.0, 4.0)):
+        return None
     if scale == 0.0:
         return np.array((u, v))
-    a, b = data.alpha, data.beta
     r = 1.0 / (1.0 + scale)
     w = scale * r  # s / (1 + s)
     if a == b >= 3.0:
@@ -335,7 +336,7 @@ def step(
 
     The state is copied into a (2, n) buffer, which the drift-diffusion half
     (``_diffuse``) solves in place row by row.  The reaction root, exact at the orders
-    of ``_EXACT_ORDERS`` (``_reaction_exact``), elsewhere a Newton solve started from the
+    that ``_reaction_exact`` names, elsewhere a Newton solve started from the
     diffusion output plus the workspace's last increment x - u (zero, a cold start,
     without a workspace or in a fresh one), fills the rows of the stepped ``State``.
     Raises PositivityLoss (``_diffuse``'s) or NewtonFailure, on which callers should
@@ -351,9 +352,8 @@ def step(
     _diffuse((ws.solver_u, ws.solver_v), buf, dtau, state.tau)
     u, v = buf
     scale = dtau * math.exp(state.tau + dtau) * data.k
-    if (data.alpha, data.beta) in _EXACT_ORDERS:
-        out = _reaction_exact(u, v, data, scale)
-    else:
+    out = _reaction_exact(u, v, data, scale)
+    if out is None:
         out = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)
         ws.increment = out[0] - u
     if not (out.min() > 0.0 and out.max() < math.inf):

@@ -238,7 +238,7 @@ def test_criterion_08_quadratic_bound_constants():
         mh = m_hat(p, a)
         fam = PhiFamily("general_p_alpha", a, p)
         for zeta in np.linspace(-10.0, 10.0, 41):
-            num = phi_conjugate_numeric(fam, float(zeta), base_points=4000)
+            num = phi_conjugate_numeric(fam, float(zeta))
             worst = max(worst, num - mh * (p * zeta / a) ** 2)
     ok = ok and worst <= 1e-9
     details.append(f"worst quadratic-conjugate excess {worst:.2e}")

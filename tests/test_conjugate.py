@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from rdmix import F_p, PhiFamily, c_tilde, m_hat, phi, phi_conjugate_bound, phi_conjugate_numeric
 from rdmix import conjugate
@@ -57,10 +59,11 @@ def test_conjugate_numeric_examples():
     assert phi_conjugate_numeric(PhiFamily("boltzmann_alpha", 2.0), 1.0) <= 0.25 + 1e-9
 
 
-def test_conjugate_numeric_is_stable_under_grid_refinement():
+def test_conjugate_numeric_is_stable_under_grid_refinement(monkeypatch):
     fam = PhiFamily("boltzmann_alpha", 1.5)
-    coarse = phi_conjugate_numeric(fam, 2.5, base_points=4000)
-    fine = phi_conjugate_numeric(fam, 2.5, base_points=40_000)
+    coarse = phi_conjugate_numeric(fam, 2.5)
+    monkeypatch.setattr(conjugate, "_SWEEP_POINTS", 40_000)
+    fine = phi_conjugate_numeric(fam, 2.5)
     assert coarse == pytest.approx(fine, rel=1e-8)
 
 
@@ -68,15 +71,15 @@ def test_conjugate_numeric_array_equals_scalar_calls():
     xis = np.linspace(-5.0, 5.0, 41)
     for a in (1.0, 1.5, 2.0, 3.0):
         fam = PhiFamily("boltzmann_alpha", a)
-        column = phi_conjugate_numeric(fam, xis, base_points=4000)
-        single = np.array([phi_conjugate_numeric(fam, float(x), base_points=4000) for x in xis])
+        column = phi_conjugate_numeric(fam, xis)
+        single = np.array([phi_conjugate_numeric(fam, float(x)) for x in xis])
         assert column.shape == xis.shape
         assert np.array_equal(column.view(np.int64), single.view(np.int64))  # bit for bit
 
 
-def _tail_top_loop(fam, xi, z_max):
+def _tail_top_loop(fam, xi):
     """The upper sweep end of one xi by the decade-at-a-time tail scan."""
-    decades_down, top, best_tail = 0, math.log10(1.0 + z_max), -np.inf
+    decades_down, top, best_tail = 0, math.log10(1.0 + conjugate._Z_MAX), -np.inf
     while decades_down < 3 and top < 300:
         val = float(conjugate._objective(fam, xi, np.array([10.0**top - 1.0]))[0])
         if val < best_tail:
@@ -89,20 +92,108 @@ def _tail_top_loop(fam, xi, z_max):
 
 def test_conjugate_tail_scan_equals_loop_reference():
     # the shared tail scan against a per-xi decade loop, a per-xi sweep to the
-    # end that loop finds and a one-bracket refinement, bit for bit; z_max
-    # 1e298 leaves fewer than three decades below 1e300
+    # end that loop finds and a one-bracket refinement, bit for bit; the
+    # general kind at alpha = 1/2, p = 2 grows sublinearly, so some of its
+    # scans run to the 1e300 cap
     xis = np.array([-60.0, -5.0, -1.0, 0.0, 0.3, 2.0, 5.0, 60.0])
     fams = [PhiFamily("boltzmann_alpha", a) for a in (1.0, 1.5, 3.0)]
-    fams.append(PhiFamily("general_p_alpha", 2.0, 0.5))
+    fams += [PhiFamily("general_p_alpha", 2.0, 0.5), PhiFamily("general_p_alpha", 0.5, 2.0)]
+    capped = 0
     for fam in fams:
-        for z_max in (1e3, 1e298):
-            ref = []
-            for x in xis.tolist():
-                top = _tail_top_loop(fam, x, z_max)
-                z = np.logspace(math.log10(conjugate._EDGE), top, 2000) - 1.0
-                ref.append(max(0.0, numeric_sup(lambda t: conjugate._objective(fam, x, t), z)))
-            got = phi_conjugate_numeric(fam, xis, base_points=2000, z_max=z_max)
-            assert got.tolist() == ref, (fam, z_max)
+        ref = []
+        for x in xis.tolist():
+            top = _tail_top_loop(fam, x)
+            capped += top >= 300
+            z = np.logspace(math.log10(conjugate._EDGE), top, conjugate._SWEEP_POINTS) - 1.0
+            ref.append(max(0.0, numeric_sup(lambda t: conjugate._objective(fam, x, t), z)))
+        assert phi_conjugate_numeric(fam, xis).tolist() == ref, fam
+    assert capped
+
+
+def _golden_refine_reference(f, a, b, best, tol):
+    """The golden-section search kept in Python floats and lists: the reference per bracket."""
+    g = conjugate._GOLDEN
+    lo, hi = [float(x) for x in a], [float(x) for x in b]
+    c = [y - g * (y - x) for x, y in zip(lo, hi)]
+    d = [x + g * (y - x) for x, y in zip(lo, hi)]
+    every = list(range(len(lo)))
+    fc, fd = f(np.array(c), every).tolist(), f(np.array(d), every).tolist()
+    live = [i for i in every if hi[i] - lo[i] > tol * max(1.0, abs(lo[i]), abs(hi[i]))]
+    while live:
+        left, t = [], []
+        for i in live:
+            if fc[i] > fd[i]:  # the maximum lies in [a, d]: b <- d, d <- c, c is new
+                hi[i], d[i], fd[i] = d[i], c[i], fc[i]
+                t.append(hi[i] - g * (hi[i] - lo[i]))
+                left.append(True)
+            else:  # it lies in [c, b]: a <- c, c <- d, d is new
+                lo[i], c[i], fc[i] = c[i], d[i], fd[i]
+                t.append(lo[i] + g * (hi[i] - lo[i]))
+                left.append(False)
+        for i, to_left, x, v in zip(live, left, t, f(np.array(t), live).tolist()):
+            if to_left:
+                c[i], fc[i] = x, v
+            else:
+                d[i], fd[i] = x, v
+        live = [i for i in live if hi[i] - lo[i] > tol * max(1.0, abs(lo[i]), abs(hi[i]))]
+    return np.array([max(b0, x, y) for b0, x, y in zip(best, fc, fd)])
+
+
+def _search_objective(kind, k, shift):
+    """f(t, i) with many local maxima, built from exactly rounded operations only.
+
+    ``k`` and ``shift`` hold one value per bracket; ``steps`` and ``zeros``
+    give exact ties, between 0.0 and -0.0 among them.
+    """
+    def f(t, i):
+        s = t - shift[i]
+        tri = 1.0 - np.abs((s * k[i]) % 2.0 - 1.0)  # a triangle wave with maxima 1
+        if kind == "triangle":
+            return tri * k[i]
+        if kind == "quartic":  # two maxima, at s = +-sqrt(1/2) k
+            s = s / k[i]
+            return -(s * s - 0.5) * (s * s - 0.5)
+        sign = np.where(s > 0.0, 1.0, -1.0)
+        if kind == "steps":
+            return np.floor(4.0 * tri) * sign
+        return 0.0 * sign  # zeros
+
+    return f
+
+
+_brackets = st.lists(
+    st.tuples(
+        st.floats(-100.0, 100.0) | st.floats(-1e8, 1e8),
+        st.sampled_from([0.0, 1e-14, 5e-324]) | st.floats(0.0, 1e-9) | st.floats(0.0, 50.0),
+        st.sampled_from([-math.inf, 0.0, -0.0, 0.5]) | st.floats(-10.0, 10.0),
+        st.floats(0.25, 8.0),
+        st.floats(-0.5, 1.5),  # where the objective is centred, relative to the bracket
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    brackets=_brackets,
+    tol=st.floats(1e-13, 1e-6),
+    kind=st.sampled_from(["triangle", "quartic", "steps", "zeros"]),
+)
+@example(brackets=[(0.0, 1e-8, -math.inf, 1.0, 0.0)], tol=1e-8, kind="triangle")  # width = tol
+@example(brackets=[(0.0, 10.0, -math.inf, 1.0, 0.5)], tol=1e-6, kind="zeros")  # every f ties
+def test_golden_refine_equals_one_bracket_searches(brackets, tol, kind):
+    # the array search over all brackets against the Python-float search of
+    # each bracket alone, bit for bit, ties between 0.0 and -0.0 included
+    lo, width, best, k, centre = (np.array(col) for col in zip(*brackets))
+    f = _search_objective(kind, k, lo + centre * width)
+    got = conjugate.golden_refine(f, lo, lo + width, best, tol)
+    ref = np.concatenate([
+        _golden_refine_reference(lambda t, _, j=j: f(t, [j]), [lo[j]], [lo[j] + width[j]],
+                                 [best[j]], tol)
+        for j in range(len(lo))
+    ])
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
 def test_conjugate_values_pinned():
@@ -138,14 +229,14 @@ def test_conjugate_bound_dominates_numeric():
     for a in (1.0, 1.5, 2.0, 3.0, 4.0):
         fam = PhiFamily("boltzmann_alpha", a)
         for xi in xis:
-            num = phi_conjugate_numeric(fam, float(xi), base_points=4000)
+            num = phi_conjugate_numeric(fam, float(xi))
             assert num <= phi_conjugate_bound(a, float(xi)) + 1e-9
 
 
 def test_conjugate_convex_nonnegative():
     fam = PhiFamily("boltzmann_alpha", 2.0)
     xis = np.linspace(-3.0, 3.0, 25)
-    vals = np.array([phi_conjugate_numeric(fam, float(x), base_points=4000) for x in xis])
+    vals = np.array([phi_conjugate_numeric(fam, float(x)) for x in xis])
     assert np.all(vals >= -1e-12)
     assert vals[len(vals) // 2] == pytest.approx(0.0, abs=1e-10)
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
@@ -243,7 +334,7 @@ def test_quadratic_conjugate_bound():
         fam = PhiFamily("general_p_alpha", a, p)
         mh = m_hat(p, a)
         for zeta in np.linspace(-10.0, 10.0, 41):
-            num = phi_conjugate_numeric(fam, float(zeta), base_points=4000)
+            num = phi_conjugate_numeric(fam, float(zeta))
             assert num <= mh * (p * zeta / a) ** 2 + 1e-9
 
 

@@ -545,6 +545,19 @@ def test_exact_reaction_root_without_reaction_returns_its_input(orders):
     assert error.max() <= 1e-15 * (x.max() + 1.0)
 
 
+def test_exact_reaction_root_names_its_orders():
+    # off the closed-form orders the result is None, at a zero scale too, so
+    # no formula of another order serves them; (5, 5) once met the (4, 4)
+    # formula, and (1.5, 1.5) and (4, 2) the (2, 2) one
+    u, v = np.array([1.0, 2.0]), np.array([1.5, 0.5])
+    for a, b in [(1.5, 1.5), (3.0, 2.0), (4.0, 1.0), (4.0, 2.0), (4.0, 3.0), (5.0, 5.0), (2.5, 1.0)]:
+        for scale in (0.3, 0.0):
+            assert _reaction_exact(u, v, ProblemData(a, b, 1, 1, 1, 1, 2), scale) is None
+    for a, b in _EXACT_ORDERS:
+        out = _reaction_exact(u, v, ProblemData(a, b, 1, 1, 1, 1, 2), 0.3)
+        assert isinstance(out, np.ndarray) and out.shape == (2, 2)
+
+
 def test_cubic_reaction_steps_match_the_newton_solve():
     # 100 certify-shaped steps at orders (4, 4), whose root ``step`` takes in
     # closed form: each lies within the Newton tolerance of the Newton solve
