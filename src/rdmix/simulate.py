@@ -1,18 +1,20 @@
 """Time integration of the scaled system with per-step positivity enforcement.
 
 One step is a Lie splitting of two backward-Euler halves: a drift-diffusion
-half, one banded solve per species with the boundary values pinned, then a
-reaction half, a pointwise implicit solve with prefactor e^(tau + dtau).  The
-local reaction conserves beta u + alpha v, so the per-node solve reduces to a
-scalar equation on that invariant line whose root keeps both concentrations
-positive for any step size.  At orders of at most 2 it is a quadratic, and at
-(3, 1), (3, 3) and (4, 4) a cubic with one real root, solved in closed form; at
-other orders a bracketed Newton iteration, warm-started within a run, solves it
-and stops on a proven error bound.
+half, one block-banded solve over both species with the boundary values
+pinned (the species couple only through the reaction, so their bands lie
+side by side), then a reaction half, a pointwise implicit solve with
+prefactor e^(tau + dtau).  The local reaction conserves beta u + alpha v, so
+the per-node solve reduces to a scalar equation on that invariant line whose
+root keeps both concentrations positive for any step size.  At orders of at
+most 2 it is a quadratic, and at (3, 1), (3, 3) and (4, 4) a cubic with one
+real root, solved in closed form; at other orders a bracketed Newton
+iteration, warm-started within a run, solves it and stops on a proven error
+bound.
 
 Each half works on one (2, n) array, a row per species, and checks it once:
-the state is copied into a fresh buffer that ``_diffuse`` solves in place row
-by row; the reaction writes x and v into the rows of a new array, which the
+the state is copied into a fresh buffer that ``_diffuse`` solves in place in
+one call; the reaction writes x and v into the rows of a new array, which the
 stepped ``State`` holds.  The input ``State`` is never written.
 """
 
@@ -302,29 +304,28 @@ class _StepWorkspace:
     """Cached banded operators for one (grid, data) pair, and one run's reaction solves."""
 
     def __init__(self, grid: Grid, data: ProblemData):
-        self.solver_u = DriftDiffusionSolver(grid, data.d1, data.u_minus, data.u_plus)
-        self.solver_v = DriftDiffusionSolver(grid, data.d2, data.v_minus, data.v_plus)
+        self.solver = DriftDiffusionSolver(
+            grid, (data.d1, data.d2), (data.u_minus, data.v_minus), (data.u_plus, data.v_plus))
         self.increment = np.zeros(grid.n)  # x - u of the last reaction solve: the warm start
         self.counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
 
     def all_counts(self) -> dict:
-        """The reaction solves' sums and the step sizes the two solvers factored, and pivoted."""
-        u, v = self.solver_u, self.solver_v
+        """The reaction solves' sums and the species' step sizes factored, and pivoted."""
         return self.counts | {
-            "diffusion_factorizations": u.factorizations + v.factorizations,
-            "diffusion_pivoted_factorizations": u.pivoted_factorizations + v.pivoted_factorizations,
+            "diffusion_factorizations": self.solver.factorizations,
+            "diffusion_pivoted_factorizations": self.solver.pivoted_factorizations,
         }
 
 
-def _diffuse(solvers, rows: np.ndarray, dtau: float, tau: float) -> None:
-    """The drift-diffusion half of ``step`` and ``run_linear``: each row stepped in place.
+def _diffuse(solver: DriftDiffusionSolver, rows: np.ndarray, dtau: float, tau: float) -> None:
+    """The drift-diffusion half of ``step`` and ``run_linear``: ``rows`` stepped in place.
 
-    DomainError unless ``rows`` is finite; PositivityLoss unless the stepped rows are positive.
+    One ``solver.step`` steps every row.  DomainError unless ``rows`` is finite;
+    PositivityLoss unless the stepped rows are positive (one minimum over all rows).
     """
     if not np.isfinite(rows).all():
         raise DomainError("state concentrations must be finite nodewise")
-    for solver, row in zip(solvers, rows):
-        solver.step(row, dtau)
+    solver.step(rows, dtau)
     if not rows.min() > 0.0:  # a NaN fails this test too
         raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={tau:.4g}")
 
@@ -335,10 +336,11 @@ def step(
     """Advance one Lie-splitting step of size dtau: drift-diffusion, then reaction.
 
     The state is copied into a (2, n) buffer, which the drift-diffusion half
-    (``_diffuse``) solves in place row by row.  The reaction root, exact at the orders
-    that ``_reaction_exact`` names, elsewhere a Newton solve started from the
-    diffusion output plus the workspace's last increment x - u (zero, a cold start,
-    without a workspace or in a fresh one), fills the rows of the stepped ``State``.
+    (``_diffuse``) steps in place with one block solve over both species.  The
+    reaction root, exact at the orders that ``_reaction_exact`` names, elsewhere a
+    Newton solve started from the diffusion output plus the workspace's last
+    increment x - u (zero, a cold start, without a workspace or in a fresh one),
+    fills the rows of the stepped ``State``.
     Raises PositivityLoss (``_diffuse``'s) or NewtonFailure, on which callers should
     reject the step and halve dtau: ``state`` is never written, so the retry starts
     from it.  DomainError unless 0 < dtau < inf, unless ``state`` is finite and, as
@@ -349,7 +351,7 @@ def step(
         raise DomainError(f"dtau must be positive and finite, got {dtau}")
     ws = workspace or _StepWorkspace(state.grid, data)
     buf = np.array((state.u, state.v))
-    _diffuse((ws.solver_u, ws.solver_v), buf, dtau, state.tau)
+    _diffuse(ws.solver, buf, dtau, state.tau)
     u, v = buf
     scale = dtau * math.exp(state.tau + dtau) * data.k
     out = _reaction_exact(u, v, data, scale)
@@ -509,9 +511,9 @@ def run_linear(
     solver = DriftDiffusionSolver(grid, D, A_minus, A_plus)
 
     def advance(st: State, dt: float) -> State:
-        rows = st.u[None].copy()
-        _diffuse((solver,), rows, dt, st.tau)
-        return State.trusted(grid, rows[0], rows[0], st.tau + dt)
+        u = st.u.copy()
+        _diffuse(solver, u, dt, st.tau)
+        return State.trusted(grid, u, u, st.tau + dt)
 
     def sample(st: State) -> LinearRecord:
         return LinearRecord(st.tau, integrate(grid, entropy.F_p(st.u / U, p) * U))

@@ -67,7 +67,7 @@ def flat_profile(grid, value_u=1.0, value_v=1.0, data=None):
 
 
 def stepped(solver, f, dtau):
-    """The drift-diffusion step of a float64 copy of ``f`` (the solver overwrites its row)."""
+    """The drift-diffusion step of a float64 copy of ``f`` (the solver overwrites its rows)."""
     x = np.array(f, dtype=float)
     solver.step(x, dtau)
     return x

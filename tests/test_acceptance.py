@@ -208,8 +208,7 @@ def test_criterion_07_conjugate_bounds():
     worst_quad = -np.inf
     for a in (1.0, 1.25, 1.5, 2.0, 3.0, 5.0):
         fam = PhiFamily("boltzmann_alpha", a)
-        for xi in xis:
-            num = phi_conjugate_numeric(fam, float(xi))
+        for xi, num in zip(xis, phi_conjugate_numeric(fam, xis).tolist()):
             worst_margin = max(worst_margin, num - phi_conjugate_bound(a, float(xi)))
             if abs(xi) <= a:
                 worst_quad = max(worst_quad, num - xi**2 / (2.0 * a))
@@ -237,8 +236,8 @@ def test_criterion_08_quadratic_bound_constants():
     for p, a in pairs:
         mh = m_hat(p, a)
         fam = PhiFamily("general_p_alpha", a, p)
-        for zeta in np.linspace(-10.0, 10.0, 41):
-            num = phi_conjugate_numeric(fam, float(zeta))
+        zetas = np.linspace(-10.0, 10.0, 41)
+        for zeta, num in zip(zetas, phi_conjugate_numeric(fam, zetas).tolist()):
             worst = max(worst, num - mh * (p * zeta / a) ** 2)
     ok = ok and worst <= 1e-9
     details.append(f"worst quadratic-conjugate excess {worst:.2e}")

@@ -68,12 +68,16 @@ def test_conjugate_numeric_is_stable_under_grid_refinement(monkeypatch):
 
 
 def test_conjugate_numeric_array_equals_scalar_calls():
+    # the array call that the conjugate checks make in place of one call per xi
     xis = np.linspace(-5.0, 5.0, 41)
-    for a in (1.0, 1.5, 2.0, 3.0):
-        fam = PhiFamily("boltzmann_alpha", a)
-        column = phi_conjugate_numeric(fam, xis)
-        single = np.array([phi_conjugate_numeric(fam, float(x)) for x in xis])
-        assert column.shape == xis.shape
+    zetas = np.linspace(-10.0, 10.0, 41)
+    cases = [(PhiFamily("boltzmann_alpha", a), xis) for a in (1.0, 1.5, 2.0, 3.0)]
+    pairs = [(0.5, 1.0), (0.5, 1.5), (0.5, 2.0), (0.5, 4.0), (1.0, 2.0), (1.5, 2.5), (2.0, 3.0)]
+    cases += [(PhiFamily("general_p_alpha", a, p), zetas) for p, a in pairs]
+    for fam, points in cases:
+        column = phi_conjugate_numeric(fam, points)
+        single = np.array([phi_conjugate_numeric(fam, float(x)) for x in points])
+        assert column.shape == points.shape
         assert np.array_equal(column.view(np.int64), single.view(np.int64))  # bit for bit
 
 
@@ -228,15 +232,14 @@ def test_conjugate_bound_dominates_numeric():
     xis = np.linspace(-5.0, 5.0, 51)
     for a in (1.0, 1.5, 2.0, 3.0, 4.0):
         fam = PhiFamily("boltzmann_alpha", a)
-        for xi in xis:
-            num = phi_conjugate_numeric(fam, float(xi))
+        for xi, num in zip(xis, phi_conjugate_numeric(fam, xis).tolist()):
             assert num <= phi_conjugate_bound(a, float(xi)) + 1e-9
 
 
 def test_conjugate_convex_nonnegative():
     fam = PhiFamily("boltzmann_alpha", 2.0)
     xis = np.linspace(-3.0, 3.0, 25)
-    vals = np.array([phi_conjugate_numeric(fam, float(x)) for x in xis])
+    vals = phi_conjugate_numeric(fam, xis)
     assert np.all(vals >= -1e-12)
     assert vals[len(vals) // 2] == pytest.approx(0.0, abs=1e-10)
     second = vals[:-2] - 2.0 * vals[1:-1] + vals[2:]
@@ -333,8 +336,8 @@ def test_quadratic_conjugate_bound():
     for p, a in ((0.5, 1.0), (0.5, 2.0), (1.0, 2.0), (1.5, 2.5)):
         fam = PhiFamily("general_p_alpha", a, p)
         mh = m_hat(p, a)
-        for zeta in np.linspace(-10.0, 10.0, 41):
-            num = phi_conjugate_numeric(fam, float(zeta))
+        zetas = np.linspace(-10.0, 10.0, 41)
+        for zeta, num in zip(zetas, phi_conjugate_numeric(fam, zetas).tolist()):
             assert num <= mh * (p * zeta / a) ** 2 + 1e-9
 
 

@@ -3,6 +3,8 @@ cached factors give backward-stable steps near solve_banded's answer."""
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
 from rdmix import Grid, default_half_width, fdops, integrate
@@ -112,16 +114,23 @@ def _full_band(grid, d, dtau):
     return ab
 
 
-def _check_step(solver, f, dtau):
-    """One step is backward stable, near solve_banded's answer and exact at the ends."""
-    grid, bcs = solver.grid, (solver.bc_left, solver.bc_right)
-    x = stepped(solver, f, dtau)
-    ab = _full_band(grid, solver.d, dtau)
+def _check_backward_stable(grid, d, bcs, f, x, dtau):
+    """The stepped row ``x`` of ``f`` solves the step matrix to a few rounding errors."""
+    ab = _full_band(grid, d, dtau)
     b = f.copy()
     b[0], b[-1] = bcs
     residual = np.max(np.abs(_matvec(ab, x) - b))
     norm_a = np.max(_matvec(np.abs(ab), np.ones(grid.n)))
     assert residual <= 1e-14 * (norm_a * np.max(np.abs(x)) + np.max(np.abs(b)))
+    return ab, b
+
+
+def _check_step(solver, f, dtau):
+    """One step of a one-row solver is backward stable, near solve_banded's answer and
+    exact at the ends."""
+    (d,), bcs = solver.d, (*solver.bc_left, *solver.bc_right)
+    x = stepped(solver, f, dtau)
+    ab, b = _check_backward_stable(solver.grid, d, bcs, f, x, dtau)
     reference = solve_banded((2, 2), ab, b)
     assert np.max(np.abs(x - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert (x[0], x[-1]) == bcs
@@ -153,8 +162,12 @@ def test_convection_dominated_step_keeps_pivoted_factors(rng):
 def test_unscaled_factors_reproduce_the_interior_band():
     grid, d, dtau = Grid(16.0, 401), 3.0, 1e-2
     solver = DriftDiffusionSolver(grid, d, 1.0, 2.0)
-    (lower, upper, diag), piv, _ = solver._factors(dtau)
-    assert piv is None
+    lower, upper, diag, pivoted, _ = solver._factors(dtau)
+    assert not pivoted
+    # the one row's interior columns of the block factors; its two ends are identity rows
+    assert np.all(diag[[0, -1]] == 1.0)
+    assert not lower[:, [0, -1]].any() and not upper[:, [0, -1]].any()
+    lower, upper, diag = lower[:, 1:-1], upper[:, 1:-1], diag[1:-1]
     m = grid.n - 2
     L, U, B = np.eye(m), np.eye(m), np.zeros((m, m))
     ab = _full_band(grid, d, dtau)[:, 1:-1]
@@ -171,17 +184,49 @@ def test_unscaled_factors_reproduce_the_interior_band():
 
 def test_step_after_cache_cleared(rng):
     grid = Grid(16.0, 401)
-    solver = DriftDiffusionSolver(grid, 2.0, 1.5, 0.5)
-    f = 1.0 + rng.random(grid.n)
-    first = stepped(solver, f, 1e-3)
-    for k in range(1, 12):  # more step sizes than the cache holds
-        stepped(solver, f, 1e-3 * (1.0 + 0.1 * k))
-    assert 1e-3 not in solver._cache
-    again = stepped(solver, f, 1e-3)
-    assert np.array_equal(again, first)
-    assert np.array_equal(again, stepped(solver, f, 1e-3))  # from the cache
-    assert np.array_equal(again, stepped(DriftDiffusionSolver(grid, 2.0, 1.5, 0.5), f, 1e-3))
-    assert solver.factorizations == 13
+    # one row, then two rows whose second keeps pivoted factors (from dtau 0.05 on)
+    cases = [(((2.0,), (1.5,), (0.5,)), 1e-3), (((2.0, 0.01), (1.5, 1.0), (0.5, 2.0)), 0.05)]
+    for rows, dtau in cases:
+        solver = DriftDiffusionSolver(grid, *rows)
+        f = 1.0 + rng.random((len(solver.d), grid.n))
+        first = stepped(solver, f, dtau)
+        for k in range(1, 12):  # more step sizes than the cache holds
+            stepped(solver, f, dtau * (1.0 + 0.1 * k))
+        assert dtau not in solver._cache
+        again = stepped(solver, f, dtau)
+        assert np.array_equal(again, first)
+        assert np.array_equal(again, stepped(solver, f, dtau))  # from the cache
+        assert np.array_equal(again, stepped(DriftDiffusionSolver(grid, *rows), f, dtau))
+        assert solver.factorizations == 13 * len(solver.d)
+        assert solver.pivoted_factorizations == 13 * (len(solver.d) - 1)
+
+
+@settings(deadline=None)
+@given(
+    half_n=st.integers(2, 200),
+    half_width=st.floats(2.0, 32.0),
+    d=st.tuples(st.floats(0.01, 50.0), st.floats(0.01, 50.0)),
+    ends=st.tuples(*[st.floats(0.01, 10.0)] * 4),
+    dtau=st.floats(1e-4, 1.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+# the second row keeps pivoted factors, so the block sweeps and dgbtrs share a step
+@example(half_n=200, half_width=16.0, d=(3.0, 0.01), ends=(1.0, 1.5, 2.0, 0.5), dtau=0.1, seed=0)
+def test_block_step_equals_one_row_steps(half_n, half_width, d, ends, dtau, seed):
+    # a two-row solver's step against two one-row solvers' steps, bit for bit, and
+    # each row against the step matrix
+    grid = Grid(half_width, 2 * half_n + 1)
+    left, right = ends[:2], ends[2:]
+    f = np.random.default_rng(seed).uniform(0.01, 10.0, (2, grid.n))
+    both = DriftDiffusionSolver(grid, d, left, right)
+    got = stepped(both, f, dtau)
+    singles = [DriftDiffusionSolver(grid, d[r], left[r], right[r]) for r in range(2)]
+    want = np.array([stepped(single, f[r], dtau) for r, single in enumerate(singles)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert tuple(got[:, 0]) == left and tuple(got[:, -1]) == right
+    assert both.pivoted_factorizations == sum(s.pivoted_factorizations for s in singles)
+    for r in range(2):
+        _check_backward_stable(grid, d[r], (left[r], right[r]), f[r], got[r], dtau)
 
 
 def test_step_rejects_non_finite_input():

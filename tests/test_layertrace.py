@@ -26,9 +26,10 @@ def test_trace_target_resolves(module_name, attr):
     assert callable(owner.__dict__.get(leaf))
 
 
-def test_traced_run_counts_two_diffusion_solves_per_step():
+def test_traced_run_counts_one_diffusion_solve_per_step():
     # the targets are looked up by name, so a layer that its caller stops calling
-    # would read 0 calls while every name still resolves
+    # would read 0 calls while every name still resolves; one block solve steps
+    # both species
     cfg = simulate.SimConfig(ProblemData(2, 1, 1, 2, 1, 1, 2), tau_end=0.01, grid_n=201,
                              grid_half_width=8.0, dtau_max=1e-3, sample_interval=0.005)
     tracer = layertrace.Tracer()
@@ -36,7 +37,7 @@ def test_traced_run_counts_two_diffusion_solves_per_step():
         simulate.run(cfg)
     metrics = {k: v for k, (v, _) in layertrace.layer_metrics(tracer.spans, {-1}).items()}
     assert metrics["simulate.steps_accepted"] > 0
-    assert metrics["fdops.diffusion_calls"] == 2 * metrics["simulate.steps_accepted"]
+    assert metrics["fdops.diffusion_calls"] == metrics["simulate.steps_accepted"]
     assert metrics["fdops.distinct_dtau"] > 0
     parents = [tracer.spans[rec[3]][0] for rec in tracer.spans if rec[0] == "fdops.diffusion"]
     assert parents and set(parents) == {"simulate.step"}

@@ -404,7 +404,7 @@ def _first_diffused_state(data, grid, dtau=1e-3):
     cfg = _config(data, grid_n=grid.n, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
     state = build_initial_state(cfg, prof)
     ws = _StepWorkspace(grid, data)
-    return stepped(ws.solver_u, state.u, dtau), stepped(ws.solver_v, state.v, dtau)
+    return stepped(ws.solver, (state.u, state.v), dtau)
 
 
 @pytest.mark.parametrize(
@@ -498,7 +498,7 @@ def test_affine_reaction_takes_one_iteration_per_solve():
     counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
     increment = np.zeros(state.grid.n)
     for _ in range(200):
-        u, v = stepped(ws.solver_u, state.u, 1e-3), stepped(ws.solver_v, state.v, 1e-3)
+        u, v = stepped(ws.solver, (state.u, state.v), 1e-3)
         scale = 1e-3 * math.exp(state.tau + 1e-3) * data.k
         x, _ = _reaction_implicit(u, v, data, scale, guess=u + increment, counts=counts)
         increment = x - u
@@ -568,7 +568,7 @@ def test_cubic_reaction_steps_match_the_newton_solve():
     ws = _StepWorkspace(state.grid, data)
     increment = np.zeros(state.grid.n)
     for _ in range(100):
-        u, v = stepped(ws.solver_u, state.u, 1e-3), stepped(ws.solver_v, state.v, 1e-3)
+        u, v = stepped(ws.solver, (state.u, state.v), 1e-3)
         scale = 1e-3 * math.exp(state.tau + 1e-3) * data.k
         x, y = _reaction_implicit(u, v, data, scale, guess=u + increment)
         increment = x - u
@@ -616,8 +616,8 @@ class _NaNSolver:
     def __init__(self, *args):
         pass
 
-    def step(self, x, dtau):
-        x[len(x) // 2] = np.nan
+    def step(self, rows, dtau):
+        rows.flat[rows.size // 2] = np.nan
 
 
 def test_a_nan_diffusion_output_is_a_positivity_loss(monkeypatch):
@@ -628,7 +628,7 @@ def test_a_nan_diffusion_output_is_a_positivity_loss(monkeypatch):
     for data in (ProblemData(2, 1, 1, 2, 1, 1, 2), ProblemData(4, 4, 1, 3, 1, 1, 2),
                  ProblemData(4, 3, 1, 3, 1, 1, 2)):
         ws = _StepWorkspace(grid, data)
-        ws.solver_v = _NaNSolver()
+        ws.solver = _NaNSolver()
         with pytest.raises(PositivityLoss):
             step(state, data, 1e-3, ws)
     monkeypatch.setattr(simulate, "DriftDiffusionSolver", _NaNSolver)
