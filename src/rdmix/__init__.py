@@ -33,7 +33,7 @@ from .entropy import (
     relative_entropy,
     split_mixed_term,
 )
-from .fdops import Grid, default_half_width, integrate
+from .fdops import Grid, default_grid, integrate
 from .profile import (
     ProblemData,
     ProfileSolution,

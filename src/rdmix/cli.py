@@ -126,7 +126,7 @@ def cmd_simulate(args) -> int:
     manifest = {
         "config_text": runio.serialize_config(config),
         "code_version": __version__,
-        "grid_n": config.grid_n,
+        "grid_n": result.profile.grid.n,
         "grid_half_width": result.profile.grid.half_width,
         "dtau_initial": config.dtau_initial,
         "outputs": {"diagnostics": str(diag_path), "summary": str(out / "summary.json")},

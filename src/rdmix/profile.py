@@ -159,7 +159,8 @@ def solve_profile(data: ProblemData, grid: Grid, tol: float = 1e-8) -> ProfileSo
     returns the same object.  Its arrays (the seven fields and the cached
     ``UV``, ``d_UV`` and ``kU_alpha``) are read-only, so no caller can change
     what another is served.  An entry holds 12 arrays of ``grid.n`` floats, so
-    the memo holds at most about 1.5 MB at n = 2001, in proportion to n.  An
+    the memo holds at most 768 bytes per node: 1.5 MB at the benchmark cases'
+    n = 2001, 0.5 MB at the default n = 659 of d1 = d2 and a jump of at most 1.  An
     exception is never stored: it is raised afresh on every call.  Measured on
     the benchmark workloads: 160 of the 480 solves of an ``explore`` pass repeat
     one of the same job (``profile``, ``sweep`` and ``constants`` of a point);

@@ -45,7 +45,7 @@ _SCHEMA: dict[str, tuple] = {
     "problem.A_minus": ("data.A_minus", float, _REQUIRED),
     "problem.A_plus": ("data.A_plus", float, _REQUIRED),
     "grid.L": ("grid_half_width", float, None),
-    "grid.n": ("grid_n", int, 2001),
+    "grid.n": ("grid_n", int, None),
     "time.tau_end": ("tau_end", float, _REQUIRED),
     "time.dtau": ("dtau_initial", float, 1e-3),
     "time.dtau_min": ("dtau_min", float, 1e-9),

@@ -29,7 +29,7 @@ import numpy as np
 from . import entropy
 from .entropy import DiagnosticsRecord, State
 from .errors import DomainError, NewtonFailure, ParseError, PositivityLoss
-from .fdops import DriftDiffusionSolver, Grid, default_half_width, integrate
+from .fdops import DriftDiffusionSolver, Grid, default_grid, integrate
 from .profile import ProblemData, ProfileSolution, linear_diffusion_profile, solve_profile
 
 
@@ -71,7 +71,7 @@ class InitialConditionSpec:
 class SimConfig:
     data: ProblemData
     tau_end: float
-    grid_n: int = 2001
+    grid_n: int | None = None
     grid_half_width: float | None = None
     dtau_initial: float = 1e-3
     dtau_min: float = 1e-9
@@ -103,10 +103,10 @@ class SimConfig:
         self.make_grid()  # Grid checks the half-width and that the point count is odd and >= 5
 
     def make_grid(self) -> Grid:
-        L = self.grid_half_width
-        if L is None:
-            L = default_half_width(self.data.A_minus, self.data.A_plus)
-        return Grid(L, self.grid_n)
+        """The grid of ``grid_half_width`` and ``grid_n``, each from ``default_grid`` if None."""
+        d = self.data
+        ends = ((d.u_minus, d.u_plus), (d.v_minus, d.v_plus))
+        return default_grid(d.d1, d.d2, ends, self.grid_half_width, self.grid_n)
 
     def effective_p_list(self) -> tuple[float, ...]:
         """The sampled entropy families, in order, each once."""

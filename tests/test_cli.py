@@ -158,6 +158,25 @@ def test_cmd_simulate_reports_the_initial_excess_mass(tmp_path, kind):
         assert abs(reported) <= 1e-13
 
 
+def test_cmd_simulate_manifest_names_the_default_grid_of_its_run(tmp_path):
+    text = "\n".join(line for line in SMALL_SIM_CFG.splitlines() if not line.startswith("grid."))
+    text = text.replace("time.tau_end = 0.3", "time.tau_end = 0.02")
+    out = tmp_path / "default"
+    assert main(["simulate", "--config", _write(tmp_path, text), "--out", str(out), "--quiet"]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    grid = runio.parse_config(text).make_grid()
+    assert (manifest["grid_half_width"], manifest["grid_n"]) == (grid.half_width, grid.n)
+    assert grid.n != 2001
+    # the config echo with the manifest's grid written out gives the same run
+    pinned = (manifest["config_text"] + f"grid.L = {manifest['grid_half_width']!r}\n"
+              f"grid.n = {manifest['grid_n']}\n")
+    again = tmp_path / "pinned"
+    assert main(["simulate", "--config", _write(tmp_path, pinned, "pinned.cfg"), "--out",
+                 str(again), "--quiet"]) == 0
+    diagnostics = [(d / "diagnostics.csv").read_bytes() for d in (out, again)]
+    assert diagnostics[0] == diagnostics[1]
+
+
 def test_cmd_simulate_tau_end_zero_header_only(tmp_path):
     cfg = _write(tmp_path, SMALL_SIM_CFG.replace("time.tau_end = 0.3", "time.tau_end = 0"))
     out = tmp_path / "zero"

@@ -1,5 +1,9 @@
 """The mesh, quadrature and stencils of ``fdops``; the drift-diffusion solver's
-cached factors give backward-stable steps near solve_banded's answer."""
+cached factors give backward-stable steps near solve_banded's answer; the
+default grid follows its rule."""
+
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 
-from rdmix import Grid, default_half_width, fdops, integrate
+from rdmix import Grid, default_grid, fdops, integrate
 from rdmix.errors import DomainError
 from rdmix.fdops import DriftDiffusionSolver, _matvec, diff1, operators
 from tests.conftest import stepped
@@ -26,9 +30,60 @@ def test_grid_rejects_bad_parameters(bad):
         Grid(*bad)
 
 
-def test_default_half_width():
-    assert default_half_width(1.0, 2.0) == 16.0
-    assert default_half_width(0.3, 0.5) == 8.0
+@pytest.mark.parametrize("d1, d2, ends, J, L, n", [
+    # tests/test_runio.py's MINIMAL, (2, 1) with A+- = (1, 1.2): J = 1
+    (1.0, 1.0, ((1.0, 1.2), (1.0, 1.44)), 1.0, 10.513043539513864, 659),
+    # the same with d2 = 3.7, whose profile.csv tests/test_runio.py pins
+    (1.0, 3.7, ((1.0, 1.2), (1.0, 1.44)), 1.0, 20.22224301396219, 1265),
+    # ROADMAP's M2, (1, 1) with d = (1, 5) and A+- = (1, 3): J = 2
+    (1.0, 5.0, ((1.0, 3.0), (1.0, 3.0)), 2.0, 23.800911031508225, 1489),
+], ids=["minimal", "minimal_d2_3.7", "m2"])
+def test_default_grid_of_documented_configs(d1, d2, ends, J, L, n):
+    assert fdops.equilibrium_jump(ends) == J
+    grid = default_grid(d1, d2, ends)
+    assert (grid.half_width, grid.n) == (L, n)
+    # the slowest tail beyond L, times the jump, is the tail tolerance
+    tail = J * math.exp(-(L**2) / (4.0 * max(d1, d2)))
+    assert tail == pytest.approx(fdops._TAIL_TOLERANCE, rel=1e-12)
+    # the spacing is at most _SPACING diffusion lengths, and one node fewer per side
+    # would exceed it
+    h = fdops._SPACING * math.sqrt(min(d1, d2))
+    assert grid.h <= h < 2.0 * L / (n - 3)
+
+
+def test_equilibrium_jump_is_the_larger_species_jump_and_at_least_one():
+    # (2, 1) with A+- = (1, 3): u = A jumps by 2, v = A^2 by 8
+    assert fdops.equilibrium_jump(((1.0, 3.0), (1.0, 9.0))) == 8.0
+    assert fdops.equilibrium_jump(((9.0, 1.0), (3.0, 1.0))) == 8.0
+    assert fdops.equilibrium_jump(((1.0, 1.2), (1.0, 1.44))) == 1.0
+
+
+ONE = ((1.0, 2.0), (1.0, 2.0))  # end values whose jump J is 1
+
+
+def test_default_grid_edge_half_widths():
+    # a half-width shorter than two spacings still gets the smallest grid
+    assert default_grid(1.0, 1.0, ONE, half_width=0.01).n == 5
+    for bad in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(DomainError, match="half_width"):
+            default_grid(1.0, 1.0, ONE, half_width=bad)
+
+
+def test_default_grid_past_the_node_limit_is_refused_before_any_array():
+    # d2 / d1 = 1e8 asks for about 6.6 million nodes
+    tracemalloc.start()
+    try:
+        with pytest.raises(DomainError, match=r"grid\.n .*grid\.L"):
+            default_grid(1e-4, 1e4, ONE)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # the limit itself is allowed: L / h = 50000 cells a side
+    h = fdops._SPACING
+    assert default_grid(1.0, 1.0, ONE, half_width=50_000 * h).n == fdops._MAX_DEFAULT_NODES
+    with pytest.raises(DomainError, match="grid.n"):
+        default_grid(1.0, 1.0, ONE, half_width=50_001 * h)
 
 
 def test_diff1_constant_and_linear():

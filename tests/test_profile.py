@@ -1,17 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
 from scipy.special import erf
 
 from rdmix import (
     Grid,
     ProblemData,
+    SimConfig,
     closed_form_profile,
     linear_diffusion_profile,
     profile_invariants,
     solve_profile,
 )
 from rdmix import fdops
-from rdmix.errors import DomainError, NonConvergence
+from rdmix.errors import DomainError, NonConvergence, RdmixError
 
 
 def test_problem_data_validation():
@@ -66,6 +69,60 @@ def test_unequal_orders_regression_and_invariants():
     assert sol.U[g.n // 2] == pytest.approx(1.0252547560810719, abs=1e-9)
     fine = solve_profile(data, Grid(8.4, 4201), tol=1e-8)
     assert abs(sol.U[g.n // 2] - fine.U[fine.grid.n // 2]) <= 1e-9
+
+
+def test_default_grid_profile_passes_its_invariants():
+    # alpha >= beta in [1, 4], d2 / d1 and A+ / A- each within a factor 100 and 10;
+    # the solve either passes every invariant with flat ends or raises a typed error.
+    # A draw on which monotone alone fails is the defect that
+    # test_large_flat_end_dips_below_the_monotone_slack pins: the draw is still
+    # checked in full otherwise, and the test then reports xfailed with its dips
+    dips = []
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        alpha=st.floats(1.0, 4.0),
+        beta_share=st.floats(0.0, 1.0),
+        d1=st.floats(0.1, 10.0),
+        log_ratio=st.floats(-2.0, 2.0),
+        log_jump=st.floats(-1.0, 1.0),
+    )
+    def check(alpha, beta_share, d1, log_ratio, log_jump):
+        data = ProblemData(alpha, 1.0 + beta_share * (alpha - 1.0), d1, d1 * 10.0**log_ratio,
+                           1.0, 1.0, 10.0**log_jump)
+        grid = SimConfig(data, 1.0).make_grid()
+        try:
+            sol = solve_profile(data, grid)
+        except RdmixError as exc:
+            event(f"raised {type(exc).__name__}")
+            return
+        arrays = (sol.U, sol.V, sol.Lambda, sol.U1, sol.U2, sol.V1, sol.V2)
+        assert all(np.isfinite(a).all() for a in arrays)
+        checks = profile_invariants(sol)
+        failed = [name for name, ok in checks.items() if not ok]
+        if failed == ["monotone"]:
+            rise = np.sign(data.A_plus - data.A_minus)
+            dips.append((-np.min(rise * np.diff(sol.UV, axis=1)), data))
+        else:
+            assert not failed, checks
+        J = fdops.equilibrium_jump(((data.u_minus, data.u_plus), (data.v_minus, data.v_plus)))
+        assert max(np.abs(sol.U1[[0, -1]]).max(), np.abs(sol.V1[[0, -1]]).max()) <= 1e-9 * J
+
+    check()
+    if dips:
+        dip, data = max(dips, key=lambda d: d[0])
+        pytest.xfail(f"monotone alone failed on {len(dips)} draws, by up to {dip:.3g} at {data}")
+
+
+@pytest.mark.xfail(strict=True, reason="the monotone slack of 1e-12 is absolute (ROADMAP item 9)")
+def test_large_flat_end_dips_below_the_monotone_slack():
+    # V runs from 1 to 528.  The Newton solve stops at its roundoff floor (residual
+    # 4.2e-9), which leaves U 110 ulps above u+ on its flat right end and falling to
+    # u+ at L, so V falls by 1.02e-12 at y = 44.76
+    data = ProblemData(3.3509711550677466, 1.0, 9.4375, 9.4375 * 10.0**0.25, 1.0, 1.0,
+                       10.0**0.8125)
+    sol = solve_profile(data, SimConfig(data, 1.0).make_grid())
+    assert profile_invariants(sol)["monotone"]
 
 
 def test_monotone_profiles():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from rdmix import ProblemData, RateCertificate, SimConfig, InitialConditionSpec
+from rdmix import ProblemData, RateCertificate, SimConfig, InitialConditionSpec, default_grid
 from rdmix.entropy import DiagnosticsRecord
 from rdmix.errors import ParseError
 from rdmix.profile import solve_profile
@@ -25,7 +25,7 @@ time.tau_end = 1.0
 def test_parse_minimal_fills_defaults():
     cfg = runio.parse_config(MINIMAL)
     assert cfg.data == ProblemData(2, 1, 1, 1, 1, 1, 1.2)
-    assert cfg.grid_n == 2001
+    assert cfg.grid_n is None
     assert cfg.grid_half_width is None
     assert cfg.dtau_initial == 1e-3
     assert cfg.sample_interval == 0.02
@@ -52,6 +52,31 @@ def test_parse_comments_and_bad_values():
     assert cfg.grid_n == 501
     with pytest.raises(ParseError, match="cannot parse"):
         runio.parse_config(MINIMAL + "grid.n = many\n")
+
+
+def test_grid_keys_override_the_default_rule():
+    rule = runio.parse_config(MINIMAL).make_grid()
+    assert (rule.half_width, rule.n) == (10.513043539513864, 659)
+    # the jump is the larger one of A^beta and of A^alpha: 8 at (2, 1), A+- = (1, 3)
+    steep = runio.parse_config(MINIMAL.replace("problem.A_plus = 1.2", "problem.A_plus = 3"))
+    assert steep.make_grid() == default_grid(1.0, 1.0, ((1.0, 3.0), (1.0, 9.0)))
+    assert steep.make_grid().half_width == 2.0 * math.sqrt(math.log(8.0 / 1e-12))
+    # grid.L alone: n from the spacing 0.032 sqrt(min(d1, d2))
+    given_L = runio.parse_config(MINIMAL + "grid.L = 5\n").make_grid()
+    assert (given_L.half_width, given_L.n) == (5.0, 2 * math.ceil(5.0 / 0.032) + 1)
+    # grid.n alone: L from the tail rule
+    given_n = runio.parse_config(MINIMAL + "grid.n = 201\n").make_grid()
+    assert (given_n.half_width, given_n.n) == (rule.half_width, 201)
+    # both: used as given, as in the benchmark cases
+    both = runio.parse_config(MINIMAL + "grid.L = 16\ngrid.n = 2001\n").make_grid()
+    assert (both.half_width, both.n) == (16.0, 2001)
+
+
+def test_a_default_grid_past_the_node_limit_names_the_grid_keys():
+    with pytest.raises(ParseError, match=r"grid\.n .*grid\.L"):
+        runio.parse_config(MINIMAL + "problem.d1 = 1e-4\nproblem.d2 = 1e4\n")
+    # given both keys, the same problem parses
+    runio.parse_config(MINIMAL + "problem.d1 = 1e-4\nproblem.d2 = 1e4\ngrid.L = 400\ngrid.n = 2001\n")
 
 
 def test_parse_swaps_orientation(caplog):
@@ -237,7 +262,7 @@ def test_profile_csv_is_repr_of_each_value(tmp_path):
     rows = [[float(x) for x in row] for row in zip(*columns)]
     header = "y,U,V,Lambda,U1,U2,V1,V2".split(",")
     assert path.read_text() == _rowwise(header, rows)
-    assert len(rows) == 2001
+    assert len(rows) == 1265  # the default grid at d = (1, 3.7)
 
 
 def test_empty_diagnostics_header_only(tmp_path):
