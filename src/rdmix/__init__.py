@@ -38,19 +38,16 @@ from .profile import (
     ProblemData,
     ProfileSolution,
     closed_form_profile,
-    linear_diffusion_profile,
     profile_invariants,
     solve_profile,
 )
 from .simulate import (
     InitialConditionSpec,
-    LinearRecord,
     RunResult,
     SimConfig,
     build_initial_state,
     conserved_moment,
     run,
-    run_linear,
     step,
 )
 

@@ -66,14 +66,7 @@ def cmd_profile(args) -> int:
     return EXIT_OK if all(checks.values()) else EXIT_NUMERICAL
 
 
-def _check_slack(args) -> None:
-    """ParseError unless ``--slack`` is a finite nonnegative number."""
-    if not 0.0 <= args.slack < math.inf:
-        raise ParseError(0, "--slack", f"must be finite and nonnegative, got {args.slack}")
-
-
 def cmd_simulate(args) -> int:
-    _check_slack(args)
     config = _load_config(args.config)
     out = _outdir(args)
     t0 = time.time()
@@ -141,7 +134,6 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    _check_slack(args)
     columns = runio.read_diagnostics_csv(args.diagnostics)
     cert = runio.read_certificate_json(args.certificate)
     curve = list(zip(columns["tau"], columns["E_B"]))
@@ -237,8 +229,6 @@ def cmd_conjugate(args) -> int:
 def cmd_sweep(args) -> int:
     text = Path(args.config).read_text(encoding="utf-8")
     runio.parse_config(text)  # the file must parse on its own, also when nothing is swept
-    if args.param not in runio.SWEEPABLE:
-        raise ParseError(0, args.param, "unsupported sweep parameter")
     rows = []
     for tok in args.values.split(",") if args.values else []:
         # the swept text replaces the user's value before the species swap
@@ -267,6 +257,24 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are ParseErrors, so ``main`` returns 3."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ParseError(0, self.prog, message)
+
+
+def _slack(text: str) -> float:
+    """The ``--slack`` value: a finite nonnegative number, else a usage error."""
+    try:
+        if 0.0 <= (value := float(text)) < math.inf:
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a finite nonnegative number, got {text!r}")
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser of every ``main`` call in this process, built on first use.
@@ -274,30 +282,31 @@ def build_parser() -> argparse.ArgumentParser:
     Building it costs about a millisecond, mostly in message lookups, and
     parsing leaves no state on it.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="path to a key-value config file")
+    common = _Parser(add_help=False)
     common.add_argument("--out", help="output directory (default: out; verify and constants "
                         "write files only when it is given)")
     common.add_argument("--quiet", action="store_true", help="suppress stdout reports")
+    config = _Parser(add_help=False, parents=[common])
+    config.add_argument("--config", required=True, help="path to a key-value config file")
 
-    parser = argparse.ArgumentParser(prog="rdmix", description=__doc__)
+    parser = _Parser(prog="rdmix", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("profile", parents=[common], help="solve the similarity profile")
-    p_sim = sub.add_parser("simulate", parents=[common], help="run the scaled system")
-    p_sim.add_argument("--slack", type=float, default=0.05)
+    sub.add_parser("profile", parents=[config], help="solve the similarity profile")
+    p_sim = sub.add_parser("simulate", parents=[config], help="run the scaled system")
+    p_sim.add_argument("--slack", type=_slack, default=0.05)
     p_ver = sub.add_parser("verify", parents=[common], help="judge a diagnostics CSV")
     p_ver.add_argument("--diagnostics", required=True)
     p_ver.add_argument("--certificate", required=True)
-    p_ver.add_argument("--slack", type=float, default=0.05)
-    p_con = sub.add_parser("constants", parents=[common], help="decay constants as JSON")
+    p_ver.add_argument("--slack", type=_slack, default=0.05)
+    p_con = sub.add_parser("constants", parents=[config], help="decay constants as JSON")
     p_con.add_argument("--p", type=float, default=1.0)
     p_cj = sub.add_parser("conjugate", parents=[common], help="conjugate bound tables")
     p_cj.add_argument("--alpha", default="1,1.5,2,3")
     p_cj.add_argument("--xi-range", default="-5:5:201", dest="xi_range")
     p_cj.add_argument("--m-hat", default="", dest="m_hat")
-    p_sw = sub.add_parser("sweep", parents=[common], help="parameter sweep of constants")
-    p_sw.add_argument("--param", default="problem.A_plus")
+    p_sw = sub.add_parser("sweep", parents=[config], help="parameter sweep of constants")
+    p_sw.add_argument("--param", default="problem.A_plus", choices=runio.SWEEPABLE)
     p_sw.add_argument("--values", default="")
     return parser
 
@@ -313,15 +322,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    level = logging.WARNING if args.quiet else logging.INFO
-    logging.basicConfig(level=level)  # the first call in a process adds the handler
-    logging.getLogger("rdmix").setLevel(level)  # every call sets its own level
-    needs_config = args.command in ("profile", "simulate", "constants", "sweep")
-    if needs_config and not args.config:
-        print("error: --config is required for this command", file=sys.stderr)
-        return EXIT_USAGE
     try:
+        args = build_parser().parse_args(argv)
+        level = logging.WARNING if args.quiet else logging.INFO
+        logging.basicConfig(level=level)  # the first call in a process adds the handler
+        logging.getLogger("rdmix").setLevel(level)  # every call sets its own level
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"config error: {exc}", file=sys.stderr)

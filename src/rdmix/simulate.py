@@ -30,7 +30,7 @@ from . import entropy
 from .entropy import DiagnosticsRecord, State
 from .errors import DomainError, NewtonFailure, ParseError, PositivityLoss
 from .fdops import DriftDiffusionSolver, Grid, default_grid, integrate
-from .profile import ProblemData, ProfileSolution, linear_diffusion_profile, solve_profile
+from .profile import ProblemData, ProfileSolution, solve_profile
 
 
 def _require_finite(obj, *names: str) -> None:
@@ -118,15 +118,6 @@ class SimConfig:
         return tuple(dict.fromkeys(ps))
 
 
-def _bump(ic: InitialConditionSpec, y: np.ndarray) -> np.ndarray:
-    """amplitude exp(-((y - center) / width)^2) of the initial condition at the nodes y.
-
-    A tiny width overflows the scaled distance to inf, where the Gaussian is 0.
-    """
-    with np.errstate(over="ignore"):
-        return ic.amplitude * np.exp(-(((y - ic.center) / ic.width) ** 2))
-
-
 def _read_ic_file(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     """The u and v columns of an n-row y,u,v CSV; a ParseError naming ``ic.path`` if at fault."""
     try:
@@ -148,7 +139,9 @@ def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
     if ic.kind == "profile_exact":
         u, v = profile.U.copy(), profile.V.copy()
     elif ic.kind == "gaussian_bump":
-        bump = 1.0 + _bump(ic, y)
+        # a tiny width overflows the scaled distance to inf, where the Gaussian is 0
+        with np.errstate(over="ignore"):
+            bump = 1.0 + ic.amplitude * np.exp(-(((y - ic.center) / ic.width) ** 2))
         u, v = profile.U * bump, profile.V * bump
     elif ic.kind == "shifted_erf":
         u = np.interp(y - ic.center, y, profile.U)
@@ -318,7 +311,7 @@ class _StepWorkspace:
 
 
 def _diffuse(solver: DriftDiffusionSolver, rows: np.ndarray, dtau: float, tau: float) -> None:
-    """The drift-diffusion half of ``step`` and ``run_linear``: ``rows`` stepped in place.
+    """The drift-diffusion half of ``step``: ``rows`` stepped in place.
 
     One ``solver.step`` steps every row.  DomainError unless ``rows`` is finite;
     PositivityLoss unless the stepped rows are positive (one minimum over all rows).
@@ -399,7 +392,7 @@ class RunResult:
 
 
 def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, State, dict]:
-    """The sampling loop and step controller shared by ``run`` and ``run_linear``.
+    """The sampling loop and step controller of ``run``.
 
     ``advance(state, dtau)`` returns the next state or raises PositivityLoss
     or NewtonFailure, which rejects the step; ``sample(state)`` makes the
@@ -484,38 +477,3 @@ def conserved_moment(state: State, profile: ProfileSolution) -> float:
     return integrate(
         state.grid, d.beta * (state.u - profile.U) + d.alpha * (state.v - profile.V)
     )
-
-
-@dataclass(frozen=True)
-class LinearRecord:
-    tau: float
-    E_phi: float
-
-
-def run_linear(
-    D: float, A_minus: float, A_plus: float, config: SimConfig, p: float = 1.0
-) -> list[LinearRecord]:
-    """Integrate the scaled single-species diffusion equation and sample int U F_p(u/U).
-
-    The initial datum is the linear profile plus an additive Gaussian bump of
-    the configured amplitude; the state pair is (u, u) so the State container
-    can be reused.  Steps follow the same adaptive controller as ``run``.
-    Returns the sampled records.
-    """
-    grid = config.make_grid()
-    U = linear_diffusion_profile(D, A_minus, A_plus, grid)
-    u = U + _bump(config.ic, grid.nodes)
-    u[0], u[-1] = A_minus, A_plus
-    if np.min(u) <= 0 or np.min(U) <= 0:
-        raise PositivityLoss("linear run needs positive profile and initial datum")
-    solver = DriftDiffusionSolver(grid, D, A_minus, A_plus)
-
-    def advance(st: State, dt: float) -> State:
-        u = st.u.copy()
-        _diffuse(solver, u, dt, st.tau)
-        return State.trusted(grid, u, u, st.tau + dt)
-
-    def sample(st: State) -> LinearRecord:
-        return LinearRecord(st.tau, integrate(grid, entropy.F_p(st.u / U, p) * U))
-
-    return _march(config, State(grid, u, u, 0.0), advance, sample)[0]

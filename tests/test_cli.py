@@ -701,7 +701,20 @@ def test_grid_of_fewer_than_five_points_is_a_config_error(tmp_path, capsys, comm
 
 
 def test_usage_errors(tmp_path, capsys):
-    assert main(["simulate", "--out", str(tmp_path)]) == 3  # missing --config
+    # argparse's own errors are usage errors: main returns 3 and raises no SystemExit
+    for command in ("profile", "simulate", "constants", "sweep"):  # missing --config
+        assert main([command, "--out", str(tmp_path)]) == 3, command
+    assert main([]) == 3  # no command
+    assert main(["bogus"]) == 3  # an unknown command
+    assert main(["verify"]) == 3  # neither --diagnostics nor --certificate
+    assert main(["verify", "--certificate", "c.json"]) == 3  # missing --diagnostics
+    assert main(["simulate", "--config", "c", "--slack", "abc"]) == 3  # malformed, checked first
+    assert main(["simulate", "--config", "c", "--bogus"]) == 3  # an unknown flag
+    assert main(["sweep", "--config", "c", "--param", "problem.alpha"]) == 3  # not sweepable
+    assert "usage: rdmix sweep" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
     bad = _write(tmp_path, "problem.alpha = 0.5\n", "bad.cfg")
     assert main(["profile", "--config", bad, "--out", str(tmp_path)]) == 3
     assert main(["profile", "--config", str(tmp_path / "nope.cfg"), "--out", str(tmp_path)]) == 3

@@ -9,7 +9,6 @@ from rdmix import (
     ProblemData,
     SimConfig,
     closed_form_profile,
-    linear_diffusion_profile,
     profile_invariants,
     solve_profile,
 )
@@ -73,12 +72,7 @@ def test_unequal_orders_regression_and_invariants():
 
 def test_default_grid_profile_passes_its_invariants():
     # alpha >= beta in [1, 4], d2 / d1 and A+ / A- each within a factor 100 and 10;
-    # the solve either passes every invariant with flat ends or raises a typed error.
-    # A draw on which monotone alone fails is the defect that
-    # test_large_flat_end_dips_below_the_monotone_slack pins: the draw is still
-    # checked in full otherwise, and the test then reports xfailed with its dips
-    dips = []
-
+    # the solve either passes every invariant with flat ends or raises a typed error
     @settings(max_examples=60, deadline=None)
     @given(
         alpha=st.floats(1.0, 4.0),
@@ -99,26 +93,17 @@ def test_default_grid_profile_passes_its_invariants():
         arrays = (sol.U, sol.V, sol.Lambda, sol.U1, sol.U2, sol.V1, sol.V2)
         assert all(np.isfinite(a).all() for a in arrays)
         checks = profile_invariants(sol)
-        failed = [name for name, ok in checks.items() if not ok]
-        if failed == ["monotone"]:
-            rise = np.sign(data.A_plus - data.A_minus)
-            dips.append((-np.min(rise * np.diff(sol.UV, axis=1)), data))
-        else:
-            assert not failed, checks
+        assert all(checks.values()), checks
         J = fdops.equilibrium_jump(((data.u_minus, data.u_plus), (data.v_minus, data.v_plus)))
         assert max(np.abs(sol.U1[[0, -1]]).max(), np.abs(sol.V1[[0, -1]]).max()) <= 1e-9 * J
 
     check()
-    if dips:
-        dip, data = max(dips, key=lambda d: d[0])
-        pytest.xfail(f"monotone alone failed on {len(dips)} draws, by up to {dip:.3g} at {data}")
 
 
-@pytest.mark.xfail(strict=True, reason="the monotone slack of 1e-12 is absolute (ROADMAP item 9)")
-def test_large_flat_end_dips_below_the_monotone_slack():
+def test_large_flat_end_dips_within_the_row_scaled_monotone_slack():
     # V runs from 1 to 528.  The Newton solve stops at its roundoff floor (residual
     # 4.2e-9), which leaves U 110 ulps above u+ on its flat right end and falling to
-    # u+ at L, so V falls by 1.02e-12 at y = 44.76
+    # u+ at L, so V falls by 1.02e-12 at y = 44.76: within 1e-12 of V's scale, 528
     data = ProblemData(3.3509711550677466, 1.0, 9.4375, 9.4375 * 10.0**0.25, 1.0, 1.0,
                        10.0**0.8125)
     sol = solve_profile(data, SimConfig(data, 1.0).make_grid())
@@ -175,10 +160,12 @@ def test_closed_form_examples():
 
 
 def test_linear_diffusion_profile():
+    # at alpha = beta = 1 and d1 = d2 = D the profile solves (D U)'' + (y/2) U' = 0
     g = Grid(8.0, 4001)
-    assert np.max(np.abs(linear_diffusion_profile(1.0, 2.0, 2.0, g) - 2.0)) == 0.0
-    U = linear_diffusion_profile(1.0, 0.0, 2.0, g)
-    assert U[g.n // 2] == pytest.approx(1.0, abs=1e-14)
+    flat = closed_form_profile(ProblemData(1, 1, 1, 1, 1, 2, 2), g)
+    assert np.max(np.abs(flat.U - 2.0)) == 0.0
+    U = closed_form_profile(ProblemData(1, 1, 1, 1, 1, 1, 2), g).U
+    assert U[g.n // 2] == pytest.approx(1.5, abs=1e-14)
     resid = fdops.scalar_residual(g, 1.0 * U, U)
     assert np.max(np.abs(resid[1:-1])) <= 1e-6
 

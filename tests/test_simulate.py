@@ -14,7 +14,6 @@ from rdmix import (
     build_initial_state,
     conserved_moment,
     run,
-    run_linear,
     solve_profile,
     step,
 )
@@ -279,14 +278,17 @@ def test_equilibration_diagnostic_bounded():
     assert vals[-1][1] <= 0.1 * peak
 
 
-def test_run_linear_profile_exact_stays_zero():
+# At alpha = beta = 1 and d1 = d2, with u0 = v0, the species stay equal: the
+# reaction sits at equilibrium and ``run`` integrates the heat equation
+def test_linear_diffusion_from_the_profile_stays_zero():
     data = ProblemData(1, 1, 1, 1, 1, 1, 2)
-    cfg = _config(data, tau_end=0.5, grid_n=801, ic=InitialConditionSpec("profile_exact"))
-    records = run_linear(1.0, 1.0, 2.0, cfg)
-    assert all(abs(r.E_phi) <= 1e-12 for r in records)
+    cfg = _config(data, tau_end=0.5, grid_n=801, ic=InitialConditionSpec("profile_exact"),
+                  p_list=(1.0, 2.0))
+    records = run(cfg).records
+    assert all(abs(r.E_p[p]) <= 1e-12 for r in records for p in (1.0, 2.0))
 
 
-def test_run_linear_decay_bound():
+def test_linear_diffusion_decay_bound():
     data = ProblemData(1, 1, 1, 1, 1, 1, 2)
     cfg = _config(
         data,
@@ -295,13 +297,26 @@ def test_run_linear_decay_bound():
         dtau_max=2e-3,
         dtau_initial=2e-3,
         ic=InitialConditionSpec("gaussian_bump", amplitude=0.3),
+        p_list=(1.0, 2.0),
     )
+    records = run(cfg).records
     for p in (1.0, 2.0):
-        records = run_linear(1.0, 1.0, 2.0, cfg, p=p)
-        e0 = records[0].E_phi
+        e0 = records[0].E_p[p]
         assert e0 > 0
         for rec in records:
-            assert rec.E_phi <= math.exp(-0.5 * rec.tau) * e0 * 1.03
+            assert rec.E_p[p] <= math.exp(-0.5 * rec.tau) * e0 * 1.03
+
+
+@pytest.mark.parametrize("d", [1.0, 3.0])
+def test_equal_orders_and_diffusivities_keep_the_species_equal(d):
+    # the property that makes ``run`` the linear-diffusion check of criterion 02:
+    # from u0 = v0 both rows diffuse alike and the reaction leaves them equal
+    data = ProblemData(1, 1, d, d, 1, 1, 2)
+    cfg = SimConfig(data, 5.0, ic=InitialConditionSpec("gaussian_bump", amplitude=0.3),
+                    p_list=(1.0,))
+    final = run(cfg).final_state
+    assert final.tau == 5.0
+    assert np.max(np.abs(final.u - final.v) / final.u) <= 1e-13
 
 
 def test_tiny_ic_width_leaves_a_spike_at_the_center():
@@ -310,14 +325,15 @@ def test_tiny_ic_width_leaves_a_spike_at_the_center():
     grid = Grid(16.0, 401)
     k = 150
     ic = InitialConditionSpec("gaussian_bump", amplitude=0.2, width=1e-320, center=grid.nodes[k])
-    cfg = _config(data, tau_end=0.1, grid_n=grid.n, ic=ic)
+    cfg = _config(data, tau_end=0.1, grid_n=grid.n, ic=ic, p_list=(1.0, 2.0))
     prof = solve_profile(data, grid)
     spike = np.ones(grid.n)
     spike[k] = 1.2
     state = build_initial_state(cfg, prof)
     assert np.array_equal(state.u, prof.U * spike) and np.array_equal(state.v, prof.V * spike)
-    records = run_linear(1.0, 1.0, 2.0, cfg)
-    assert records[0].E_phi > 0 and all(map(math.isfinite, (r.E_phi for r in records)))
+    records = run(cfg).records
+    for p in (1.0, 2.0):
+        assert records[0].E_p[p] > 0 and all(math.isfinite(r.E_p[p]) for r in records)
 
 
 def test_rejection_on_positivity_loss():
@@ -632,9 +648,10 @@ def test_a_nan_diffusion_output_is_a_positivity_loss(monkeypatch):
         with pytest.raises(PositivityLoss):
             step(state, data, 1e-3, ws)
     monkeypatch.setattr(simulate, "DriftDiffusionSolver", _NaNSolver)
-    cfg = _config(ProblemData(1, 1, 1, 1, 1, 1, 2), tau_end=0.01, dtau_min=1e-4)
+    cfg = _config(ProblemData(1, 1, 1, 1, 1, 1, 2), tau_end=0.01, dtau_min=1e-4,
+                  p_list=(1.0, 2.0))
     with pytest.raises(PositivityLoss):
-        run_linear(1.0, 1.0, 2.0, cfg)
+        run(cfg)
 
 
 def test_step_rejects_a_reaction_output_that_is_not_positive_and_finite(monkeypatch):
