@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__, runio
 from .certificates import check_entropy_family, compute_constants, select_certificate, verify_decay
 from .conjugate import PhiFamily, check_m_hat, m_hat, phi_conjugate_bound, phi_conjugate_numeric
-from .errors import DomainError, EmptyCurve, ParseError, RdmixError, UnsupportedRegime
+from .errors import DomainError, EmptyCurve, ParseError, RdmixError, UnsupportedRegime, UsageError
 from .profile import profile_invariants, solve_profile
 from .simulate import run
 
@@ -155,7 +155,7 @@ def cmd_constants(args) -> int:
     try:
         check_entropy_family(config.data, args.p)
     except UnsupportedRegime as exc:  # no certificate for this p: the flag is at fault
-        raise ParseError(0, "--p", str(exc))
+        raise UsageError(0, "--p", str(exc))
     grid = config.make_grid()
     sol = solve_profile(config.data, grid, tol=config.profile_tol)
     report = compute_constants(sol, config.data, args.p)
@@ -176,7 +176,7 @@ def _certificate_or_note(report, data, p: float) -> dict:
 
 
 def _conjugate_flags(args):
-    """The alphas, the xi nodes and the (p, alpha) m_hat pairs; ParseError if malformed."""
+    """The alphas, the xi nodes and the (p, alpha) m_hat pairs; UsageError if malformed."""
 
     def numbers(flag: str, text: str, sep: str, size: int | None = None) -> list[float]:
         try:
@@ -186,14 +186,14 @@ def _conjugate_flags(args):
         except ValueError:
             pass
         want = f"{size or 'a list of'} {sep!r}-separated finite numbers"
-        raise ParseError(0, flag, f"cannot parse {text!r} as {want}")
+        raise UsageError(0, flag, f"cannot parse {text!r} as {want}")
 
     alphas = numbers("--alpha", args.alpha, ",")
     if min(alphas) < 1.0:
-        raise ParseError(0, "--alpha", f"each alpha must be >= 1, got {args.alpha!r}")
+        raise UsageError(0, "--alpha", f"each alpha must be >= 1, got {args.alpha!r}")
     lo, hi, count = numbers("--xi-range", args.xi_range, ":", 3)
     if not (count >= 1 and count.is_integer()):
-        raise ParseError(0, "--xi-range", f"point count must be a positive integer, got {count:g}")
+        raise UsageError(0, "--xi-range", f"point count must be a positive integer, got {count:g}")
     pairs = []
     if args.m_hat:
         pairs = [numbers("--m-hat", pair, ":", 2) for pair in args.m_hat.split(",")]
@@ -201,7 +201,7 @@ def _conjugate_flags(args):
         try:
             check_m_hat(p, a)
         except DomainError as exc:
-            raise ParseError(0, "--m-hat", str(exc))
+            raise UsageError(0, "--m-hat", str(exc))
     return alphas, np.linspace(lo, hi, int(count)), pairs
 
 
@@ -258,11 +258,11 @@ def cmd_sweep(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose usage errors are ParseErrors, so ``main`` returns 3."""
+    """An argument parser whose errors are UsageErrors, so ``main`` returns 3."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise ParseError(0, self.prog, message)
+        raise UsageError(0, self.prog, message)
 
 
 def _slack(text: str) -> float:
@@ -329,7 +329,8 @@ def main(argv=None) -> int:
         logging.getLogger("rdmix").setLevel(level)  # every call sets its own level
         return _COMMANDS[args.command](args)
     except ParseError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        kind = "usage" if isinstance(exc, UsageError) else "config"
+        print(f"{kind} error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FileNotFoundError as exc:
         print(f"missing file: {exc}", file=sys.stderr)

@@ -58,9 +58,13 @@ class EmptyCurve(RdmixError):
 
 
 class ParseError(RdmixError):
-    """Configuration text could not be parsed or validated."""
+    """Configuration text could not be parsed or validated; line 0 names no line."""
 
     def __init__(self, line: int, key: str, message: str):
         self.line = line
         self.key = key
-        super().__init__(f"line {line}: {key}: {message}")
+        super().__init__(f"line {line}: {key}: {message}" if line else f"{key}: {message}")
+
+
+class UsageError(ParseError):
+    """A command or flag on the command line could not be parsed or validated; line 0."""

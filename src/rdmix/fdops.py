@@ -279,7 +279,7 @@ class DriftDiffusionSolver:
     ``factorizations`` counts the rows factored (one per row and step size),
     ``pivoted_factorizations`` those with pivoted factors.  ``step`` is the one
     solve: it overwrites the buffer in place and does not check it, so its caller
-    (``simulate._diffuse``, the drift-diffusion half) checks the rows once.
+    (``simulate.step``, the Lie step) checks the rows once.
     """
 
     def __init__(self, grid: Grid, d, bc_left, bc_right):

@@ -210,7 +210,6 @@ def _solve_profile(data: ProblemData, grid: Grid, tol: float) -> ProfileSolution
             if info != 0:  # info > 0, an exactly zero pivot (f2py checks the arguments)
                 raise NonConvergence(iteration + 1, rnorm)
             lam = 1.0
-            accepted = False
             positivity_bound = False
             while lam >= _DAMPING_FLOOR:
                 trial = U.copy()
@@ -223,11 +222,10 @@ def _solve_profile(data: ProblemData, grid: Grid, tol: float) -> ProfileSolution
                 r_trial = float(np.max(np.abs(R_trial[1:-1])))
                 if r_trial < rnorm or r_trial <= tol:
                     U, R, rnorm = trial, R_trial, r_trial
-                    accepted = True
                     break
                 positivity_bound = False
                 lam *= 0.5
-            if not accepted:
+            else:
                 if positivity_bound:
                     raise NonPositivity(
                         f"damping floor reached while enforcing U >= {floor:.3g} "
@@ -235,9 +233,8 @@ def _solve_profile(data: ProblemData, grid: Grid, tol: float) -> ProfileSolution
                     )
                 # roundoff plateau: the residual cannot decrease further
                 raise NonConvergence(iteration + 1, rnorm)
-        else:
-            if rnorm > tol:
-                raise NonConvergence(_MAX_NEWTON, rnorm)
+        if rnorm > tol:
+            raise NonConvergence(_MAX_NEWTON, rnorm)
     return _finish(grid, data, U, rnorm)
 
 

@@ -12,9 +12,10 @@ real root, solved in closed form; at other orders a bracketed Newton
 iteration, warm-started within a run, solves it and stops on a proven error
 bound.
 
-Each half works on one (2, n) array, a row per species, and checks it once:
-the state is copied into a fresh buffer that ``_diffuse`` solves in place in
-one call; the reaction writes x and v into the rows of a new array, which the
+Each half works on one (2, n) array, a row per species, and ``step`` checks
+it once: the state is copied into a fresh buffer, checked finite, stepped in
+place by one ``DriftDiffusionSolver.step`` (which checks nothing) and tested
+positive; the reaction writes x and v into the rows of a new array, which the
 stepped ``State`` holds.  The input ``State`` is never written.
 """
 
@@ -302,49 +303,32 @@ class _StepWorkspace:
         self.increment = np.zeros(grid.n)  # x - u of the last reaction solve: the warm start
         self.counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
 
-    def all_counts(self) -> dict:
-        """The reaction solves' sums and the species' step sizes factored, and pivoted."""
-        return self.counts | {
-            "diffusion_factorizations": self.solver.factorizations,
-            "diffusion_pivoted_factorizations": self.solver.pivoted_factorizations,
-        }
-
-
-def _diffuse(solver: DriftDiffusionSolver, rows: np.ndarray, dtau: float, tau: float) -> None:
-    """The drift-diffusion half of ``step``: ``rows`` stepped in place.
-
-    One ``solver.step`` steps every row.  DomainError unless ``rows`` is finite;
-    PositivityLoss unless the stepped rows are positive (one minimum over all rows).
-    """
-    if not np.isfinite(rows).all():
-        raise DomainError("state concentrations must be finite nodewise")
-    solver.step(rows, dtau)
-    if not rows.min() > 0.0:  # a NaN fails this test too
-        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={tau:.4g}")
-
 
 def step(
     state: State, data: ProblemData, dtau: float, workspace: _StepWorkspace | None = None
 ) -> State:
     """Advance one Lie-splitting step of size dtau: drift-diffusion, then reaction.
 
-    The state is copied into a (2, n) buffer, which the drift-diffusion half
-    (``_diffuse``) steps in place with one block solve over both species.  The
+    The two halves run on the buffers that the module docstring describes.  The
     reaction root, exact at the orders that ``_reaction_exact`` names, elsewhere a
     Newton solve started from the diffusion output plus the workspace's last
     increment x - u (zero, a cold start, without a workspace or in a fresh one),
     fills the rows of the stepped ``State``.
-    Raises PositivityLoss (``_diffuse``'s) or NewtonFailure, on which callers should
-    reject the step and halve dtau: ``state`` is never written, so the retry starts
-    from it.  DomainError unless 0 < dtau < inf, unless ``state`` is finite and, as
-    ``State`` would, unless the result is finite and positive (one minimum and one
-    maximum).
+    Raises PositivityLoss (a diffusion output that is not positive, one minimum over
+    both rows) or NewtonFailure, on which callers should reject the step and halve
+    dtau: ``state`` is never written, so the retry starts from it.  DomainError
+    unless 0 < dtau < inf, unless ``state`` is finite and, as ``State`` would,
+    unless the result is finite and positive (one minimum and one maximum).
     """
     if not 0.0 < dtau < math.inf:
         raise DomainError(f"dtau must be positive and finite, got {dtau}")
     ws = workspace or _StepWorkspace(state.grid, data)
     buf = np.array((state.u, state.v))
-    _diffuse(ws.solver, buf, dtau, state.tau)
+    if not np.isfinite(buf).all():
+        raise DomainError("state concentrations must be finite nodewise")
+    ws.solver.step(buf, dtau)
+    if not buf.min() > 0.0:  # a NaN fails this test too
+        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={state.tau:.4g}")
     u, v = buf
     scale = dtau * math.exp(state.tau + dtau) * data.k
     out = _reaction_exact(u, v, data, scale)
@@ -462,7 +446,10 @@ def run(config: SimConfig) -> RunResult:
     excess_mass = conserved_moment(state, profile)
     records, state, counters = _march(config, state, advance, sample)
     fill_dissipation_residuals(records)
-    counters |= ws.all_counts()
+    counters |= ws.counts | {
+        "diffusion_factorizations": ws.solver.factorizations,
+        "diffusion_pivoted_factorizations": ws.solver.pivoted_factorizations,
+    }
     return RunResult(records, state, profile, counters, time.perf_counter() - t_start, excess_mass)
 
 

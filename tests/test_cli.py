@@ -177,6 +177,21 @@ def test_cmd_simulate_manifest_names_the_default_grid_of_its_run(tmp_path):
     assert diagnostics[0] == diagnostics[1]
 
 
+def test_cmd_simulate_exits_1_when_a_verdict_fails(tmp_path, monkeypatch):
+    # a certificate that promises decay far faster than the run's: each verdict
+    # fails, and the outputs are written before main returns 1
+    def too_fast(report, data, p):
+        return RateCertificate(50, 0, 0, 1, "test")
+
+    monkeypatch.setattr(cli, "select_certificate", too_fast)
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", _write(tmp_path, SMALL_SIM_CFG), "--out", str(out), "--quiet"]
+    assert main(argv) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["verdicts"] and not any(v["passed"] for v in summary["verdicts"])
+    assert {v["certificate"]["regime_tag"] for v in summary["verdicts"]} == {"test"}
+
+
 def test_cmd_simulate_tau_end_zero_header_only(tmp_path):
     cfg = _write(tmp_path, SMALL_SIM_CFG.replace("time.tau_end = 0.3", "time.tau_end = 0"))
     out = tmp_path / "zero"
@@ -691,7 +706,7 @@ def test_grid_of_fewer_than_five_points_is_a_config_error(tmp_path, capsys, comm
     argv += ["--param", "problem.d2", "--values", "1,2"] if command == "sweep" else []
     assert main(argv) == 3
     assert capsys.readouterr().err.splitlines() == [
-        "config error: line 0: config: point count must be odd and >= 5, got 3"
+        "config error: config: point count must be odd and >= 5, got 3"
     ]
     # five points is the smallest grid: a result or a typed numerical failure
     _write(tmp_path, text.replace("grid.n = 3", "grid.n = 5"))
@@ -711,7 +726,13 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["simulate", "--config", "c", "--slack", "abc"]) == 3  # malformed, checked first
     assert main(["simulate", "--config", "c", "--bogus"]) == 3  # an unknown flag
     assert main(["sweep", "--config", "c", "--param", "problem.alpha"]) == 3  # not sweepable
-    assert "usage: rdmix sweep" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage: rdmix sweep" in err
+    # each case above printed one line, which names the command and has no line 0
+    errors = [line for line in err.splitlines() if not line.startswith(("usage:", " "))]
+    assert len(errors) == 11 and all(line.startswith("usage error: rdmix") for line in errors)
+    assert "usage error: rdmix: argument command: invalid choice: 'bogus'" in err
+    assert "line 0" not in err
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
@@ -728,12 +749,15 @@ def test_usage_errors(tmp_path, capsys):
         lines = [line for line in SMALL_SIM_CFG.splitlines() if not line.startswith(key + " ")]
         cfg = _write(tmp_path, "\n".join(lines + [f"{key} = {value}"]) + "\n", "value.cfg")
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path), "--quiet"]) == 3, key
+    assert "line 0" not in capsys.readouterr().err  # a config error with no line names none
     # malformed conjugate and --slack flags, checked before anything is computed
     for flag in ("--alpha=1,x", "--xi-range=1:2", "--xi-range=-5:5:2.7", "--xi-range=-5:5:0",
                  "--m-hat=0.5", "--m-hat=0.5:1,2", "--alpha=nan", "--alpha=inf", "--alpha=0.5",
                  "--xi-range=nan:1:3", "--xi-range=-inf:1:3", "--m-hat=nan:2", "--m-hat=5:2",
                  "--m-hat=1:inf"):
         assert main(["conjugate", flag, "--out", str(tmp_path / "conj"), "--quiet"]) == 3, flag
+        flag_name = flag.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"usage error: {flag_name}: "), flag
     cfg = _write(tmp_path, SMALL_SIM_CFG)
     assert main(["simulate", "--config", cfg, "--slack=nan", "--out", str(tmp_path)]) == 3
     # malformed verify inputs: a usage error, not a failed verification

@@ -48,6 +48,19 @@ def test_phi_family_validation():
         PhiFamily("general_p_alpha", 2.0, -1.0)
     with pytest.raises(DomainError):
         PhiFamily("nope", 2.0)
+    with pytest.raises(DomainError, match="general kind needs alpha > 0"):
+        PhiFamily("general_p_alpha", 0.0, 1.0)
+
+
+def test_conjugate_functions_reject_arguments_outside_their_domain():
+    fam = PhiFamily("boltzmann_alpha", 2.0)
+    for xi in (math.nan, np.array([0.5, math.nan]), np.array([math.inf])):
+        with pytest.raises(DomainError, match="xi must be finite"):
+            phi_conjugate_numeric(fam, xi)
+    with pytest.raises(DomainError, match="power-growth coefficient needs alpha > 1"):
+        c_tilde(1.0)
+    with pytest.raises(DomainError, match="bound needs alpha >= 1"):
+        phi_conjugate_bound(0.5, 1.0)
 
 
 def test_conjugate_numeric_examples():

@@ -288,6 +288,24 @@ def _perturbed_state(profile, eps_u=0.1, eps_v=0.0):
     return State(profile.grid, u, v, 0.0)
 
 
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_state_rejects_values_that_are_not_positive_and_finite(value):
+    g = Grid(1.0, 11)
+    bad = np.ones(g.n)
+    bad[5] = value
+    message = "must be positive nodewise" if math.isfinite(value) else "must be finite"
+    for u, v in ((bad, np.ones(g.n)), (np.ones(g.n), bad)):
+        with pytest.raises(DomainError, match=message):
+            State(g, u, v, 0.0)
+
+
+def test_relative_densities_need_one_grid():
+    state = State(Grid(1.0, 11), np.ones(11), np.ones(11), 0.0)
+    for grid in (Grid(2.0, 11), Grid(1.0, 13)):
+        with pytest.raises(DomainError, match="must share one grid"):
+            relative_densities(state, flat_profile(grid))
+
+
 def test_relative_entropy_zero_at_profile(equal_orders_profile):
     state = State(
         equal_orders_profile.grid,

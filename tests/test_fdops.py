@@ -285,7 +285,7 @@ def test_block_step_equals_one_row_steps(half_n, half_width, d, ends, dtau, seed
 
 
 def test_step_rejects_non_finite_input():
-    # the solver does not check its row (simulate._diffuse does), but a step size
+    # the solver does not check its row (simulate.step does), but a step size
     # that is not finite cannot be factored
     grid = Grid(8.0, 101)
     solver = DriftDiffusionSolver(grid, 1.0, 1.0, 2.0)

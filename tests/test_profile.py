@@ -213,6 +213,21 @@ def test_singular_newton_jacobian_is_a_nonconvergence(monkeypatch, fresh_profile
         solve_profile(ProblemData(2, 1, 1, 2, 1, 1, 2), Grid(16.0, 201))
 
 
+def test_newton_iteration_limit_is_a_nonconvergence(monkeypatch):
+    # a memo key no other test solves (a raise is never memoized): with no Newton
+    # step allowed the start's residual is raised, with one step the smaller
+    # residual after it, so the iteration limit and not the damping raised
+    data, g = ProblemData(3, 1, 1, 3, 1, 1, 2.5), Grid(12.0, 151)
+    raised = []
+    for limit in (0, 1):
+        monkeypatch.setattr("rdmix.profile._MAX_NEWTON", limit)
+        with pytest.raises(NonConvergence) as exc:
+            solve_profile(data, g)
+        assert exc.value.iterations == limit
+        raised.append(exc.value.residual)
+    assert raised[1] < raised[0]
+
+
 def test_a_memo_entry_hides_a_patched_solver(monkeypatch, fresh_profile_memo):
     # why a test that patches beneath solve_profile empties the memo first: an
     # entry made before the patch is served, and the patched path never runs

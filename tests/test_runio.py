@@ -52,6 +52,10 @@ def test_parse_comments_and_bad_values():
     assert cfg.grid_n == 501
     with pytest.raises(ParseError, match="cannot parse"):
         runio.parse_config(MINIMAL + "grid.n = many\n")
+    # a line without '=' names its line and its text
+    with pytest.raises(ParseError, match="expected 'key = value'") as exc:
+        runio.parse_config("problem.alpha = 2\ngrid.n 501  # a comment\n")
+    assert (exc.value.line, exc.value.key) == (2, "grid.n 501")
 
 
 def test_grid_keys_override_the_default_rule():

@@ -48,6 +48,9 @@ def test_config_validation():
         InitialConditionSpec("nope")
     with pytest.raises(DomainError):
         InitialConditionSpec("gaussian_bump", amplitude=-1.0)
+    for interval in (0.0, -0.5):
+        with pytest.raises(DomainError, match="sample_interval must be positive"):
+            SimConfig(data=data, tau_end=1.0, sample_interval=interval)
 
 
 def test_default_p_list():
@@ -782,3 +785,21 @@ def test_run_samples_through_dissipation_total_once_per_record(monkeypatch):
     result = run(cfg)
     assert len(result.records) == 5
     assert calls == [r.tau for r in result.records]
+
+
+def test_the_lie_step_settles_on_its_documented_E_B_floor():
+    # at d1 != d2 a fixed Lie step from the profile settles on a steady state of its
+    # own: the E_B floor that the fdops docstring and the README state, flat in tau
+    # and scaling like dtau^2
+    data = ProblemData(1, 1, 1, 5, 1, 1, 3)
+    floors = {}
+    for dtau, claim in ((1e-2, 8.8e-7), (5e-3, 2.2e-7)):
+        cfg = SimConfig(data=data, tau_end=12.0, dtau_initial=dtau, dtau_max=dtau,
+                        sample_interval=2.0, p_list=(1.0,))
+        result = run(cfg)  # the default grid and the profile_exact initial condition
+        assert result.counters["steps_rejected"] == 0 and result.counters["dtau_range"][2] == 1
+        E_B = {record.tau: record.E_B for record in result.records}
+        assert E_B[12.0] == pytest.approx(claim, rel=0.05)
+        assert 0.95 <= E_B[12.0] / E_B[10.0] <= 1.05
+        floors[dtau] = E_B[12.0]
+    assert 3.5 <= floors[1e-2] / floors[5e-3] <= 4.5
