@@ -11,13 +11,13 @@ near machine precision there).  Both come from one weight table, from which
 each grid gets its banded D2, D1 and (y/2) D1 once.  The profile residual and
 its Jacobian, the implicit time step and the Fisher information's derivative
 are all built from them (``diff1`` applies D1 slice by slice, bit for bit).
-The implicit step factors each row's interior band once per step size, without
-row interchanges wherever that is backward stable (every acceptance case), as
-L diag(d) U with both triangles unit-diagonal, and lays the rows' factors side
-by side in one block band per step size, with identity rows at the pinned ends
-and zero couplings between rows.  A step then overwrites all its rows (both
-species of a Lie step) in place with one unit-lower band sweep, one division
-by d and one unit-upper band sweep, bit for bit what a solve per row gives.
+The implicit step lays its rows (both species of a Lie step) side by side in
+one block band, with identity rows at the pinned ends and zero couplings
+between rows, and factors the block once per step size: without row
+interchanges wherever that is backward stable (every acceptance case), as
+L diag(d) U with both triangles unit-diagonal, so that a step overwrites all
+its rows in place with one unit-lower band sweep, one division by d and one
+unit-upper band sweep, bit for bit what a solve per row gives.
 
 A solved profile is a fixed point of the scheme only when d1 = d2.
 Otherwise the diffusion half of a step moves it off the reaction equilibrium
@@ -255,31 +255,25 @@ class DriftDiffusionSolver:
     ``bc_left[r]``, ``bc_right[r]`` (a scalar each makes one row).  A step solves
     (I - dtau (d D2 + (y/2) D1)) u+ = u on every row with both ends pinned
     (Dirichlet).  Their values move to the right-hand side through the four
-    couplings of rows 1, 2, n-3 and n-2, so the ends come out exact and each
-    row's interior band B of order n-2 is left, factored once per step size
-    (nine sizes cached at most, then the cache starts over).  Where diffusion
-    dominates, elimination without row interchanges is backward stable on B, yet
-    partial pivoting swaps rows: the multipliers tend to -(1 + r), r = 7 - sqrt(48),
-    as dtau d / h^2 grows.  So ``dgbtrf`` factors S B S^-1, S = diag(2^-i), whose
-    subdiagonals are scaled by 1/2 and 1/4 and superdiagonals by 2 and 4; if it
-    swaps no rows, undoing S (exact in powers of two) gives B = L U without
-    interchanges, kept as L, the diagonal d of U and U with d divided out of its
-    rows.  Otherwise (a cell Peclet number above about 1, such as d = 0.01 on
-    L = 16) B keeps its pivoted factors, solved by ``dgbtrs``.
-
-    The interchange-free factors of all rows lie side by side in one unit-lower
-    and one unit-upper (3, k n) band and one k n diagonal over the raveled
-    buffer, with an identity row at every pinned node, at every node of a
-    pivoted row, and zero couplings between rows.  A step is then one unit-lower
-    ``dtbsv`` sweep, one division and one unit-upper sweep over the whole buffer
-    (the division spares the upper sweep one per node), then ``dgbtrs`` on each
-    pivoted row.  The bits are those of a solve per row: a sweep over a zero
-    coupling subtracts an exact 0 from a finite value, an identity row keeps its
-    value and a division by 1.0 is exact.
-    ``factorizations`` counts the rows factored (one per row and step size),
+    couplings of rows 1, 2, n-3 and n-2, so the ends come out exact and one block
+    B over the raveled buffer is left: an identity row at each pinned node, each
+    row's interior band between them and zero couplings between rows.  B is
+    factored once per step size (nine sizes cached at most, then the cache starts
+    over).  Where diffusion dominates, elimination without row interchanges is
+    backward stable on B, yet partial pivoting swaps rows: the multipliers tend to
+    -(1 + r), r = 7 - sqrt(48), as dtau d / h^2 grows.  So ``dgbtrf`` factors
+    S B S^-1, S = diag(2^-i), whose subdiagonals are scaled by 1/2 and 1/4 and
+    superdiagonals by 2 and 4; if it swaps no rows, undoing S (exact in powers of
+    two) gives B = L U without interchanges, and a step is one unit-lower ``dtbsv``
+    sweep, one division by U's diagonal and one unit-upper sweep.  Otherwise (a row
+    with a cell Peclet number above about 1, such as d = 0.01 on L = 16) B keeps
+    its pivoted factors, and a step is one ``dgbtrs`` call.  As an identity row
+    keeps its value and a zero coupling subtracts an exact 0, each row's bits are
+    those of its own solve, save a row that would not pivot alone in a block that
+    does.  ``factorizations`` counts the step sizes factored,
     ``pivoted_factorizations`` those with pivoted factors.  ``step`` is the one
-    solve: it overwrites the buffer in place and does not check it, so its caller
-    (``simulate.step``, the Lie step) checks the rows once.
+    solve: it overwrites the buffer in place and checks only its layout, so its
+    caller (``simulate.step``, the Lie step) checks the values once.
     """
 
     def __init__(self, grid: Grid, d, bc_left, bc_right):
@@ -297,79 +291,72 @@ class DriftDiffusionSolver:
         self._near = (starts + (1, 2, n - 3, n - 2)).ravel()
         self._near_pins = np.repeat(self._pins, 2)
         D2, _, Y1 = operators(grid)
-        couplings, self._scaled = [], []
-        for d in self.d:
-            op = D2 * d + Y1
-            # entries (1, 0), (2, 0), (n-3, n-1) and (n-2, n-1): the couplings to the
-            # ends over -dtau
-            couplings.append((op[3, 0], op[4, 0], op[0, -1], op[1, -1]))
-            # the interior of S op S^-1 in dgbtrf's layout, with two rows on top for the
-            # fill-in of pivoting; S B S^-1 is I - dtau times it
-            scaled = np.zeros((7, n - 2), order="F")
-            scaled[2:] = op[:, 1:-1] * _SIMILARITY
-            self._scaled.append(scaled)
-        self._couplings = np.ravel(couplings)
+        op = np.array(self.d)[:, None, None] * D2 + Y1
+        # entries (1, 0), (2, 0), (n-3, n-1) and (n-2, n-1) of each row: the couplings
+        # to the ends over -dtau
+        self._couplings = op[:, (3, 4, 0, 1), (0, 0, -1, -1)].ravel()
+        op[:, :, (0, -1)] = 0.0
+        # S op S^-1 of the block in dgbtrf's layout, with two rows on top for the fill-in
+        # of pivoting; S B S^-1 is I - dtau times it
+        self._band = np.zeros((7, op.size // 5), order="F")
+        self._band[2:] = (op * _SIMILARITY).transpose(1, 0, 2).reshape(5, -1)
 
     def _factors(self, dtau: float) -> tuple:
-        """(L, U / d, d, pivoted, ends), the block factors of one step size.
+        """(ends, factors) of one step size; the factors are (L, U / d, d) or (lu, piv).
 
-        L and U / d, entry (i, j) of U over d_i, are the unit-diagonal ``dtbsv`` bands
-        and d the diagonal over the raveled buffer; ``pivoted`` lists (interior, lu, piv)
-        for each row with pivoted factors, ``interior`` the slice of its nodes 1 .. n-2;
-        ``ends`` are the terms that the pinned end values add to nodes 1, 2, n-3 and
-        n-2 of each row, in the order of ``_near``.
+        L and U / d (U's rows over its diagonal d) are unit-diagonal ``dtbsv`` bands,
+        (lu, piv) B's pivoted factors, and ``ends`` the terms that the pinned end
+        values add to nodes 1, 2, n-3 and n-2 of each row, in the order of ``_near``.
         """
         entry = self._cache.get(dtau)
         if entry is not None:
             return entry
-        n = self.grid.n
-        size = len(self.d) * n
-        lower, upper = np.zeros((3, size), order="F"), np.zeros((3, size), order="F")
-        diag, pivoted = np.ones(size), []
-        for row, scaled in enumerate(self._scaled):
-            ab = np.asarray_chkfinite(scaled * -dtau)
-            ab[4] += 1.0
+        ab = np.asarray_chkfinite(self._band * -dtau)
+        ab[4] += 1.0
+        lu, piv, info = dgbtrf(ab, 2, 2)
+        if info == 0 and np.array_equal(piv, np.arange(piv.size)):
+            lower, upper = np.zeros((3, piv.size), order="F"), np.zeros((3, piv.size), order="F")
+            # U's two superdiagonals over the diagonal of their row, then L's two
+            # multiplier rows; undoing S is exact
+            np.divide(lu[2, 2:] / _SIMILARITY[0], lu[4, :-2], out=upper[0, 2:])
+            np.divide(lu[3, 1:] / _SIMILARITY[1], lu[4, :-1], out=upper[1, 1:])
+            np.divide(lu[5, :-1], _SIMILARITY[3], out=lower[1, :-1])
+            np.divide(lu[6, :-2], _SIMILARITY[4], out=lower[2, :-2])
+            factors = lower, upper, lu[4].copy()
+        else:  # B itself, with pivoting; undoing S is exact
+            ab[2:] /= _SIMILARITY
             lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
-            inner = slice(row * n + 1, row * n + n - 1)
-            if info == 0 and np.array_equal(piv, np.arange(len(piv))):
-                lo, up = lower[:, inner], upper[:, inner]
-                diag[inner] = lu[4]
-                # U's two superdiagonals over the diagonal of their row, then L's two
-                # multiplier rows; undoing S is exact
-                np.divide(lu[2, 2:] / _SIMILARITY[0], lu[4, :-2], out=up[0, 2:])
-                np.divide(lu[3, 1:] / _SIMILARITY[1], lu[4, :-1], out=up[1, 1:])
-                np.divide(lu[5, :-1], _SIMILARITY[3], out=lo[1, :-1])
-                np.divide(lu[6, :-2], _SIMILARITY[4], out=lo[2, :-2])
-            else:
-                ab = scaled * -dtau
-                ab[2:] /= _SIMILARITY
-                ab[4] += 1.0
-                lu, piv, info = dgbtrf(ab, 2, 2, overwrite_ab=True)
-                pivoted.append((inner, lu, piv))
-                self.pivoted_factorizations += 1
-            if info != 0:
-                raise LinAlgError(f"banded LU factorization failed (dgbtrf info {info})")
-            self.factorizations += 1
+            factors = lu, piv
+            self.pivoted_factorizations += 1
+        if info != 0:
+            raise LinAlgError(f"banded LU factorization failed (dgbtrf info {info})")
+        self.factorizations += 1
         if len(self._cache) > 8:
             self._cache.clear()
-        ends = -dtau * self._couplings * self._near_pins
-        self._cache[dtau] = entry = lower, upper, diag, pivoted, ends
+        self._cache[dtau] = entry = -dtau * self._couplings * self._near_pins, factors
         return entry
 
     def step(self, rows: np.ndarray, dtau: float) -> None:
-        """Overwrite the contiguous float64 (k, n) buffer ``rows`` with its step; not checked.
+        """Overwrite the (k, n) buffer ``rows`` with its step; its values are not checked.
 
-        A one-row solver also takes a row of shape (n,).
+        A one-row solver also takes a row of shape (n,).  ValueError unless ``rows`` is a
+        C-contiguous float64 array of k n values, which the solve overwrites in place.
         """
-        lower, upper, diag, pivoted, ends = self._factors(dtau)
-        x = rows.reshape(diag.size)  # a view of the k n nodes, or a ValueError
+        if not (isinstance(rows, np.ndarray) and rows.dtype == np.float64
+                and rows.flags.c_contiguous and rows.size == self._band.shape[1]):
+            raise ValueError(f"expected C-contiguous float64 rows of {self._band.shape[1]} values")
+        ends, factors = self._factors(dtau)
+        x = rows.reshape(-1)
         x[self._pinned] = self._pins
         # in order: at n = 5, node 2 = n - 3 takes both of its terms
         np.subtract.at(x, self._near, ends)
-        dtbsv(2, lower, x, lower=1, diag=1, overwrite_x=1)
-        x /= diag
-        dtbsv(2, upper, x, diag=1, overwrite_x=1)
-        for inner, lu, piv in pivoted:
-            x[inner], info = dgbtrs(lu, 2, 2, x[inner], piv)
+        if len(factors) == 2:
+            lu, piv = factors
+            info = dgbtrs(lu, 2, 2, x, piv, overwrite_b=1)[1]
             if info != 0:
                 raise ValueError(f"illegal value in argument {-info} of dgbtrs")
+        else:
+            lower, upper, diag = factors
+            dtbsv(2, lower, x, lower=1, diag=1, overwrite_x=1)
+            x /= diag
+            dtbsv(2, upper, x, diag=1, overwrite_x=1)

@@ -14,9 +14,9 @@ bound.
 
 Each half works on one (2, n) array, a row per species, and ``step`` checks
 it once: the state is copied into a fresh buffer, checked finite, stepped in
-place by one ``DriftDiffusionSolver.step`` (which checks nothing) and tested
-positive; the reaction writes x and v into the rows of a new array, which the
-stepped ``State`` holds.  The input ``State`` is never written.
+place by one ``DriftDiffusionSolver.step`` (which checks only its layout) and
+tested positive; the reaction writes x and v into the rows of a new array,
+which the stepped ``State`` holds.  The input ``State`` is never written.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from rdmix import Grid, ProblemData, closed_form_profile, solve_profile
 
@@ -71,3 +72,14 @@ def stepped(solver, f, dtau):
     x = np.array(f, dtype=float)
     solver.step(x, dtau)
     return x
+
+
+@st.composite
+def default_grid_problems(draw):
+    """Problems for the default grid: alpha >= beta in [1, 4], d1 in [0.1, 10], and
+    d2 / d1 and A+ / A- (A- = 1) each within a factor 100 and 10."""
+    alpha, beta_share = draw(st.floats(1.0, 4.0)), draw(st.floats(0.0, 1.0))
+    d1, log_ratio = draw(st.floats(0.1, 10.0)), draw(st.floats(-2.0, 2.0))
+    log_jump = draw(st.floats(-1.0, 1.0))
+    return ProblemData(alpha, 1.0 + beta_share * (alpha - 1.0), d1, d1 * 10.0**log_ratio,
+                       1.0, 1.0, 10.0**log_jump)

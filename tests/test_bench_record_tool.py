@@ -72,6 +72,11 @@ def test_record_from_stub_result_files(tmp_path):
     assert summary["jobs_per_s"]["change_better_pairs"] == 9
     assert summary["job_ms_p50"]["change_better_pairs"] == 9
     assert summary["setup_s"]["change_better_pairs"] == 0  # ties count for neither side
+    # the change ran second in the odd pairs and won all five; the parent ran second in
+    # the even ones and won pair 4 alone
+    assert summary["jobs_per_s"]["second_better_pairs"] == 6
+    assert summary["job_ms_p50"]["second_better_pairs"] == 6
+    assert summary["setup_s"]["second_better_pairs"] == 0
     assert summary["jobs_per_s"]["parent_q1_median_q3"] == np.percentile(
         parent_speed, [25, 50, 75]).tolist()
     assert summary["attempted_failed"] == {"parent": [(6, 0)], "change": [(6, 0)]}

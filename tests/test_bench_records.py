@@ -64,3 +64,8 @@ def test_summaries_recompute_from_pairs(record):
             wins = sum(sign * (c - q) > 0 for c, q in zip(change, parent))
             assert summary["change_better_pairs"] == wins, (name, metric)
             assert summary["pairs"] == len(pairs), (name, metric)
+            if "second_better_pairs" in summary:  # older records lack the order count
+                seconds = [(c, q) if p["first"] == "parent" else (q, c)
+                           for p, c, q in zip(pairs, change, parent)]
+                wins = sum(sign * (second - first) > 0 for second, first in seconds)
+                assert summary["second_better_pairs"] == wins, (name, metric)

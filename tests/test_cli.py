@@ -86,9 +86,9 @@ def test_cmd_simulate_and_verify_round_trip(tmp_path):
         "diffusion_factorizations", "diffusion_pivoted_factorizations", "excess_mass_initial",
         "fitted_slope", "constants", "verdicts", "notes", "diagnostics_csv",
     }
-    # one step size, factored once per species, without row interchanges
+    # one step size, factored once for both species, without row interchanges
     counts = summary["diffusion_factorizations"], summary["diffusion_pivoted_factorizations"]
-    assert counts == (2, 0)
+    assert counts == (1, 0)
     assert summary["verdicts"] and summary["verdicts"][0]["passed"]
     causes = summary["steps_rejected_by_cause"]
     assert causes == {"PositivityLoss": 0, "NewtonFailure": 0}
@@ -230,7 +230,7 @@ time.dtau_max = 1e-2
     assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
     summary = json.loads((out / "summary.json").read_text())
     counts = summary["diffusion_factorizations"], summary["diffusion_pivoted_factorizations"]
-    assert counts == (2, 1)  # v's step size kept pivoted factors
+    assert counts == (1, 1)  # v's row needs interchanges, so the block kept pivoted factors
     assert len(summary["verdicts"]) == 2 and all(v["passed"] for v in summary["verdicts"])
 
 

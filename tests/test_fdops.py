@@ -217,8 +217,8 @@ def test_convection_dominated_step_keeps_pivoted_factors(rng):
 def test_unscaled_factors_reproduce_the_interior_band():
     grid, d, dtau = Grid(16.0, 401), 3.0, 1e-2
     solver = DriftDiffusionSolver(grid, d, 1.0, 2.0)
-    lower, upper, diag, pivoted, _ = solver._factors(dtau)
-    assert not pivoted
+    _, (lower, upper, diag) = solver._factors(dtau)  # the factors without interchanges
+    assert solver.pivoted_factorizations == 0
     # the one row's interior columns of the block factors; its two ends are identity rows
     assert np.all(diag[[0, -1]] == 1.0)
     assert not lower[:, [0, -1]].any() and not upper[:, [0, -1]].any()
@@ -252,7 +252,7 @@ def test_step_after_cache_cleared(rng):
         assert np.array_equal(again, first)
         assert np.array_equal(again, stepped(solver, f, dtau))  # from the cache
         assert np.array_equal(again, stepped(DriftDiffusionSolver(grid, *rows), f, dtau))
-        assert solver.factorizations == 13 * len(solver.d)
+        assert solver.factorizations == 13
         assert solver.pivoted_factorizations == 13 * (len(solver.d) - 1)
 
 
@@ -265,11 +265,13 @@ def test_step_after_cache_cleared(rng):
     dtau=st.floats(1e-4, 1.0),
     seed=st.integers(0, 2**32 - 1),
 )
-# the second row keeps pivoted factors, so the block sweeps and dgbtrs share a step
+# the second row alone keeps pivoted factors, so the block solves both rows with them
 @example(half_n=200, half_width=16.0, d=(3.0, 0.01), ends=(1.0, 1.5, 2.0, 0.5), dtau=0.1, seed=0)
+# both rows keep pivoted factors
+@example(half_n=200, half_width=16.0, d=(0.01, 0.02), ends=(1.0, 1.5, 2.0, 0.5), dtau=0.1, seed=0)
 def test_block_step_equals_one_row_steps(half_n, half_width, d, ends, dtau, seed):
-    # a two-row solver's step against two one-row solvers' steps, bit for bit, and
-    # each row against the step matrix
+    # a two-row solver's step against two one-row solvers' steps, bit for bit unless
+    # one row alone keeps pivoted factors, and each row against the step matrix
     grid = Grid(half_width, 2 * half_n + 1)
     left, right = ends[:2], ends[2:]
     f = np.random.default_rng(seed).uniform(0.01, 10.0, (2, grid.n))
@@ -277,20 +279,40 @@ def test_block_step_equals_one_row_steps(half_n, half_width, d, ends, dtau, seed
     got = stepped(both, f, dtau)
     singles = [DriftDiffusionSolver(grid, d[r], left[r], right[r]) for r in range(2)]
     want = np.array([stepped(single, f[r], dtau) for r, single in enumerate(singles)])
-    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    pivoted = [single.pivoted_factorizations for single in singles]
+    assert both.factorizations == 1 and both.pivoted_factorizations == max(pivoted)
+    if min(pivoted) == max(pivoted):  # no row or every row needs interchanges
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    else:  # the row that needs none is solved with the block's pivoted factors
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
     assert tuple(got[:, 0]) == left and tuple(got[:, -1]) == right
-    assert both.pivoted_factorizations == sum(s.pivoted_factorizations for s in singles)
     for r in range(2):
         _check_backward_stable(grid, d[r], (left[r], right[r]), f[r], got[r], dtau)
 
 
 def test_step_rejects_non_finite_input():
-    # the solver does not check its row (simulate.step does), but a step size
+    # the solver does not check its row's values (simulate.step does), but a step size
     # that is not finite cannot be factored
     grid = Grid(8.0, 101)
     solver = DriftDiffusionSolver(grid, 1.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         solver.step(np.ones(grid.n), np.nan)
+
+
+@pytest.mark.parametrize("rows_args, rows", [
+    (((1.0, 2.0), (1.0, 1.5), (2.0, 0.5)), np.asfortranarray(np.full((2, 101), 1.5))),
+    ((1.0, 1.0, 2.0), np.full(202, 1.5)[::2]),
+    ((1.0, 1.0, 2.0), np.full(101, 1.5, np.float32)),
+], ids=["fortran_pair", "strided_row", "float32_row"])
+def test_step_refuses_a_buffer_it_cannot_overwrite(rows_args, rows):
+    # a reshape or a BLAS call would copy each of these buffers and solve the copy:
+    # the F-ordered pair came back unchanged, the strided and float32 rows with their
+    # ends pinned and their interiors not swept
+    solver = DriftDiffusionSolver(Grid(8.0, 101), *rows_args)
+    before = rows.copy()
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        solver.step(rows, 1e-2)
+    assert np.array_equal(rows, before)
 
 
 def _entry_by_entry_operators(grid):

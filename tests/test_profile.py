@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from hypothesis import event, given, settings
-from hypothesis import strategies as st
 from scipy.special import erf
 
 from rdmix import (
@@ -14,6 +13,7 @@ from rdmix import (
 )
 from rdmix import fdops
 from rdmix.errors import DomainError, NonConvergence, RdmixError
+from tests.conftest import default_grid_problems
 
 
 def test_problem_data_validation():
@@ -71,19 +71,11 @@ def test_unequal_orders_regression_and_invariants():
 
 
 def test_default_grid_profile_passes_its_invariants():
-    # alpha >= beta in [1, 4], d2 / d1 and A+ / A- each within a factor 100 and 10;
-    # the solve either passes every invariant with flat ends or raises a typed error
+    # on the draws of default_grid_problems the solve either passes every invariant
+    # with flat ends or raises a typed error
     @settings(max_examples=60, deadline=None)
-    @given(
-        alpha=st.floats(1.0, 4.0),
-        beta_share=st.floats(0.0, 1.0),
-        d1=st.floats(0.1, 10.0),
-        log_ratio=st.floats(-2.0, 2.0),
-        log_jump=st.floats(-1.0, 1.0),
-    )
-    def check(alpha, beta_share, d1, log_ratio, log_jump):
-        data = ProblemData(alpha, 1.0 + beta_share * (alpha - 1.0), d1, d1 * 10.0**log_ratio,
-                           1.0, 1.0, 10.0**log_jump)
+    @given(data=default_grid_problems())
+    def check(data):
         grid = SimConfig(data, 1.0).make_grid()
         try:
             sol = solve_profile(data, grid)

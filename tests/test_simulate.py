@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rdmix import (
@@ -17,10 +17,10 @@ from rdmix import (
     solve_profile,
     step,
 )
-from rdmix.errors import DomainError, NewtonFailure, PositivityLoss
+from rdmix.errors import DomainError, NewtonFailure, PositivityLoss, RdmixError
 from rdmix import simulate
 from rdmix.simulate import _march, _reaction_exact, _reaction_implicit, _StepWorkspace
-from tests.conftest import stepped
+from tests.conftest import default_grid_problems, stepped
 
 # the orders whose reaction root ``step`` takes in closed form
 _EXACT_ORDERS = [(1.0, 1.0), (2.0, 2.0), (2.0, 1.0), (3.0, 1.0), (3.0, 3.0), (4.0, 4.0)]
@@ -621,11 +621,29 @@ def test_fixed_steps_land_on_the_sample_targets_with_one_step_size():
     assert result.final_state.tau == 0.1
 
 
+@settings(max_examples=20, deadline=None)
+@given(data=default_grid_problems())
+def test_short_run_on_the_default_grid_stays_positive_or_raises_a_typed_error(data):
+    # the profile property test's draws, stepped by the default controller from a
+    # bumped profile to tau 0.05 on the grid that default_grid sizes
+    cfg = SimConfig(data, 0.05, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    try:
+        result = run(cfg)
+    except RdmixError as exc:
+        event(f"raised {type(exc).__name__}")
+        return
+    final = result.final_state
+    assert final.tau == 0.05
+    for row in (final.u, final.v):
+        assert np.isfinite(row).all() and row.min() > 0.0
+    assert all(math.isfinite(r.E_B) and r.E_B >= 0.0 for r in result.records)
+
+
 def test_certify_shaped_run_factors_one_step_size_per_species_without_interchanges():
     cfg = _config(ProblemData(2, 2, 1, 3, 1, 1, 2), tau_end=0.1, grid_n=2001,
                   sample_interval=0.02, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
     counters = run(cfg).counters
-    assert counters["diffusion_factorizations"] == 2
+    assert counters["diffusion_factorizations"] == 1
     assert counters["diffusion_pivoted_factorizations"] == 0
 
 

@@ -16,10 +16,11 @@ less its per-run ``job_seconds`` list.
 The record, ``BENCH_<label>.json`` in the output directory (default: the
 working directory), holds the claim, the pairs of every workload and, per
 workload and end-to-end metric of ``BENCHMARK.json``, each side's quartiles,
-the median ratio and the pairs the change won.  The claim is met when the
-change wins at least nine tenths of the claimed workload's pairs and its
-median beats the parent's by more than the parent's quartile spread, over at
-least ten pairs.
+the median ratio, the pairs the change won and the pairs the side run second
+won, which shows an order effect (ties count for neither side).  The claim is
+met when the change wins at least nine tenths of the claimed workload's pairs
+and its median beats the parent's by more than the parent's quartile spread,
+over at least ten pairs.
 ``tests/test_bench_records.py`` re-checks every committed record.
 """
 
@@ -56,7 +57,8 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 
 
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per end-to-end metric: each side's quartiles, the median ratio and the change's wins."""
+    """Per end-to-end metric: each side's quartiles, the median ratio, the change's wins and
+    the wins of the side run second."""
     summary = {
         "attempted_failed": {side: sorted({(p[side]["attempted"], p[side]["failed"])
                                            for p in pairs}) for side in ("parent", "change")},
@@ -67,10 +69,14 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
         sign = 1.0 if direction == "higher" else -1.0
         parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
         change = [p["change"]["metrics"][metric]["value"] for p in pairs]
+        # each pair's values in the order its two sides ran
+        order = [(q, c) if p["first"] == "parent" else (c, q)
+                 for p, q, c in zip(pairs, parent, change)]
         pq, cq = np.percentile(parent, [25, 50, 75]), np.percentile(change, [25, 50, 75])
         summary[metric] = {
             "pairs": len(pairs),
             "change_better_pairs": sum(sign * (c - q) > 0 for c, q in zip(change, parent)),
+            "second_better_pairs": sum(sign * (second - first) > 0 for first, second in order),
             "parent_q1_median_q3": pq.tolist(),
             "change_q1_median_q3": cq.tolist(),
             "median_change_over_parent": float(cq[1] / pq[1]),
