@@ -11,7 +11,7 @@ near machine precision there).  Both come from one weight table, from which
 each grid gets its banded D2, D1 and (y/2) D1 once.  The profile residual and
 its Jacobian, the implicit time step and the Fisher information's derivative
 are all built from them (``diff1`` applies D1 slice by slice, bit for bit).
-The implicit step lays its rows (both species of a Lie step) side by side in
+The implicit step lays its rows (both species of a time step) side by side in
 one block band, with identity rows at the pinned ends and zero couplings
 between rows, and factors the block once per step size: without row
 interchanges wherever that is backward stable (every acceptance case), as
@@ -19,12 +19,14 @@ L diag(d) U with both triangles unit-diagonal, so that a step overwrites all
 its rows in place with one unit-lower band sweep, one division by d and one
 unit-upper band sweep, bit for bit what a solve per row gives.
 
-A solved profile is a fixed point of the scheme only when d1 = d2.
-Otherwise the diffusion half of a step moves it off the reaction equilibrium
-by dtau times the multiplier and the reaction half pulls it back only in
-part, so the step settles on a steady state of its own, whose E_B floor
-scales like dtau^2 and does not vanish as e^tau grows (8.8e-7 at dtau 1e-2,
-2.2e-7 at 5e-3, for alpha = beta = 1, d = (1, 5), A+ = 3, to tau = 12).
+A solved profile is a fixed point of the time step (``simulate.step``) once
+e^tau k is large, at any diffusivities: the step's balancing rate makes its
+fixed point solve D w + R(w) = 0 with these stencils, whose combination
+beta u + alpha v is the discrete reduced equation of the profile.  A plain
+Lie step fixes the profile only when d1 = d2; otherwise it settles on a steady
+state of its own, whose E_B floor scales like dtau^2 (8.8e-7 at dtau 1e-2 and
+2.2e-7 at 5e-3 for alpha = beta = 1, d = (1, 5), A+ = 3), where the step's E_B
+falls to 2.2e-16 by tau = 16 at both.
 """
 
 from __future__ import annotations
@@ -273,7 +275,7 @@ class DriftDiffusionSolver:
     does.  ``factorizations`` counts the step sizes factored,
     ``pivoted_factorizations`` those with pivoted factors.  ``step`` is the one
     solve: it overwrites the buffer in place and checks only its layout, so its
-    caller (``simulate.step``, the Lie step) checks the values once.
+    caller (``simulate.step``, the time step) checks the values once.
     """
 
     def __init__(self, grid: Grid, d, bc_left, bc_right):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import fields, replace
+from dataclasses import MISSING, fields, replace
 from operator import attrgetter
 
 import numpy as np
@@ -26,45 +26,52 @@ from .simulate import InitialConditionSpec, SimConfig
 
 logger = logging.getLogger("rdmix")
 
-_REQUIRED = object()
-
 
 def comma_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(","))
 
 
-# key -> (SimConfig field, converter, default); _REQUIRED keys must be present.
-# Fields under "data." and "ic." set the ProblemData and InitialConditionSpec
-# parts; a None value is left out of serialized text.
+# key -> (SimConfig field, converter).  Fields under "data." and "ic." set the
+# ProblemData and InitialConditionSpec parts; a None value is left out of
+# serialized text.
 _SCHEMA: dict[str, tuple] = {
-    "problem.alpha": ("data.alpha", float, _REQUIRED),
-    "problem.beta": ("data.beta", float, _REQUIRED),
-    "problem.d1": ("data.d1", float, 1.0),
-    "problem.d2": ("data.d2", float, 1.0),
-    "problem.k": ("data.k", float, 1.0),
-    "problem.A_minus": ("data.A_minus", float, _REQUIRED),
-    "problem.A_plus": ("data.A_plus", float, _REQUIRED),
-    "grid.L": ("grid_half_width", float, None),
-    "grid.n": ("grid_n", int, None),
-    "time.tau_end": ("tau_end", float, _REQUIRED),
-    "time.dtau": ("dtau_initial", float, 1e-3),
-    "time.dtau_min": ("dtau_min", float, 1e-9),
-    "time.dtau_max": ("dtau_max", float, 1e-2),
-    "output.sample_interval": ("sample_interval", float, 0.02),
-    "ic.kind": ("ic.kind", str, "profile_exact"),
-    "ic.amplitude": ("ic.amplitude", float, 0.0),
-    "ic.width": ("ic.width", float, 1.0),
-    "ic.center": ("ic.center", float, 0.0),
-    "ic.path": ("ic.path", str, None),
-    "entropy.p_list": ("p_list", comma_floats, None),
-    "solver.tol": ("profile_tol", float, 1e-8),
+    "problem.alpha": ("data.alpha", float),
+    "problem.beta": ("data.beta", float),
+    "problem.d1": ("data.d1", float),
+    "problem.d2": ("data.d2", float),
+    "problem.k": ("data.k", float),
+    "problem.A_minus": ("data.A_minus", float),
+    "problem.A_plus": ("data.A_plus", float),
+    "grid.L": ("grid_half_width", float),
+    "grid.n": ("grid_n", int),
+    "time.tau_end": ("tau_end", float),
+    "time.dtau": ("dtau_initial", float),
+    "time.dtau_min": ("dtau_min", float),
+    "time.dtau_max": ("dtau_max", float),
+    "output.sample_interval": ("sample_interval", float),
+    "ic.kind": ("ic.kind", str),
+    "ic.amplitude": ("ic.amplitude", float),
+    "ic.width": ("ic.width", float),
+    "ic.center": ("ic.center", float),
+    "ic.path": ("ic.path", str),
+    "entropy.p_list": ("p_list", comma_floats),
+    "solver.tol": ("profile_tol", float),
+}
+
+# the value of a key left out, per part: its field's dataclass default.  ProblemData
+# has none, so its diffusivities and k default to 1 here; a key without a default
+# is required
+_DEFAULTS: dict[str, dict[str, object]] = {
+    "": {f.name: f.default for f in fields(SimConfig) if f.default is not MISSING},
+    "data": {"d1": 1.0, "d2": 1.0, "k": 1.0},
+    "ic": {f.name: f.default for f in fields(InitialConditionSpec)},
 }
 
 # the reaction orders fix the species orientation, so they are validated and
 # normalized on parsing and cannot be swept
 _ORDERS = ("problem.alpha", "problem.beta")
 SWEEPABLE = tuple(
-    key for key, (fld, _, _) in _SCHEMA.items() if fld.startswith("data.") and key not in _ORDERS
+    key for key, (fld, _) in _SCHEMA.items() if fld.startswith("data.") and key not in _ORDERS
 )
 
 
@@ -93,18 +100,18 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SimConfi
     raw.update((key, (0, value)) for key, value in (overrides or {}).items())
 
     parts: dict[str, dict[str, object]] = {"": {}, "data": {}, "ic": {}}
-    for key, (fld, conv, default) in _SCHEMA.items():
+    for key, (fld, conv) in _SCHEMA.items():
+        part, _, name = fld.rpartition(".")
         if key in raw:
             lineno, text_value = raw[key]
             try:
                 value = conv(text_value)
             except ValueError:
                 raise ParseError(lineno, key, f"cannot parse {text_value!r} as {conv.__name__}")
-        elif default is _REQUIRED:
-            raise ParseError(0, key, "required key missing")
+        elif name in _DEFAULTS[part]:
+            value = _DEFAULTS[part][name]
         else:
-            value = default
-        part, _, name = fld.rpartition(".")
+            raise ParseError(0, key, "required key missing")
         parts[part][name] = value
 
     data = parts["data"]
@@ -137,7 +144,7 @@ def parse_config(text: str, overrides: dict[str, str] | None = None) -> SimConfi
 def serialize_config(config: SimConfig) -> str:
     """Config text whose parse reproduces ``config`` exactly."""
     lines = []
-    for key, (fld, _, _) in _SCHEMA.items():
+    for key, (fld, _) in _SCHEMA.items():
         value = attrgetter(fld)(config)
         if value is None:
             continue

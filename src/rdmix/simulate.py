@@ -1,22 +1,33 @@
 """Time integration of the scaled system with per-step positivity enforcement.
 
-One step is a Lie splitting of two backward-Euler halves: a drift-diffusion
+One step is a rebalanced splitting of two backward-Euler halves (Speth, Green,
+MacNamara & Strang, SIAM J. Numer. Anal. 51 (2013) 3084-3105): a drift-diffusion
 half, one block-banded solve over both species with the boundary values
 pinned (the species couple only through the reaction, so their bands lie
 side by side), then a reaction half, a pointwise implicit solve with
-prefactor e^(tau + dtau).  The local reaction conserves beta u + alpha v, so
-the per-node solve reduces to a scalar equation on that invariant line whose
-root keeps both concentrations positive for any step size.  At orders of at
-most 2 it is a quadratic, and at (3, 1), (3, 3) and (4, 4) a cubic with one
-real root, solved in closed form; at other orders a bracketed Newton
-iteration, warm-started within a run, solves it and stops on a proven error
-bound.
+prefactor e^(tau + dtau).  A balancing rate c per species and node, carried
+from step to step, enters the first half as + dtau c and leaves the second as
+- dtau c, and is then set from the two halves' increments.  At a fixed point
+c = -D w = R(w), so D w + R(w) = 0: its combination beta u + alpha v is the
+discrete reduced equation that ``solve_profile`` solves with the same stencils,
+and once e^tau k is large the solved profile is a fixed point of the step to
+within the solver tolerance, at any diffusivities.  With c = 0 a step is a Lie
+step, whose steady state lies O(dtau) off the profile when d1 != d2.
+
+The local reaction conserves beta u + alpha v, so the per-node solve reduces to
+a scalar equation on that invariant line whose root keeps both concentrations
+positive for any step size.  At orders of at most 2 it is a quadratic, and at
+(3, 1), (3, 3) and (4, 4) a cubic with one real root, solved in closed form; at
+other orders a bracketed Newton iteration, warm-started within a run, solves it
+and stops on a proven error bound.
 
 Each half works on one (2, n) array, a row per species, and ``step`` checks
-it once: the state is copied into a fresh buffer, checked finite, stepped in
-place by one ``DriftDiffusionSolver.step`` (which checks only its layout) and
-tested positive; the reaction writes x and v into the rows of a new array,
-which the stepped ``State`` holds.  The input ``State`` is never written.
+it once: the state is copied into one array, checked finite, shifted by dtau c
+into a buffer, stepped in place by one ``DriftDiffusionSolver.step`` (which
+checks only its layout), shifted back and tested positive; the reaction writes
+x and v into the rows of a new array, which the stepped ``State`` holds, and
+the rate is updated in place from the three.  The input ``State`` is never
+written.
 """
 
 from __future__ import annotations
@@ -30,7 +41,7 @@ import numpy as np
 from . import entropy
 from .entropy import DiagnosticsRecord, State
 from .errors import DomainError, NewtonFailure, ParseError, PositivityLoss
-from .fdops import DriftDiffusionSolver, Grid, default_grid, integrate
+from .fdops import DriftDiffusionSolver, Grid, default_grid, integrate, scalar_residual
 from .profile import ProblemData, ProfileSolution, solve_profile
 
 
@@ -76,7 +87,7 @@ class SimConfig:
     grid_half_width: float | None = None
     dtau_initial: float = 1e-3
     dtau_min: float = 1e-9
-    dtau_max: float = 1e-2
+    dtau_max: float = 2e-2
     sample_interval: float = 0.02
     ic: InitialConditionSpec = InitialConditionSpec()
     p_list: tuple[float, ...] | None = None
@@ -295,48 +306,82 @@ def _reaction_exact(u: np.ndarray, v: np.ndarray, data: ProblemData, scale: floa
 
 
 class _StepWorkspace:
-    """Cached banded operators for one (grid, data) pair, and one run's reaction solves."""
+    """Cached banded operators for one (grid, data) pair, and what one run's steps carry."""
 
     def __init__(self, grid: Grid, data: ProblemData):
         self.solver = DriftDiffusionSolver(
             grid, (data.d1, data.d2), (data.u_minus, data.v_minus), (data.u_plus, data.v_plus))
         self.increment = np.zeros(grid.n)  # x - u of the last reaction solve: the warm start
+        # the balancing rate c of each species, zero at the pinned ends; zero is the Lie step
+        self.rate = np.zeros((2, grid.n))
         self.counts = {"reaction_newton_iterations": 0, "reaction_midpoint_fallbacks": 0}
+
+
+def _balancing_rate(state: State, data: ProblemData) -> np.ndarray:
+    """The seed c0 = (R(w) - D w) / 2 of the balancing rate at ``state``, rows u and v.
+
+    R is the reaction at the state's tau, k e^tau (alpha (v^beta - u^alpha),
+    beta (u^alpha - v^beta)), and D w the drift-diffusion d D2 w + (y/2) D1 w of
+    each row with ``fdops.operators``' stencils.  Both ends are 0.  At a fixed
+    point of the step c = R(w) = -D w, so the seed is exact there.
+    """
+    w = np.array((state.u, state.v))
+    r = data.k * math.exp(state.tau) * (state.u**data.alpha - state.v**data.beta)
+    rate = np.array((-data.alpha * r, data.beta * r))
+    rate -= scalar_residual(state.grid, np.array((data.d1, data.d2))[:, None] * w, w)
+    rate *= 0.5
+    rate[:, 0] = rate[:, -1] = 0.0
+    return rate
 
 
 def step(
     state: State, data: ProblemData, dtau: float, workspace: _StepWorkspace | None = None
 ) -> State:
-    """Advance one Lie-splitting step of size dtau: drift-diffusion, then reaction.
+    """Advance one rebalanced splitting step of size dtau: drift-diffusion, then reaction.
 
-    The two halves run on the buffers that the module docstring describes.  The
-    reaction root, exact at the orders that ``_reaction_exact`` names, elsewhere a
-    Newton solve started from the diffusion output plus the workspace's last
-    increment x - u (zero, a cold start, without a workspace or in a fresh one),
-    fills the rows of the stepped ``State``.
-    Raises PositivityLoss (a diffusion output that is not positive, one minimum over
-    both rows) or NewtonFailure, on which callers should reject the step and halve
-    dtau: ``state`` is never written, so the retry starts from it.  DomainError
-    unless 0 < dtau < inf, unless ``state`` is finite and, as ``State`` would,
-    unless the result is finite and positive (one minimum and one maximum).
+    With w the state, h = dtau and c the workspace's balancing rate, the drift-diffusion
+    half solves (I - h D) w_A = w + h c, and the reaction half starts from w_A - h c.
+    The reaction root, exact at the orders that ``_reaction_exact`` names, elsewhere a
+    Newton solve started from its input plus the workspace's last increment x - u
+    (zero, a cold start, without a workspace or in a fresh one), fills the rows of the
+    stepped ``State`` w+.  Then c = ((w+ + w)/2 - (w_A - h c)) / h, zero at the ends.
+    Without a workspace, or in a fresh one, c = 0 and the step is a Lie step.
+    Raises PositivityLoss (a reaction input w_A - h c that is not positive, one
+    minimum over both rows) or NewtonFailure, on which callers should reject the step
+    and halve dtau: ``state`` is never written, and c and the warm start change only
+    when the step returns, so the retry starts from where the rejected step did.
+    DomainError unless 0 < dtau < inf, unless ``state`` is finite and, as ``State``
+    would, unless the result is finite and positive (one minimum and one maximum).
     """
     if not 0.0 < dtau < math.inf:
         raise DomainError(f"dtau must be positive and finite, got {dtau}")
     ws = workspace or _StepWorkspace(state.grid, data)
-    buf = np.array((state.u, state.v))
-    if not np.isfinite(buf).all():
+    w = np.array((state.u, state.v))
+    if not np.isfinite(w).all():
         raise DomainError("state concentrations must be finite nodewise")
+    h_rate = dtau * ws.rate
+    buf = w + h_rate
     ws.solver.step(buf, dtau)
+    buf -= h_rate  # the reaction input w_A - h c
     if not buf.min() > 0.0:  # a NaN fails this test too
-        raise PositivityLoss(f"diffusion step produced a nonpositive value at tau={state.tau:.4g}")
+        raise PositivityLoss(f"reaction input w_A - dtau c is not positive at tau={state.tau:.4g}")
     u, v = buf
     scale = dtau * math.exp(state.tau + dtau) * data.k
     out = _reaction_exact(u, v, data, scale)
+    increment = ws.increment
     if out is None:
-        out = _reaction_implicit(u, v, data, scale, guess=u + ws.increment, counts=ws.counts)
-        ws.increment = out[0] - u
+        out = _reaction_implicit(u, v, data, scale, guess=u + increment, counts=ws.counts)
+        increment = out[0] - u
     if not (out.min() > 0.0 and out.max() < math.inf):
         raise DomainError("state concentrations must be finite and positive nodewise")
+    ws.increment = increment
+    rate = ws.rate
+    # c = (w+ + w - 2 (w_A - h c)) / (2 h), into the array that held c
+    np.add(out, w, out=rate)
+    buf *= 2.0
+    rate -= buf
+    rate *= 0.5 / dtau
+    rate[:, 0] = rate[:, -1] = 0.0
     return State.trusted(state.grid, out[0], out[1], state.tau + dtau)
 
 
@@ -427,7 +472,8 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
 def run(config: SimConfig) -> RunResult:
     """March the system to tau_end with adaptive step control and sampling.
 
-    The step is halved on rejection (positivity loss or a reaction solver
+    The balancing rate of ``step`` starts from ``_balancing_rate`` of the initial
+    state.  The step is halved on rejection (positivity loss or a reaction solver
     failure), grows by 1.2x after five consecutive accepted steps, and is
     clamped to [dtau_min, dtau_max]; steps land exactly on sample instants.
     """
@@ -435,6 +481,7 @@ def run(config: SimConfig) -> RunResult:
     profile = solve_profile(config.data, config.make_grid(), tol=config.profile_tol)
     state = build_initial_state(config, profile)
     ws = _StepWorkspace(profile.grid, config.data)
+    ws.rate = _balancing_rate(state, config.data)
     p_list = config.effective_p_list()
 
     def advance(st: State, dt: float) -> State:

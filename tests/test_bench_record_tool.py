@@ -14,7 +14,7 @@ _spec = importlib.util.spec_from_file_location("bench_record", ROOT / "tools" / 
 bench_record = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_record)
 
-BETTER = {m["name"]: m["better"] for m in checks.BENCHMARK["end_to_end"]}
+END_TO_END = {m["name"]: m for m in checks.BENCHMARK["end_to_end"]}
 
 # a stand-in for benchmarks/run.py: writes a result file whose jobs_per_s is the
 # number in its tree's SPEED file plus the seed / 1000
@@ -66,7 +66,7 @@ def test_record_from_stub_result_files(tmp_path):
                       **{side: bench_record.load_result(path) for side, path in paths.items()}})
     assert all("job_seconds" not in pair[side] for pair in pairs for side in ("parent", "change"))
     record = bench_record.build_record(
-        "stub", ("certify", "jobs_per_s"), {"certify": pairs}, BETTER, "stub pairs")
+        "stub", ("certify", "jobs_per_s"), {"certify": pairs}, END_TO_END, "stub pairs")
     _check(record)
     summary = record["workloads"]["certify"]["summary"]
     assert summary["jobs_per_s"]["change_better_pairs"] == 9
@@ -80,12 +80,34 @@ def test_record_from_stub_result_files(tmp_path):
     assert summary["jobs_per_s"]["parent_q1_median_q3"] == np.percentile(
         parent_speed, [25, 50, 75]).tolist()
     assert summary["attempted_failed"] == {"parent": [(6, 0)], "change": [(6, 0)]}
+    assert all(summary[metric]["within_bound"] for metric in END_TO_END)
     assert record["claim"] == {"workload": "certify", "metric": "jobs_per_s", "met": True}
     # one more lost pair falls below nine tenths
     pairs[0]["change"]["metrics"]["jobs_per_s"]["value"] = 1.0
     again = bench_record.build_record(
-        "stub", ("certify", "jobs_per_s"), {"certify": pairs}, BETTER, "stub pairs")
+        "stub", ("certify", "jobs_per_s"), {"certify": pairs}, END_TO_END, "stub pairs")
     assert not again["claim"]["met"]
+
+
+def test_a_median_worse_by_more_than_the_bound_reads_outside_it():
+    # each median may worsen by 0.25 of the parent's: jobs_per_s 20 -> 16.5 is within, and
+    # so are wall_s and job_ms_p50 (6 / and 1000 / jobs_per_s, up by 21%); 20 -> 14.5 is
+    # not, nor are they (up by 38%)
+    assert END_TO_END["jobs_per_s"]["bound"] == 0.25
+    for change_speed, within in ((16.5, True), (14.5, False)):
+        pairs = [{"pair": i, "first": "parent" if i % 2 else "change",
+                  "parent": _result("certify", 20.0), "change": _result("certify", change_speed)}
+                 for i in range(1, 11)]
+        record = bench_record.build_record(
+            "stub", ("certify", "jobs_per_s"), {"certify": pairs}, END_TO_END, "stub pairs")
+        _check(record)
+        summary = record["workloads"]["certify"]["summary"]
+        assert {m: summary[m]["within_bound"] for m in END_TO_END} == {
+            "jobs_per_s": within, "wall_s": within, "job_ms_p50": within,
+            "setup_s": True, "peak_rss_mb": True}
+        assert not record["claim"]["met"]
+    assert bench_record.within_bound(20.0, 25.0, "lower", 0.25)
+    assert not bench_record.within_bound(20.0, 25.1, "lower", 0.25)
 
 
 def test_main_alternates_the_two_trees(tmp_path, monkeypatch):

@@ -7,6 +7,7 @@ result files per workload, a summary per workload and the claim it supports.
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -69,3 +70,7 @@ def test_summaries_recompute_from_pairs(record):
                            for p, c, q in zip(pairs, change, parent)]
                 wins = sum(sign * (second - first) > 0 for second, first in seconds)
                 assert summary["second_better_pairs"] == wins, (name, metric)
+            if "within_bound" in summary:  # and the bound check
+                worse = sign * (np.median(parent) - np.median(change))
+                within = bool(worse <= summary["bound"] * abs(np.median(parent)))
+                assert summary["within_bound"] == within, (name, metric)

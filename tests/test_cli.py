@@ -192,6 +192,39 @@ def test_cmd_simulate_exits_1_when_a_verdict_fails(tmp_path, monkeypatch):
     assert {v["certificate"]["regime_tag"] for v in summary["verdicts"]} == {"test"}
 
 
+# unequal diffusivities to tau 30 under the default step controller
+UNEQUAL_DIFFUSIVITIES_CFG = """
+problem.alpha = 1
+problem.beta = 1
+problem.d1 = 1
+problem.d2 = 5
+problem.A_minus = 1
+problem.A_plus = 3
+grid.L = 24
+grid.n = 1001
+time.tau_end = 30
+output.sample_interval = 0.1
+entropy.p_list = 1
+ic.kind = gaussian_bump
+ic.amplitude = 0.2
+"""
+
+
+def test_cmd_simulate_passes_at_unequal_diffusivities_to_tau_30(tmp_path):
+    # a Lie step settled on an E_B floor of its own here: with dtau_max 1e-2 this run
+    # exited 1 (worst ratio 9.573, late slope +0.0014, 3042 steps); the rebalanced step
+    # keeps E_B decaying at the certified rate, and the verdict passes at the default slack
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", _write(tmp_path, UNEQUAL_DIFFUSIVITIES_CFG), "--out",
+            str(out), "--quiet"]
+    assert main(argv) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    (verdict,) = summary["verdicts"]
+    assert verdict["passed"] and verdict["slack"] == 0.05
+    assert verdict["fitted_slope"] < -0.9
+    assert summary["final"]["E_B"] < 1e-14
+
+
 def test_cmd_simulate_tau_end_zero_header_only(tmp_path):
     cfg = _write(tmp_path, SMALL_SIM_CFG.replace("time.tau_end = 0.3", "time.tau_end = 0"))
     out = tmp_path / "zero"

@@ -23,7 +23,7 @@ from scipy.interpolate import CubicSpline
 
 from rdmix import InitialConditionSpec, ProblemData, SimConfig, build_initial_state, run
 
-_X_HALF_WIDTH, _X_NODES = 30.0, 2401
+_X_HALF_WIDTH, _X_NODES = 30.0, 4801
 _COMPARED_Y = 12.0
 
 
@@ -72,9 +72,10 @@ def _reference(data, state, t_end):
             for r, (minus, plus) in enumerate(ends)]
 
 
-# measured max relative differences at dtau 1e-2 / 1e-3: 2.8e-4 / 2.7e-5 (closed-form
-# root) and 3.3e-4 / 3.2e-5 (Newton root); at 1e-4 both are 2.5e-6 to 2.6e-6, the
-# reference's own space error.  A reaction prefactor of 1 reads 7e-3, a flipped drift 0.3
+# measured max relative differences at dtau 1e-2 / 1e-3: 5.6e-6 / 7.5e-7 (closed-form
+# root) and 1.5e-5 / 1.4e-6 (Newton root); at 1e-4 they are 5.5e-7 and 4.5e-7, the
+# reference's own space error (2.2e-6 and 1.5e-6 on 2401 nodes, which the error at
+# 1e-3 would meet).  A reaction prefactor of 1 reads 7e-3, a flipped drift 0.3
 @pytest.mark.parametrize("data", [ProblemData(2, 1, 1, 2, 1, 1, 2),
                                   ProblemData(1.5, 1.5, 1, 3, 1, 1, 2)],
                          ids=["closed_form_root", "newton_root"])

@@ -33,6 +33,14 @@ def test_parse_minimal_fills_defaults():
     assert cfg.p_list is None
 
 
+def test_the_required_keys_alone_parse_to_the_dataclass_defaults():
+    # every key left out takes its field's default; the parser keeps no copy of them
+    cfg = runio.parse_config(MINIMAL)
+    assert cfg == SimConfig(ProblemData(2, 1, 1, 1, 1, 1, 1.2), 1.0)
+    assert cfg.ic == InitialConditionSpec()
+    assert cfg.dtau_max == cfg.sample_interval == 0.02
+
+
 def test_parse_rejects_small_alpha():
     with pytest.raises(ParseError, match="alpha must be >= 1"):
         runio.parse_config(MINIMAL.replace("problem.alpha = 2", "problem.alpha = 0.5"))

@@ -17,7 +17,9 @@ The record, ``BENCH_<label>.json`` in the output directory (default: the
 working directory), holds the claim, the pairs of every workload and, per
 workload and end-to-end metric of ``BENCHMARK.json``, each side's quartiles,
 the median ratio, the pairs the change won and the pairs the side run second
-won, which shows an order effect (ties count for neither side).  The claim is
+won, which shows an order effect (ties count for neither side), and
+``within_bound``: whether the change's median is worse than the parent's by no
+more than the metric's bound, relative to the parent's median.  The claim is
 met when the change wins at least nine tenths of the claimed workload's pairs
 and its median beats the parent's by more than the parent's quartile spread,
 over at least ten pairs.
@@ -56,16 +58,24 @@ def run_side(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return load_result(tree / "benchmarks" / "results" / f"{workload}-seed{seed}-trace0.json")
 
 
-def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
-    """Per end-to-end metric: each side's quartiles, the median ratio, the change's wins and
-    the wins of the side run second."""
+def within_bound(parent_median: float, change_median: float, direction: str,
+                 bound: float) -> bool:
+    """Whether the change's median is worse than the parent's by at most ``bound`` of it."""
+    worse = change_median - parent_median if direction == "lower" else parent_median - change_median
+    return bool(worse <= bound * abs(parent_median))
+
+
+def summarize(pairs: list[dict], end_to_end: dict[str, dict]) -> dict:
+    """Per end-to-end metric: each side's quartiles, the median ratio, the change's wins, the
+    wins of the side run second and whether the change's median is within the bound."""
     summary = {
         "attempted_failed": {side: sorted({(p[side]["attempted"], p[side]["failed"])
                                            for p in pairs}) for side in ("parent", "change")},
         "failing_keys": {side: sorted({f["key"] for p in pairs for f in p[side]["failures"]})
                          for side in ("parent", "change")},
     }
-    for metric, direction in better.items():
+    for metric, entry in end_to_end.items():
+        direction = entry["better"]
         sign = 1.0 if direction == "higher" else -1.0
         parent = [p["parent"]["metrics"][metric]["value"] for p in pairs]
         change = [p["change"]["metrics"][metric]["value"] for p in pairs]
@@ -81,6 +91,8 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "change_q1_median_q3": cq.tolist(),
             "median_change_over_parent": float(cq[1] / pq[1]),
             "parent_quartile_spread": float(pq[2] - pq[0]),
+            "bound": entry["bound"],
+            "within_bound": within_bound(pq[1], cq[1], direction, entry["bound"]),
         }
     return summary
 
@@ -93,12 +105,15 @@ def claim_met(summary: dict, direction: str) -> bool:
 
 
 def build_record(label: str, claim: tuple[str, str], pairs: dict[str, list[dict]],
-                 better: dict[str, str], what: str, parent_commit: str | None = None) -> dict:
-    """The record of ``pairs``, keyed by workload; each pair holds pair, first, parent, change."""
+                 end_to_end: dict[str, dict], what: str, parent_commit: str | None = None) -> dict:
+    """The record of ``pairs``, keyed by workload; each pair holds pair, first, parent, change.
+
+    ``end_to_end`` maps each end-to-end metric of ``BENCHMARK.json`` to its entry there.
+    """
     workload, metric = claim
-    workloads = {name: {"pairs": ps, "summary": summarize(ps, better)}
+    workloads = {name: {"pairs": ps, "summary": summarize(ps, end_to_end)}
                  for name, ps in pairs.items()}
-    met = claim_met(workloads[workload]["summary"][metric], better[metric])
+    met = claim_met(workloads[workload]["summary"][metric], end_to_end[metric]["better"])
     return {"label": label, "claim": {"workload": workload, "metric": metric, "met": met},
             "what": what, "note": NOTE, "parent_commit": parent_commit, "workloads": workloads}
 
@@ -117,10 +132,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=Path("."), help="directory of the record")
     args = parser.parse_args(argv)
     benchmark = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
-    better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
+    end_to_end = {m["name"]: m for m in benchmark["end_to_end"]}
     claim = tuple(args.claim.split(":"))
     counts = {w: int(n) for w, n in (spec.split("=") for spec in args.pairs)}
-    if len(claim) != 2 or claim[0] not in counts or claim[1] not in better:
+    if len(claim) != 2 or claim[0] not in counts or claim[1] not in end_to_end:
         parser.error(f"--claim {args.claim} must name a paired workload and an end-to-end metric")
     trees = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     pairs: dict[str, list[dict]] = {}
@@ -138,13 +153,16 @@ def main(argv=None) -> int:
     what = (f"alternating parent/change pairs of `python3 benchmarks/run.py --workload W "
             f"--seed {args.seed} --seconds {args.seconds:g} --trace 0`, each side run from "
             f"its own copy of the tree by tools/bench_record.py")
-    record = build_record(args.label, claim, pairs, better, what, args.parent_commit)
+    record = build_record(args.label, claim, pairs, end_to_end, what, args.parent_commit)
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
     summary = record["workloads"][claim[0]]["summary"][claim[1]]
     print(f"{path}: {claim[0]} {claim[1]} median x{summary['median_change_over_parent']:.3f}, "
           f"change won {summary['change_better_pairs']}/{summary['pairs']}, "
           f"claim {'met' if record['claim']['met'] else 'not met'}")
+    for name, workload in record["workloads"].items():
+        outside = [m for m in end_to_end if not workload["summary"][m]["within_bound"]]
+        print(f"{name}: end-to-end medians past their bound: {', '.join(outside) or 'none'}")
     return 0
 
 
