@@ -261,7 +261,9 @@ class DriftDiffusionSolver:
     B over the raveled buffer is left: an identity row at each pinned node, each
     row's interior band between them and zero couplings between rows.  B is
     factored once per step size (nine sizes cached at most, then the cache starts
-    over).  Where diffusion dominates, elimination without row interchanges is
+    over: ``simulate.run`` steps on rungs of its sample interval, six under the
+    default controller and one at a fixed step that divides the interval).
+    Where diffusion dominates, elimination without row interchanges is
     backward stable on B, yet partial pivoting swaps rows: the multipliers tend to
     -(1 + r), r = 7 - sqrt(48), as dtau d / h^2 grows.  So ``dgbtrf`` factors
     S B S^-1, S = diag(2^-i), whose subdiagonals are scaled by 1/2 and 1/4 and

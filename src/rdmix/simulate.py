@@ -420,8 +420,32 @@ class RunResult:
         return self.counters["steps_accepted"]
 
 
+_SNAP = 1e-9  # instants within this fraction of a sample interval of each other are one
+_COARSEN_AFTER = 16  # accepted steps on one rung before the controller tries the next coarser
+
+
+def _rung_count(interval: float, dtau: float) -> int:
+    """The smallest m >= 1 whose rung interval / m is at most dtau, in floats."""
+    m = math.ceil(interval / dtau * (1.0 - 1e-12))  # a whole ratio may round up past it
+    while interval / m > dtau:
+        m += 1
+    return m
+
+
 def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, State, dict]:
     """The sampling loop and step controller of ``run``.
+
+    The sample instants after the start are k I, I = ``sample_interval``, for whole k
+    below tau_end, then tau_end itself.  Every step is a rung I / m of the ladder,
+    computed from I alone, so each rung is one float and one factorization: a span
+    of one interval between two instants is exactly m rungs, and a shorter span (an
+    off-grid start, or a tau_end off the grid) takes rungs while one fits, then one
+    landing step.  Each span ends stamped with its instant.  m starts as the rung
+    count of ``dtau_initial`` (the smallest m with I / m <= dtau_initial).  A rejected
+    step dt doubles m until the rung is at most dt / 2, once for a rung, which halves
+    it exactly; the rejection is raised instead where dt / 2 < ``dtau_min``.  After
+    ``_COARSEN_AFTER`` accepted steps m halves, rounded up and never below the rung
+    count of ``dtau_max``, at the first position on the coarser rung's grid.
 
     ``advance(state, dtau)`` returns the next state or raises PositivityLoss
     or NewtonFailure, which rejects the step; ``sample(state)`` makes the
@@ -431,36 +455,39 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
     count of distinct values] of the accepted step sizes (None for no step).
     """
     records = [sample(state)] if config.tau_end > 0.0 else []
-    dtau = config.dtau_initial
+    interval = config.sample_interval
+    m, m_min = _rung_count(interval, config.dtau_initial), _rung_count(interval, config.dtau_max)
     rejected = {"PositivityLoss": 0, "NewtonFailure": 0}
     dtaus: list[float] = []
     streak = 0
-    sample_idx = 1
-    while state.tau < config.tau_end - 1e-12:
-        target = min(sample_idx * config.sample_interval, config.tau_end)
-        gap = target - state.tau
-        if gap < 1e-14:
-            sample_idx += 1
-            continue
-        dt = gap if gap < dtau - 1e-12 else dtau  # a gap within roundoff of dtau takes dtau
-        try:
-            state = advance(state, dt)
-        except (PositivityLoss, NewtonFailure) as exc:
-            if dtau <= config.dtau_min:
-                raise
-            dtau = max(0.5 * dtau, config.dtau_min)
-            streak = 0
-            rejected[type(exc).__name__] += 1
-            continue
-        dtaus.append(dt)
-        streak += 1
-        if streak >= 5:
-            dtau = min(1.2 * dtau, config.dtau_max)
-            streak = 0
-        if target - state.tau < 1e-12:  # on the target up to roundoff: stamp it exactly
-            state = State.trusted(state.grid, state.u, state.v, target)
-            records.append(sample(state))
-            sample_idx += 1
+    first = math.floor(state.tau / interval + _SNAP) + 1
+    last = math.ceil(config.tau_end / interval - _SNAP) if config.tau_end > state.tau else first - 1
+    for k in range(first, last + 1):
+        target = config.tau_end if k == last else k * interval
+        span = (target - state.tau) / interval  # in intervals, 1.0 exactly for a whole one
+        if abs(span - 1.0) <= _SNAP:
+            span = 1.0
+        j = 0  # rungs taken in this span
+        while (left := span * m - j) > _SNAP:  # left in rungs
+            rung = interval / m
+            dt = rung if left >= 1.0 - _SNAP else left * rung  # else the landing step
+            try:
+                state = advance(state, dt)
+            except (PositivityLoss, NewtonFailure) as exc:
+                if 0.5 * dt < config.dtau_min:
+                    raise
+                while interval / m > 0.5 * dt:  # once for a rung, which halves exactly
+                    m, j = 2 * m, 2 * j
+                streak = 0
+                rejected[type(exc).__name__] += 1
+                continue
+            dtaus.append(dt)
+            j, streak = j + 1, streak + 1
+            coarser = max(-(-m // 2), m_min)
+            if streak >= _COARSEN_AFTER and coarser < m and j * coarser % m == 0:
+                m, j, streak = coarser, j * coarser // m, 0
+        state = State.trusted(state.grid, state.u, state.v, target)
+        records.append(sample(state))
     return records, state, {
         "steps_accepted": len(dtaus),
         "steps_rejected": sum(rejected.values()),
@@ -473,9 +500,12 @@ def run(config: SimConfig) -> RunResult:
     """March the system to tau_end with adaptive step control and sampling.
 
     The balancing rate of ``step`` starts from ``_balancing_rate`` of the initial
-    state.  The step is halved on rejection (positivity loss or a reaction solver
-    failure), grows by 1.2x after five consecutive accepted steps, and is
-    clamped to [dtau_min, dtau_max]; steps land exactly on sample instants.
+    state.  Every step divides the sample interval (``_march``): it starts at the
+    largest such step of at most dtau_initial, halves on rejection (positivity loss
+    or a reaction solver failure) down to dtau_min, and after sixteen accepted steps
+    moves from interval / m to interval / ceil(m / 2), up to the largest such step of
+    at most dtau_max.  So each sample instant is reached exactly, and each step size
+    is factored once.
     """
     t_start = time.perf_counter()
     profile = solve_profile(config.data, config.make_grid(), tol=config.profile_tol)

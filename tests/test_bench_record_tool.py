@@ -128,13 +128,44 @@ def test_main_alternates_the_two_trees(tmp_path, monkeypatch):
         "--label", "stub", "--claim", "certify:jobs_per_s", "--seed", "3", "--seconds", "1",
         "--pairs", "certify=3", "--out", str(tmp_path),
     ]) == 0
-    assert ran == ["parent", "change", "change", "parent", "parent", "change"]
+    # each side's timed run right after its own warm-up run
+    assert ran == [side for side in ("parent", "change", "change", "parent", "parent", "change")
+                   for _ in range(2)]
     record = json.loads((tmp_path / "BENCH_stub.json").read_text(encoding="utf-8"))
     pairs = record["workloads"]["certify"]["pairs"]
     assert [p["first"] for p in pairs] == ["parent", "change", "parent"]
     assert {p["change"]["metrics"]["jobs_per_s"]["value"] for p in pairs} == {25.003}
     assert record["claim"]["met"] is False  # a claim needs ten pairs
     checks.test_summaries_recompute_from_pairs(record)
+
+
+def test_main_discards_each_sides_warm_up_run(tmp_path, monkeypatch):
+    # a warm-up result reads 1 job/s; were one kept in a pair, a median would show it
+    calls = []
+
+    def stub_run_side(tree, workload, seed, seconds):
+        calls.append((tree.name, seconds))
+        warm_up = seconds == bench_record.WARMUP_SECONDS
+        return _result(workload, 1.0 if warm_up else {"parent": 20.0, "change": 25.0}[tree.name])
+
+    monkeypatch.setattr(bench_record, "run_side", stub_run_side)
+    assert bench_record.main([
+        "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+        "--label", "stub", "--claim", "certify:jobs_per_s", "--seed", "3", "--seconds", "30",
+        "--pairs", "certify=10", "--out", str(tmp_path),
+    ]) == 0
+    warm = bench_record.WARMUP_SECONDS
+    assert warm < 30
+    order = [("parent", "change") if i % 2 else ("change", "parent") for i in range(1, 11)]
+    assert calls == [(side, seconds) for pair in order for side in pair
+                     for seconds in (warm, 30.0)]
+    record = json.loads((tmp_path / "BENCH_stub.json").read_text(encoding="utf-8"))
+    pairs = record["workloads"]["certify"]["pairs"]
+    assert [(p["parent"]["metrics"]["jobs_per_s"]["value"],
+             p["change"]["metrics"]["jobs_per_s"]["value"]) for p in pairs] == [(20.0, 25.0)] * 10
+    assert "warm-up" in record["what"]
+    assert record["claim"]["met"] is True
+    _check(record)
 
 
 def test_main_rejects_a_claim_on_an_unpaired_workload(tmp_path):

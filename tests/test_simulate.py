@@ -653,6 +653,7 @@ def test_certify_shaped_run_factors_its_one_step_size_once_without_interchanges(
     counters = run(cfg).counters
     assert counters["diffusion_factorizations"] == 1
     assert counters["diffusion_pivoted_factorizations"] == 0
+    assert counters["steps_rejected"] == 0 and counters["dtau_range"][2] == 1
 
 
 class _NaNSolver:
@@ -795,6 +796,116 @@ def test_march_to_tau_zero_takes_no_step_and_no_sample():
         "steps_accepted": 0, "steps_rejected": 0,
         "steps_rejected_by_cause": {"PositivityLoss": 0, "NewtonFailure": 0}, "dtau_range": None,
     }
+
+
+def _stub_march(cfg, start_tau, fails=()):
+    """``_march`` from ``start_tau`` with a stub ``advance`` that rejects the attempts
+    whose indices are in ``fails``.  Returns (records, final state, counters, attempts,
+    None), each record a (tau, steps accepted before it) pair and each attempt a (dtau,
+    accepted) pair; if the march raises, (None, None, None, attempts, the error)."""
+    grid = Grid(16.0, 11)
+    attempts = []
+
+    def advance(st, dt):
+        rejected = len(attempts) in fails
+        attempts.append((dt, not rejected))
+        if rejected:
+            raise PositivityLoss("p") if len(attempts) % 2 else NewtonFailure(3, 1.0)
+        return State.trusted(grid, st.u, st.v, st.tau + dt)
+
+    def sample(st):
+        return st.tau, sum(accepted for _, accepted in attempts)
+
+    start = State(grid, np.ones(grid.n), np.ones(grid.n), start_tau)
+    try:
+        return (*_march(cfg, start, advance, sample), attempts, None)
+    except (PositivityLoss, NewtonFailure) as exc:
+        return None, None, None, attempts, exc
+
+
+@pytest.mark.parametrize("interval, tau_end", [(0.3, 0.9), (0.7, 2.1)])
+def test_the_march_ends_on_tau_end_where_the_last_instant_rounds_below_it(interval, tau_end):
+    # 3 * 0.3 = 0.8999999999999999 and 3 * 0.7 = 2.0999999999999996: the run once ended
+    # there, an ulp short, and its last record and final state carried that tau
+    cfg = _config(ProblemData(2, 2, 1, 1, 1, 1, 2), tau_end=tau_end, sample_interval=interval,
+                  dtau_max=2e-2)
+    records, end, _, _, _ = _stub_march(cfg, 0.0)
+    assert [tau for tau, _ in records] == [0.0, interval, 2 * interval, tau_end]
+    assert end.tau == tau_end
+
+
+def _is_rung(dt, interval):
+    return interval / round(interval / dt) == dt
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    interval=st.sampled_from([0.02, 0.05, 0.1, 0.3, 0.7]) | st.floats(0.01, 2.0),
+    dtau_max_per_interval=st.floats(1 / 32, 2.0),
+    dtau_initial_frac=st.floats(1 / 16, 1.0),
+    dtau_min_frac=st.floats(1 / 16, 1.0),
+    start=st.tuples(st.integers(0, 3), st.just(0.0) | st.floats(0.05, 0.95)),
+    length=st.tuples(st.integers(0, 3), st.just(0.0) | st.floats(0.05, 0.95)),
+    fails=st.sets(st.integers(0, 60), max_size=8),
+)
+def test_march_steps_on_rungs_that_divide_the_sample_interval(
+    interval, dtau_max_per_interval, dtau_initial_frac, dtau_min_frac, start, length, fails
+):
+    # the sample interval I, dtau_min <= dtau_initial <= dtau_max, a start on or off the
+    # grid of instants k I, a tau_end on or off it, and the attempts that are rejected
+    dtau_max = dtau_max_per_interval * interval
+    dtau_initial = dtau_initial_frac * dtau_max
+    dtau_min = dtau_min_frac * dtau_initial
+    (a, start_frac), (b, end_frac) = start, length
+    # as a config would give them: on the grid, k I may round an ulp off the decimal
+    tau0, tau_end = (round((x + frac) * interval, 12) for x, frac in ((a, start_frac),
+                                                                    (a + b, end_frac)))
+    if not tau_end > tau0 + 0.05 * interval:
+        event("no span")
+        return
+    cfg = _config(ProblemData(2, 2, 1, 1, 1, 1, 2), tau_end=tau_end, sample_interval=interval,
+                  dtau_min=dtau_min, dtau_initial=dtau_initial, dtau_max=dtau_max)
+    records, end, counters, attempts, error = _stub_march(cfg, tau0, fails)
+    assert attempts[0][0] <= dtau_initial
+    for (dt, accepted), (retry, _) in zip(attempts, attempts[1:]):
+        if not accepted:  # a rung halves exactly, and a landing step at least halves
+            assert retry == 0.5 * dt if _is_rung(dt, interval) else retry <= 0.5 * dt
+    if error is not None:  # raised only by a rejection whose half step is below dtau_min
+        event("raised")
+        assert not attempts[-1][1] and 0.5 * attempts[-1][0] < dtau_min
+        return
+    # records at the start, at every k I after it below tau_end, and at tau_end itself
+    last = a + b + (end_frac > 0.0)
+    assert [tau for tau, _ in records] == (
+        [tau0] + [k * interval for k in range(a + 1, last)] + [tau_end])
+    assert end.tau == tau_end
+    taken = [dt for dt, accepted in attempts if accepted]
+    assert counters["steps_accepted"] == len(taken)
+    assert counters["steps_rejected"] == len(attempts) - len(taken)
+    # every accepted step is a rung I / m within dtau_max, save that a span shorter than
+    # one interval may end on one landing step
+    assert max(taken) <= dtau_max
+    for (begin, i), (target, i_end) in zip(records, records[1:]):
+        off_rung = [s for s in range(i, i_end) if not _is_rung(taken[s], interval)]
+        if abs((target - begin) / interval - 1.0) <= 1e-9:
+            assert off_rung == []
+        else:
+            assert off_rung in ([], [i_end - 1])
+            if off_rung:
+                event("a landing step")
+
+
+def test_each_rung_is_factored_once():
+    # a step size is one cache key of the drift-diffusion solver only if every step on
+    # a rung is the same float: rungs summed or differenced from the float sample
+    # instants would bring a factorization back for nearly every interval.  The default
+    # controller on the adaptive workload's case a15, which reaches its coarsest rung,
+    # the sample interval itself, by tau 0.4 (a certify-shaped run has one rung, above)
+    cfg = SimConfig(ProblemData(1.5, 1.5, 1, 3, 1, 1, 2), 1.0, grid_n=401, grid_half_width=16.0,
+                    ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    counters = run(cfg).counters
+    assert counters["steps_rejected"] == 0 and counters["dtau_range"][1] == cfg.sample_interval
+    assert counters["dtau_range"][2] == counters["diffusion_factorizations"] <= 6
 
 
 def test_run_samples_through_dissipation_total_once_per_record(monkeypatch):

@@ -10,8 +10,11 @@ result files under each tree's ``benchmarks/results/``, so give exported
 copies, not the working tree.  Pair i of a workload runs
 ``python3 benchmarks/run.py --workload W --seed S --seconds T --trace 0`` once
 in each tree, one after the other: the parent first in odd pairs, the change
-first in even ones.  Each side's result file goes into the pair as written,
-less its per-run ``job_seconds`` list.
+first in even ones.  Each side's timed run follows a discarded warm-up run of
+the same command in the same tree, ``WARMUP_SECONDS`` long, so neither side
+runs on what the other left warm; back to back, the side run second won 9 of
+10 ``certify`` pairs of two byte-identical trees.  Each side's result file goes
+into the pair as written, less its per-run ``job_seconds`` list.
 
 The record, ``BENCH_<label>.json`` in the output directory (default: the
 working directory), holds the claim, the pairs of every workload and, per
@@ -37,6 +40,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
+WARMUP_SECONDS = 1.0
 NOTE = ("each entry is a result file of benchmarks/run.py as written, less its per-run "
         "job_seconds list; quartiles are linear-interpolation percentiles (numpy default)")
 
@@ -145,6 +149,7 @@ def main(argv=None) -> int:
             order = ("parent", "change") if i % 2 else ("change", "parent")
             pair = {"pair": i, "first": order[0]}
             for side in order:
+                run_side(trees[side], workload, args.seed, WARMUP_SECONDS)  # discarded
                 pair[side] = run_side(trees[side], workload, args.seed, args.seconds)
             pairs[workload].append(pair)
             print(f"{workload} pair {i}: " + ", ".join(
@@ -152,7 +157,8 @@ def main(argv=None) -> int:
                 file=sys.stderr)
     what = (f"alternating parent/change pairs of `python3 benchmarks/run.py --workload W "
             f"--seed {args.seed} --seconds {args.seconds:g} --trace 0`, each side run from "
-            f"its own copy of the tree by tools/bench_record.py")
+            f"its own copy of the tree by tools/bench_record.py, right after a discarded "
+            f"{WARMUP_SECONDS:g} s warm-up run of the same workload in the same tree")
     record = build_record(args.label, claim, pairs, end_to_end, what, args.parent_commit)
     path = args.out / f"BENCH_{args.label}.json"
     path.write_text(json.dumps(record, indent=1, sort_keys=True) + "\n", encoding="utf-8")
