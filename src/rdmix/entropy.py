@@ -9,19 +9,21 @@ the dissipation is decomposed for the Boltzmann entropy (p = 1) alone.
 
 F_p is free of cancellation near z = 1 only at p = 1/2; elsewhere it loses
 digits like 1/|z - 1|, and near p = 1 it divides no cancelled difference by
-p - 1 (see its docstring).  One diagnostics sample (``dissipation_total``)
-forms rho, zeta, their logarithm and their excess over 1 once, in a
-``RelativeDensities``: the entropies and the reaction pairing share the
-logarithm (log a - log b = alpha log rho - beta log zeta), and the Fisher
-information and the mixed term share the excess.  The squared Hellinger
-distance has one definition, E_(1/2) / 2.
+p - 1 (see its docstring).  Each integrand is written once, in place into a
+row given to it, and serves both its public functional and the diagnostics
+sample.  A ``RelativeDensities`` holds rho, zeta, their logarithm and their
+excess over 1, formed once per state: the entropies and the reaction pairing
+share the logarithm (log a - log b = alpha log rho - beta log zeta), and the
+Fisher information and the mixed term share the excess.  One diagnostics
+sample (``dissipation_total``) refills one such object per run, writes every
+integrand into one row of its table and integrates the table in one call.
+The squared Hellinger distance has one definition, E_(1/2) / 2.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -60,18 +62,24 @@ class State:
         return state
 
 
-@dataclass(frozen=True)
 class RelativeDensities:
-    """rho = u/U and zeta = v/V for a state over a profile, the rows of ``both``.
+    """rho = u/U and zeta = v/V of a state over a profile, and the scratch of its functionals.
 
-    A functional that treats the two species alike evaluates both rows in
-    one pass and adds them before its quadrature.  The minimum, the excess
-    over 1 and the logarithm are each formed once, when a functional first
-    asks for them.
+    ``fill`` writes a state's densities into the rows of ``both``, their smallest
+    value into ``lowest``, their logarithm into ``log`` (NaN unless ``lowest`` > 0)
+    and their excess over 1 into ``excess``, arrays that the object owns.  A
+    functional that treats the two species alike evaluates both rows in one pass
+    and adds them before its quadrature.  The integrands write into ``scratch``
+    (two (2, n) arrays) and ``table`` rows, never into those four, so one object
+    refilled per state serves every sample of a run without a new array.
     """
 
-    grid: Grid
-    both: np.ndarray
+    def __init__(self, grid: Grid):
+        self.grid = grid
+        self.both, self.log, self.excess = (np.empty((2, grid.n)) for _ in range(3))
+        self.scratch = np.empty((2, 2, grid.n))
+        self.lowest = math.nan
+        self._table, self._totals = np.empty((0, grid.n)), np.empty(0)
 
     @property
     def rho(self) -> np.ndarray:
@@ -81,29 +89,33 @@ class RelativeDensities:
     def zeta(self) -> np.ndarray:
         return self.both[1]
 
-    @cached_property
-    def lowest(self) -> float:
-        """The smallest value of rho and zeta."""
-        return float(self.both.min())
+    def fill(self, state: State, profile: ProfileSolution) -> RelativeDensities:
+        """Overwrite every field with the densities of ``state`` over ``profile``."""
+        if not state.grid == profile.grid == self.grid:
+            raise DomainError("state, profile and densities must share one grid")
+        np.divide(state.u, profile.U, out=self.both[0])
+        np.divide(state.v, profile.V, out=self.both[1])
+        self.lowest = float(self.both.min())
+        if self.lowest > 0.0:
+            np.log(self.both, out=self.log)
+        else:  # no functional reads it: F_p takes its zero branch, the pairing raises
+            self.log.fill(math.nan)
+        np.subtract(self.both, 1.0, out=self.excess)
+        return self
 
-    @cached_property
-    def excess(self) -> np.ndarray:
-        """rho - 1 and zeta - 1, shared by the Fisher information and the mixed terms."""
-        return self.both - 1.0
+    def table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """A (k, n) table, one row per integrand, and k floats for its integrals.
 
-    @cached_property
-    def log(self) -> np.ndarray:
-        """log rho and log zeta, shared by the entropies and the reaction pairing."""
-        return np.log(self.both)
+        The arrays are reused while k stays the same.
+        """
+        if len(self._totals) != k:
+            self._table, self._totals = np.empty((k, self.grid.n)), np.empty(k)
+        return self._table, self._totals
 
 
 def relative_densities(state: State, profile: ProfileSolution) -> RelativeDensities:
-    if state.grid != profile.grid:
-        raise DomainError("state and profile must share one grid")
-    both = np.empty((2, state.grid.n))
-    np.divide(state.u, profile.U, out=both[0])
-    np.divide(state.v, profile.V, out=both[1])
-    return RelativeDensities(state.grid, both)
+    """The densities of ``state`` over ``profile`` in a new ``RelativeDensities``."""
+    return RelativeDensities(state.grid).fill(state, profile)
 
 
 @dataclass
@@ -147,21 +159,49 @@ def F_p(
     if not z_min >= 0 or (p <= 0 and z_min <= 0):  # a NaN fails too
         raise DomainError(f"F_p needs z >= 0 (z > 0 for p <= 0), got min z={z_min}, p={p}")
     if p == 0.5:
-        out = 2.0 * ((z - 1.0) / (np.sqrt(z) + 1.0)) ** 2
+        out = _F_p_into(np.empty(z.shape), np.empty(z.shape), p, z, None, z - 1.0)
     elif z_min == 0.0:  # F_p(0) = 1/p for p > 0; the forms below take log z elsewhere
         out = np.where(z > 0.0, F_p(np.where(z > 0.0, z, 1.0), p), 1.0 / p)
     else:
         log_z = np.log(z) if log_z is None else log_z
-        q = p - 1.0
-        if p == 1.0:
-            out = z * log_z - z + 1.0
-        elif p == 0.0:
-            out = z - log_z - 1.0
-        elif p < 0.5:
-            out = (np.expm1(p * log_z) - p * np.expm1(log_z)) / (p * q)
-        else:
-            out = (z * np.expm1(q * log_z) - q * np.expm1(log_z)) / (p * q)
+        out = _F_p_into(np.empty(z.shape), np.empty(z.shape), p, z, log_z, None)
     return out if out.ndim else float(out)
+
+
+def _F_p_into(out: np.ndarray, tmp: np.ndarray, p: float, z: np.ndarray,
+              log_z: np.ndarray | None, excess: np.ndarray | None) -> np.ndarray:
+    """``F_p``'s forms at z > 0 into ``out``, with ``tmp`` as scratch of z's shape.
+
+    ``excess`` = z - 1 is read at p = 1/2 alone, ``log_z`` = log z at every other p.
+    """
+    if p == 0.5:
+        np.sqrt(z, out=tmp)
+        tmp += 1.0
+        np.divide(excess, tmp, out=out)
+        out **= 2
+        out *= 2.0
+    elif p == 1.0:
+        np.multiply(z, log_z, out=out)
+        out -= z
+        out += 1.0
+    elif p == 0.0:
+        np.subtract(z, log_z, out=out)
+        out -= 1.0
+    else:
+        q = p - 1.0
+        np.expm1(log_z, out=tmp)
+        if p < 0.5:  # expm1(p l) - p expm1(l)
+            np.multiply(log_z, p, out=out)
+            np.expm1(out, out=out)
+            tmp *= p
+        else:  # z expm1(q l) - q expm1(l)
+            np.multiply(log_z, q, out=out)
+            np.expm1(out, out=out)
+            out *= z
+            tmp *= q
+        out -= tmp
+        out /= p * q
+    return out
 
 
 def F_p_conjugate(zeta: float, p: float) -> float:
@@ -206,6 +246,76 @@ def _clamped(dens: RelativeDensities) -> np.ndarray:
     return dens.both
 
 
+def _entropy_integrand(dens: RelativeDensities, profile: ProfileSolution, p: float,
+                       out: np.ndarray) -> np.ndarray:
+    """U F_p(rho) + V F_p(zeta) into ``out``."""
+    if dens.lowest > 0.0:
+        F = _F_p_into(*dens.scratch, p, dens.both, dens.log, dens.excess)
+    else:  # F_p's branch at a zero density, or its DomainError
+        F = F_p(dens.both, p, dens.lowest)
+    np.multiply(profile.UV, F, out=F)
+    return np.add(F[0], F[1], out=out)
+
+
+def _fisher_integrand(dens: RelativeDensities, profile: ProfileSolution,
+                      out: np.ndarray) -> np.ndarray:
+    """d1 U rho_y^2 / rho + d2 V zeta_y^2 / zeta into ``out``."""
+    both = _clamped(dens)
+    # the derivative of the excess over 1: the banded D1 of an all-ones row is roundoff, not 0
+    vals = diff1(dens.grid, dens.excess, out=dens.scratch[0])
+    vals **= 2
+    np.multiply(profile.d_UV, vals, out=vals)
+    vals /= both
+    return np.add(vals[0], vals[1], out=out)
+
+
+def _reaction_integrand(dens: RelativeDensities, profile: ProfileSolution,
+                        out: np.ndarray) -> np.ndarray:
+    """k U^alpha (a - b)(log a - log b), a = rho^alpha and b = zeta^beta, into ``out``."""
+    d = profile.data
+    _clamped(dens)  # the pairing is infinite on the axes
+    # from the shared logs: log a - log b = alpha log rho - beta log zeta, and
+    # a - b = b expm1(log a - log b), which does not cancel where a is near b
+    log_b, gap = dens.scratch[0]
+    np.multiply(dens.log[1], d.beta, out=log_b)
+    np.multiply(dens.log[0], d.alpha, out=gap)
+    gap -= log_b
+    np.expm1(gap, out=out)
+    np.multiply(np.exp(log_b, out=log_b), out, out=out)
+    out *= gap
+    out *= profile.kU_alpha
+    return out
+
+
+def _mixed_integrand(dens: RelativeDensities, profile: ProfileSolution,
+                     out: np.ndarray) -> np.ndarray:
+    """(beta (zeta - 1) - alpha (rho - 1)) Lambda into ``out``."""
+    d = profile.data
+    np.multiply(dens.excess[1], d.beta, out=out)
+    out -= np.multiply(dens.excess[0], d.alpha, out=dens.scratch[0, 0])
+    out *= profile.Lambda
+    return out
+
+
+def _split_integrands(dens: RelativeDensities, profile: ProfileSolution,
+                      out: np.ndarray) -> np.ndarray:
+    """The reaction- and entropy-controlled parts of the mixed term into the rows of ``out``."""
+    d = profile.data
+    if d.alpha <= d.beta:
+        raise DomainError("mixed-term split requires alpha > beta")
+    a, b = d.alpha, d.beta
+    psi_z, t = dens.scratch[0]
+    np.copyto(psi_z, dens.zeta)
+    psi_z **= b
+    ramp(psi_z, a, out=psi_z)
+    np.subtract(psi_z, np.multiply(dens.excess[0], a, out=t), out=out[0])
+    out[0] *= profile.Lambda
+    np.subtract(dens.excess[1], np.divide(psi_z, b, out=t), out=out[1])
+    out[1] *= b
+    out[1] *= profile.Lambda
+    return out
+
+
 def relative_entropy(
     state: State,
     profile: ProfileSolution,
@@ -215,40 +325,37 @@ def relative_entropy(
     """E_p = integral of U F_p(u/U) + V F_p(v/V); ``dens`` may pass the state's densities."""
     if dens is None:
         dens = relative_densities(state, profile)
-    vals = profile.UV * F_p(dens.both, p, dens.lowest, dens.log if dens.lowest > 0.0 else None)
-    return integrate(state.grid, vals[0] + vals[1])
+    return integrate(state.grid, _entropy_integrand(dens, profile, p, np.empty(dens.grid.n)))
 
 
 def fisher_information(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Gradient dissipation: integral of d1 U rho_y^2 / rho + d2 V zeta_y^2 / zeta."""
-    both = _clamped(dens)
-    # the derivative of the excess over 1: the banded D1 of an all-ones row is roundoff, not 0
-    vals = profile.d_UV * diff1(dens.grid, dens.excess) ** 2 / both
-    return integrate(dens.grid, vals[0] + vals[1])
+    return integrate(dens.grid, _fisher_integrand(dens, profile, np.empty(dens.grid.n)))
 
 
 def reactive_dissipation(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Reaction dissipation: integral of k U^alpha times the pairing of rho^alpha and zeta^beta."""
-    d = profile.data
-    _clamped(dens)  # the pairing is infinite on the axes
-    # from the shared logs: log a - log b = alpha log rho - beta log zeta, and
-    # a - b = b expm1(log a - log b), which does not cancel where a is near b
-    log_b = d.beta * dens.log[1]
-    gap = d.alpha * dens.log[0] - log_b
-    vals = np.exp(log_b) * np.expm1(gap) * gap * profile.kU_alpha
-    return integrate(dens.grid, vals)
+    return integrate(dens.grid, _reaction_integrand(dens, profile, np.empty(dens.grid.n)))
 
 
 def mixed_term(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Signed multiplier term; the only dissipation contribution without a sign."""
-    d = profile.data
-    vals = (dens.excess[1] * d.beta - dens.excess[0] * d.alpha) * profile.Lambda
-    return integrate(dens.grid, vals)
+    return integrate(dens.grid, _mixed_integrand(dens, profile, np.empty(dens.grid.n)))
 
 
-def ramp(r: np.ndarray, alpha: float) -> np.ndarray:
-    """Concave comparison map alpha (r^(1/alpha) - 1) used to split the mixed term."""
-    return alpha * (r ** (1.0 / alpha) - 1.0)
+def ramp(r: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
+    """Concave comparison map alpha (r^(1/alpha) - 1) used to split the mixed term.
+
+    ``out`` may pass an array of r's shape for the result, r itself included.
+    """
+    if out is None:
+        out = np.array(r, dtype=float)
+    elif out is not r:
+        np.copyto(out, r)
+    out **= 1.0 / alpha
+    out -= 1.0
+    out *= alpha
+    return out if out.ndim else float(out)
 
 
 def split_mixed_term(
@@ -262,14 +369,8 @@ def split_mixed_term(
     Psi(rho^alpha) is alpha (rho - 1), so the rho contribution of the
     remainder vanishes identically and is left out.
     """
-    d = profile.data
-    if d.alpha <= d.beta:
-        raise DomainError("mixed-term split requires alpha > beta")
-    a, b = d.alpha, d.beta
-    psi_z = ramp(dens.zeta**b, a)
-    part1 = integrate(dens.grid, (psi_z - a * dens.excess[0]) * profile.Lambda)
-    part2 = integrate(dens.grid, (dens.excess[1] - psi_z / b) * b * profile.Lambda)
-    return part1, part2
+    parts = _split_integrands(dens, profile, np.empty((2, dens.grid.n)))
+    return integrate(dens.grid, parts[0]), integrate(dens.grid, parts[1])
 
 
 def hellinger_sq(state: State, profile: ProfileSolution) -> float:
@@ -278,43 +379,57 @@ def hellinger_sq(state: State, profile: ProfileSolution) -> float:
 
 
 def dissipation_total(
-    state: State, profile: ProfileSolution, p_list: tuple[float, ...] = ()
+    state: State,
+    profile: ProfileSolution,
+    p_list: tuple[float, ...] = (),
+    workspace: RelativeDensities | None = None,
 ) -> DiagnosticsRecord:
     """Assemble one diagnostics record: the Boltzmann dissipation and its parts.
 
-    The relative densities and their logarithm are formed once and every
-    functional is evaluated on them (E_B also serves as E_1, and E_p holds
-    each p of ``p_list`` and 1); the profile's own arrays come from its cache.
-    The squared Hellinger distance is E_(1/2) / 2: the sampled E_p[1/2] when
-    1/2 is in ``p_list``, else E_(1/2) on the same densities.
-    ``dissipation_residual`` is left NaN for the integrator to fill from
-    sampled finite differences.
+    The relative densities, their logarithm and their excess are formed once, in
+    ``workspace`` (refilled in place; a new ``RelativeDensities`` if None), and every
+    integrand is written as one row of its table: E_p for each p of ``p_list`` and 1
+    (E_B is E_1), E_(1/2) when 1/2 is not among them, then the Fisher information,
+    the reaction pairing, the mixed term and, when alpha > beta, the two parts of its
+    split.  One quadrature integrates every row, with the bits of each functional
+    called alone; the profile's own arrays come from its cache.  The squared
+    Hellinger distance is E_(1/2) / 2.  DomainError where the state or the profile is
+    on another grid than the workspace, where an integral is not finite, or where
+    e^tau D_react or the assembled D_B_total is not.  ``dissipation_residual`` is
+    left NaN for the integrator to fill from sampled finite differences.
     """
     d = profile.data
-    dens = relative_densities(state, profile)
-    E_B = relative_entropy(state, profile, 1.0, dens)
-    E_p = {
-        q: E_B if q == 1.0 else relative_entropy(state, profile, q, dens)
-        for q in dict.fromkeys((*p_list, 1.0))
-    }
-    I_F = fisher_information(dens, profile)
-    D_re = reactive_dissipation(dens, profile)
-    I_L = mixed_term(dens, profile)
+    dens = (RelativeDensities(state.grid) if workspace is None else workspace).fill(state, profile)
+    ps = tuple(dict.fromkeys((*p_list, 1.0)))
+    entropies = ps if 0.5 in ps else (*ps, 0.5)
+    k = len(entropies)
+    table, totals = dens.table(k + (5 if d.alpha > d.beta else 3))
+    for p, row in zip(entropies, table):
+        _entropy_integrand(dens, profile, p, row)
+    _fisher_integrand(dens, profile, table[k])
+    _reaction_integrand(dens, profile, table[k + 1])
+    _mixed_integrand(dens, profile, table[k + 2])
     if d.alpha > d.beta:
-        I_L1, I_L2 = split_mixed_term(dens, profile)
-    else:
-        I_L1, I_L2 = I_L, 0.0  # the remainder part vanishes identically at equal orders
-    E_half = E_p[0.5] if 0.5 in E_p else relative_entropy(state, profile, 0.5, dens)
-    total = I_F + 0.5 * E_B - I_L + math.exp(state.tau) * D_re
+        _split_integrands(dens, profile, table[k + 3:])
+    values = integrate(state.grid, table, out=totals).tolist()
+    E_p = dict(zip(ps, values))
+    I_F, D_re, I_L, *split = values[k:]
+    I_L1, I_L2 = split or (I_L, 0.0)  # the remainder part vanishes identically at equal orders
+    try:
+        total = I_F + 0.5 * E_p[1.0] - I_L + math.exp(state.tau) * D_re
+    except OverflowError:  # e^tau past the float range
+        total = math.inf
+    if not math.isfinite(total):
+        raise DomainError(f"D_B_total is not finite at tau = {state.tau} (D_react = {D_re})")
     return DiagnosticsRecord(
         tau=state.tau,
-        E_B=E_B,
+        E_B=E_p[1.0],
         E_p=E_p,
         I_Fisher=I_F,
         D_react=D_re,
         I_Lambda=I_L,
         I_Lambda_1=I_L1,
         I_Lambda_2=I_L2,
-        hellinger_sq=0.5 * E_half,
+        hellinger_sq=0.5 * values[entropies.index(0.5)],
         D_B_total=total,
     )

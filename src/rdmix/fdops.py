@@ -1,7 +1,8 @@
 """The mesh, the stencils and the quadrature that every layer shares.
 
 Grids are uniform on [-L, L] with an odd point count, which puts y = 0 on a
-node; functionals are trapezoid quadratures on them.  A problem's default
+node; functionals are trapezoid quadratures on them, of one row or of every
+row of a table in one call.  A problem's default
 grid (``default_grid``) is sized from its diffusivities and equilibria: L
 leaves the slowest erf tail at 1e-12 of the jump, and the spacing is a fixed
 fraction of the shortest diffusion length.  Interior nodes use
@@ -127,17 +128,30 @@ def check_values(grid: Grid, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def integrate(grid: Grid, f: np.ndarray) -> float:
-    """Trapezoid rule over [-L, L].
+def integrate(grid: Grid, f: np.ndarray, out: np.ndarray | None = None):
+    """Trapezoid rule over [-L, L]: of the nodal values f, or of each row of a (k, n) f.
 
-    Raises DomainError unless the result is finite; a non-finite nodal value
-    makes the sum non-finite, so this checks the integrand in one pass.
+    With ``out``, an array of k floats, the integral of row i goes into ``out[i]`` and
+    ``out`` is returned; each row gets the bits of its own one-row call, as numpy sums
+    a contiguous row pairwise either way and the rest is the same Python-float
+    arithmetic.  Raises DomainError unless every result is finite; a non-finite nodal
+    value makes its sum non-finite, so this checks the integrand in one pass.
     """
-    f = _nodal(grid, f)
-    total = grid.h * (float(f.sum()) - 0.5 * (float(f[0]) + float(f[-1])))
-    if not math.isfinite(total):
-        raise DomainError(f"integral is not finite ({total})")
-    return total
+    if out is None:
+        rows = _nodal(grid, f)[None]
+    else:
+        rows = np.ascontiguousarray(f, dtype=float)
+        if rows.shape != (len(out), grid.n):
+            raise DomainError(f"expected {len(out)} rows of {grid.n} nodal values, got {rows.shape}")
+    # Python floats take an end value of inf to a NaN total without a numpy warning
+    totals = [grid.h * (s - 0.5 * (a + b)) for s, a, b in
+              zip(rows.sum(axis=-1).tolist(), rows[:, 0].tolist(), rows[:, -1].tolist())]
+    if not all(map(math.isfinite, totals)):
+        raise DomainError(f"integral is not finite ({', '.join(map(str, totals))})")
+    if out is None:
+        return totals[0]
+    out[:] = totals
+    return out
 
 
 # The stencil table: (offsets, second-derivative weights, their divisor in
@@ -212,17 +226,18 @@ def jacobian_banded(grid: Grid, Gp: np.ndarray, Wp: np.ndarray) -> np.ndarray:
     return D2[:, 1:-1] * Gp[1:-1] + Y1[:, 1:-1] * Wp[1:-1]
 
 
-def diff1(grid: Grid, f: np.ndarray) -> np.ndarray:
+def diff1(grid: Grid, f: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """First derivative of each row ``f[..., :]`` with the solver's stencils (4th order inside).
 
     The ends take one-sided second-order differences; values are not checked.
+    ``out`` may pass a C-contiguous float64 array of f's shape for the result.
     The interior is formed from slices with the weights of ``operators(grid)[1]``,
     summed in ``_matvec``'s order (offsets +2, +1, -1, -2; the centre weight
     is 0), so the result equals the banded product bit for bit.
     """
     h = grid.h
     (w5, c5), (w3, c3) = ((s[3], 1.0 / (s[4] * h)) for s in (_FIVE_POINT, _THREE_POINT))
-    out = np.empty(f.shape)
+    out = np.empty(f.shape) if out is None else out
     # the rows run on as one line; the values that straddle two rows are overwritten below
     line, inner = f.reshape(-1), out.reshape(-1)[2:-2]
     np.multiply(line[4:], w5[4] * c5, out=inner)

@@ -505,7 +505,8 @@ def run(config: SimConfig) -> RunResult:
     or a reaction solver failure) down to dtau_min, and after sixteen accepted steps
     moves from interval / m to interval / ceil(m / 2), up to the largest such step of
     at most dtau_max.  So each sample instant is reached exactly, and each step size
-    is factored once.
+    is factored once.  Every sample is one ``entropy.dissipation_total`` call, looked
+    up on the module, into one ``RelativeDensities`` that the run allocates once.
     """
     t_start = time.perf_counter()
     profile = solve_profile(config.data, config.make_grid(), tol=config.profile_tol)
@@ -513,12 +514,13 @@ def run(config: SimConfig) -> RunResult:
     ws = _StepWorkspace(profile.grid, config.data)
     ws.rate = _balancing_rate(state, config.data)
     p_list = config.effective_p_list()
+    densities = entropy.RelativeDensities(profile.grid)
 
     def advance(st: State, dt: float) -> State:
         return step(st, config.data, dt, ws)
 
     def sample(st: State) -> DiagnosticsRecord:
-        return entropy.dissipation_total(st, profile, p_list)
+        return entropy.dissipation_total(st, profile, p_list, densities)
 
     excess_mass = conserved_moment(state, profile)
     records, state, counters = _march(config, state, advance, sample)

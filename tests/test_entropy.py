@@ -632,3 +632,18 @@ def test_dissipation_total_rejects_overflow_and_clamped_densities(value):
     state = State(prof.grid, u, prof.V.copy(), 0.0)
     with pytest.raises(DomainError), np.errstate(over="ignore"):
         dissipation_total(state, prof, (1.0, 0.5, 3.0))
+
+
+def test_dissipation_total_rejects_a_reaction_term_past_the_float_range():
+    # tau_end may reach about 709.8; at tau = 709, e^tau D_react (D_react = 136.8)
+    # overflowed to an inf D_B_total, which the run's residuals turned into NaN
+    data = ProblemData(2, 2, 1, 3, 1, 1, 2)
+    prof = solve_profile(data, Grid(16.0, 401))
+    u = prof.U * (1.0 + 2.0 * np.exp(-(prof.grid.nodes**2)))
+    state = State(prof.grid, u, prof.V.copy(), 709.0)
+    assert dissipation_total(State(prof.grid, u, prof.V, 0.0), prof).D_react == pytest.approx(
+        136.8, rel=1e-3)
+    with pytest.raises(DomainError, match="D_B_total is not finite"):
+        dissipation_total(state, prof)
+    with pytest.raises(DomainError, match="D_B_total is not finite"):  # e^tau itself overflows
+        dissipation_total(State(prof.grid, u, prof.V, 710.0), prof)

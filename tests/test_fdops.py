@@ -161,6 +161,37 @@ def test_value_validation():
         integrate(g, np.array([np.nan] * g.n))
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    half_n=st.one_of(st.integers(2, 40), st.integers(2, 12_000)),
+    k=st.integers(1, 8),
+    exponents=st.lists(st.integers(-300, 300), min_size=8, max_size=8),
+    seed=st.integers(0, 2**32 - 1),
+    bad=st.sampled_from([None, math.inf, -math.inf, math.nan]),
+)
+def test_integrate_a_stack_gives_each_row_its_one_row_bits(half_n, k, exponents, seed, bad):
+    # a diagnostics sample integrates all its integrands as one (k, n) table; each row
+    # must keep the bits of its own one-row quadrature, at any magnitude and sign
+    rng = np.random.default_rng(seed)
+    g = Grid(1.0 + rng.random() * 30.0, 2 * half_n + 1)
+    f = rng.standard_normal((k, g.n)) * 10.0 ** np.array(exponents[:k], dtype=float)[:, None]
+    if bad is None:
+        out = np.empty(k)
+        assert integrate(g, f, out=out) is out
+        assert [v.hex() for v in out.tolist()] == [integrate(g, row).hex() for row in f]
+    else:
+        f[rng.integers(k), rng.integers(g.n)] = bad
+        with pytest.raises(DomainError, match="not finite"):
+            integrate(g, f, out=np.empty(k))
+
+
+def test_integrate_a_stack_checks_its_shape():
+    g = Grid(1.0, 11)
+    for f, k in ((np.ones((2, 11)), 3), (np.ones((2, 13)), 2), (np.ones(11), 1)):
+        with pytest.raises(DomainError, match="rows of 11 nodal values"):
+            integrate(g, f, out=np.empty(k))
+
+
 def _full_band(grid, d, dtau):
     """The whole step matrix I - dtau (d D2 + (y/2) D1) in the solve_banded layout."""
     D2, _, Y1 = operators(grid)

@@ -41,3 +41,15 @@ def test_traced_run_counts_one_diffusion_solve_per_step():
     assert metrics["fdops.distinct_dtau"] > 0
     parents = [tracer.spans[rec[3]][0] for rec in tracer.spans if rec[0] == "fdops.diffusion"]
     assert parents and set(parents) == {"simulate.step"}
+
+
+def test_traced_run_counts_one_sample_span_per_record():
+    # run samples through entropy.dissipation_total looked up on the module; a run that
+    # sampled any other way would read 0 samples while the target still resolves
+    cfg = simulate.SimConfig(ProblemData(2, 2, 1, 3, 1, 1, 2), tau_end=0.01, grid_n=201,
+                             grid_half_width=8.0, dtau_max=1e-3, sample_interval=0.005)
+    tracer = layertrace.Tracer()
+    with tracer.installed():
+        result = simulate.run(cfg)
+    metrics = {k: v for k, (v, _) in layertrace.layer_metrics(tracer.spans, {-1}).items()}
+    assert metrics["entropy.samples"] == len(result.records) == 3

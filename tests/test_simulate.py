@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -924,6 +925,37 @@ def test_run_samples_through_dissipation_total_once_per_record(monkeypatch):
     result = run(cfg)
     assert len(result.records) == 5
     assert calls == [r.tau for r in result.records]
+
+
+@pytest.mark.parametrize("orders", [(1.5, 1.5), (2, 1)])
+def test_a_run_reuses_one_sample_workspace_without_changing_a_record(monkeypatch, orders):
+    # run refills one RelativeDensities per sample; each record must be the one a fresh
+    # sample gives on the same state, and must not move when a later sample refills it
+    from rdmix import entropy
+
+    taken = []
+    total = entropy.dissipation_total
+
+    def keeping(state, profile, p_list, workspace):
+        record = total(state, profile, p_list, workspace)
+        taken.append((state, profile, p_list, workspace, repr(record)))
+        return record
+
+    monkeypatch.setattr(entropy, "dissipation_total", keeping)
+    data = ProblemData(*orders, 1, 2, 1, 1, 2)
+    result = run(_config(data, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2)))
+    assert len(taken) == len(result.records) == 5
+    assert len({id(workspace) for *_, workspace, _ in taken}) == 1
+    for record, (state, profile, p_list, _, seen) in zip(result.records, taken):
+        # repr spells each float exactly; the run fills dissipation_residual afterwards
+        alone = repr(total(state, profile, p_list))
+        assert repr(dataclasses.replace(record, dissipation_residual=math.nan)) == seen == alone
+    state, profile, p_list, workspace, _ = taken[0]
+    other = solve_profile(data, Grid(16.0, 201))
+    with pytest.raises(DomainError, match="share one grid"):
+        total(State(other.grid, other.U, other.V, 0.0), profile, p_list, workspace)
+    with pytest.raises(DomainError, match="share one grid"):
+        total(State(other.grid, other.U, other.V, 0.0), other, p_list, workspace)
 
 
 def test_the_step_has_no_E_B_floor_at_unequal_diffusivities():
