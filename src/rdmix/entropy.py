@@ -12,17 +12,20 @@ digits like 1/|z - 1|, and near p = 1 it divides no cancelled difference by
 p - 1 (see its docstring).  Each integrand is written once, in place into a
 row given to it, and serves both its public functional and the diagnostics
 sample.  A ``RelativeDensities`` holds rho, zeta, their logarithm and their
-excess over 1, formed once per state: the entropies and the reaction pairing
-share the logarithm (log a - log b = alpha log rho - beta log zeta), and the
-Fisher information and the mixed term share the excess.  One diagnostics
-sample (``dissipation_total``) refills one such object per run, writes every
-integrand into one row of its table and integrates the table in one call.
+excess over 1 of a block of states, formed once per block: the entropies and
+the reaction pairing share the logarithm (log a - log b = alpha log rho - beta
+log zeta), and the Fisher information and the mixed term share the excess.  An
+integrand writes one row per state of the block.  One diagnostics sample
+(``dissipation_total``) of a block of states refills one such object per run,
+writes every integrand into the rows of its table and integrates the table in
+one call; a public functional takes a block of one.
 The squared Hellinger distance has one definition, E_(1/2) / 2.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,23 +66,24 @@ class State:
 
 
 class RelativeDensities:
-    """rho = u/U and zeta = v/V of a state over a profile, and the scratch of its functionals.
+    """rho = u/U and zeta = v/V of a block of states over a profile, and their functionals' scratch.
 
-    ``fill`` writes a state's densities into the rows of ``both``, their smallest
-    value into ``lowest``, their logarithm into ``log`` (NaN unless ``lowest`` > 0)
-    and their excess over 1 into ``excess``, arrays that the object owns.  A
-    functional that treats the two species alike evaluates both rows in one pass
-    and adds them before its quadrature.  The integrands write into ``scratch``
-    (two (2, n) arrays) and ``table`` rows, never into those four, so one object
-    refilled per state serves every sample of a run without a new array.
+    ``fill`` writes the densities of m states into ``both``, a (2, m, n) array whose
+    rows [0, i] and [1, i] are rho and zeta of state i, their smallest value into
+    ``lowest``, their logarithm into ``log`` (NaN unless ``lowest`` > 0) and their
+    excess over 1 into ``excess``.  A functional that treats the two species alike
+    evaluates both species of every state in one pass, the profile's (2, n) arrays
+    broadcast as (2, 1, n), and adds the species before its quadrature.  The
+    integrands write into ``scratch`` (two (2, m, n) arrays) and ``table`` rows,
+    never into those four.  Every array is a view of a flat buffer that the object
+    owns, sized for the largest block it has held, so one object refilled per block
+    serves every block of at most that many states without a new array.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
-        self.both, self.log, self.excess = (np.empty((2, grid.n)) for _ in range(3))
-        self.scratch = np.empty((2, 2, grid.n))
         self.lowest = math.nan
-        self._table, self._totals = np.empty((0, grid.n)), np.empty(0)
+        self._flat, self._table, self._totals = np.empty(0), np.empty(0), np.empty(0)
 
     @property
     def rho(self) -> np.ndarray:
@@ -89,12 +93,20 @@ class RelativeDensities:
     def zeta(self) -> np.ndarray:
         return self.both[1]
 
-    def fill(self, state: State, profile: ProfileSolution) -> RelativeDensities:
-        """Overwrite every field with the densities of ``state`` over ``profile``."""
-        if not state.grid == profile.grid == self.grid:
+    def fill(self, states: Sequence[State], profile: ProfileSolution) -> RelativeDensities:
+        """Overwrite every field with the densities of ``states`` over ``profile``, in order."""
+        if not all(state.grid == profile.grid == self.grid for state in states):
             raise DomainError("state, profile and densities must share one grid")
-        np.divide(state.u, profile.U, out=self.both[0])
-        np.divide(state.v, profile.V, out=self.both[1])
+        size = 2 * len(states) * self.grid.n
+        if len(self._flat) < 5 * size:
+            self._flat = np.empty(5 * size)
+        shape = (2, len(states), self.grid.n)
+        self.both, self.log, self.excess = (
+            self._flat[i * size:(i + 1) * size].reshape(shape) for i in range(3))
+        self.scratch = self._flat[3 * size:5 * size].reshape((2, *shape))
+        for i, state in enumerate(states):
+            np.divide(state.u, profile.U, out=self.both[0, i])
+            np.divide(state.v, profile.V, out=self.both[1, i])
         self.lowest = float(self.both.min())
         if self.lowest > 0.0:
             np.log(self.both, out=self.log)
@@ -104,18 +116,19 @@ class RelativeDensities:
         return self
 
     def table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """A (k, n) table, one row per integrand, and k floats for its integrals.
+        """A (k, m, n) table, one row per integrand and state, and k m floats for its integrals.
 
-        The arrays are reused while k stays the same.
+        The buffers are reused while they are large enough.
         """
-        if len(self._totals) != k:
-            self._table, self._totals = np.empty((k, self.grid.n)), np.empty(k)
-        return self._table, self._totals
+        _, m, n = self.both.shape
+        if len(self._totals) < k * m:
+            self._table, self._totals = np.empty(k * m * n), np.empty(k * m)
+        return self._table[:k * m * n].reshape(k, m, n), self._totals[:k * m]
 
 
 def relative_densities(state: State, profile: ProfileSolution) -> RelativeDensities:
-    """The densities of ``state`` over ``profile`` in a new ``RelativeDensities``."""
-    return RelativeDensities(state.grid).fill(state, profile)
+    """``state``'s densities over ``profile`` in a new ``RelativeDensities``, a block of one."""
+    return RelativeDensities(state.grid).fill((state,), profile)
 
 
 @dataclass
@@ -253,7 +266,7 @@ def _entropy_integrand(dens: RelativeDensities, profile: ProfileSolution, p: flo
         F = _F_p_into(*dens.scratch, p, dens.both, dens.log, dens.excess)
     else:  # F_p's branch at a zero density, or its DomainError
         F = F_p(dens.both, p, dens.lowest)
-    np.multiply(profile.UV, F, out=F)
+    np.multiply(profile.UV[:, None], F, out=F)
     return np.add(F[0], F[1], out=out)
 
 
@@ -264,7 +277,7 @@ def _fisher_integrand(dens: RelativeDensities, profile: ProfileSolution,
     # the derivative of the excess over 1: the banded D1 of an all-ones row is roundoff, not 0
     vals = diff1(dens.grid, dens.excess, out=dens.scratch[0])
     vals **= 2
-    np.multiply(profile.d_UV, vals, out=vals)
+    np.multiply(profile.d_UV[:, None], vals, out=vals)
     vals /= both
     return np.add(vals[0], vals[1], out=out)
 
@@ -325,22 +338,23 @@ def relative_entropy(
     """E_p = integral of U F_p(u/U) + V F_p(v/V); ``dens`` may pass the state's densities."""
     if dens is None:
         dens = relative_densities(state, profile)
-    return integrate(state.grid, _entropy_integrand(dens, profile, p, np.empty(dens.grid.n)))
+    F = _entropy_integrand(dens, profile, p, np.empty((1, dens.grid.n)))
+    return integrate(state.grid, F[0])
 
 
 def fisher_information(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Gradient dissipation: integral of d1 U rho_y^2 / rho + d2 V zeta_y^2 / zeta."""
-    return integrate(dens.grid, _fisher_integrand(dens, profile, np.empty(dens.grid.n)))
+    return integrate(dens.grid, _fisher_integrand(dens, profile, np.empty((1, dens.grid.n)))[0])
 
 
 def reactive_dissipation(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Reaction dissipation: integral of k U^alpha times the pairing of rho^alpha and zeta^beta."""
-    return integrate(dens.grid, _reaction_integrand(dens, profile, np.empty(dens.grid.n)))
+    return integrate(dens.grid, _reaction_integrand(dens, profile, np.empty((1, dens.grid.n)))[0])
 
 
 def mixed_term(dens: RelativeDensities, profile: ProfileSolution) -> float:
     """Signed multiplier term; the only dissipation contribution without a sign."""
-    return integrate(dens.grid, _mixed_integrand(dens, profile, np.empty(dens.grid.n)))
+    return integrate(dens.grid, _mixed_integrand(dens, profile, np.empty((1, dens.grid.n)))[0])
 
 
 def ramp(r: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -369,8 +383,8 @@ def split_mixed_term(
     Psi(rho^alpha) is alpha (rho - 1), so the rho contribution of the
     remainder vanishes identically and is left out.
     """
-    parts = _split_integrands(dens, profile, np.empty((2, dens.grid.n)))
-    return integrate(dens.grid, parts[0]), integrate(dens.grid, parts[1])
+    parts = _split_integrands(dens, profile, np.empty((2, 1, dens.grid.n)))
+    return integrate(dens.grid, parts[0, 0]), integrate(dens.grid, parts[1, 0])
 
 
 def hellinger_sq(state: State, profile: ProfileSolution) -> float:
@@ -379,28 +393,44 @@ def hellinger_sq(state: State, profile: ProfileSolution) -> float:
 
 
 def dissipation_total(
-    state: State,
+    states: Sequence[State],
     profile: ProfileSolution,
     p_list: tuple[float, ...] = (),
     workspace: RelativeDensities | None = None,
-) -> DiagnosticsRecord:
-    """Assemble one diagnostics record: the Boltzmann dissipation and its parts.
+) -> list[DiagnosticsRecord]:
+    """The diagnostics records of ``states``, in order: the Boltzmann dissipation and its parts.
 
-    The relative densities, their logarithm and their excess are formed once, in
-    ``workspace`` (refilled in place; a new ``RelativeDensities`` if None), and every
-    integrand is written as one row of its table: E_p for each p of ``p_list`` and 1
-    (E_B is E_1), E_(1/2) when 1/2 is not among them, then the Fisher information,
-    the reaction pairing, the mixed term and, when alpha > beta, the two parts of its
-    split.  One quadrature integrates every row, with the bits of each functional
-    called alone; the profile's own arrays come from its cache.  The squared
-    Hellinger distance is E_(1/2) / 2.  DomainError where the state or the profile is
-    on another grid than the workspace, where an integral is not finite, or where
-    e^tau D_react or the assembled D_B_total is not.  ``dissipation_residual`` is
-    left NaN for the integrator to fill from sampled finite differences.
+    The relative densities of the block, their logarithm and their excess are formed
+    once, in ``workspace`` (refilled in place; a new ``RelativeDensities`` if None),
+    and every integrand is written once for all the states, as one row per state of
+    its table: E_p for each p of ``p_list`` and 1 (E_B is E_1), E_(1/2) when 1/2 is
+    not among them, then the Fisher information, the reaction pairing, the mixed term
+    and, when alpha > beta, the two parts of its split.  One quadrature integrates
+    every row, with the bits of each functional called alone on its state; the
+    profile's own arrays come from its cache.  The squared Hellinger distance is
+    E_(1/2) / 2.  ``dissipation_residual`` is left NaN for the integrator to fill
+    from sampled finite differences.
+
+    DomainError where a state or the profile is on another grid than the workspace,
+    where an integral is not finite, or where e^tau D_react or the assembled
+    D_B_total is not.  A block that raises is sampled again one state at a time, in
+    order, so the error is the one the first failing state raises alone.
     """
-    d = profile.data
-    dens = (RelativeDensities(state.grid) if workspace is None else workspace).fill(state, profile)
+    dens = RelativeDensities(profile.grid) if workspace is None else workspace
     ps = tuple(dict.fromkeys((*p_list, 1.0)))
+    try:
+        return _sample_block(states, profile, ps, dens)
+    except Exception:  # a DomainError, or a numpy float warning raised as an error
+        if len(states) == 1:
+            raise
+    return [record for state in states for record in _sample_block((state,), profile, ps, dens)]
+
+
+def _sample_block(states: Sequence[State], profile: ProfileSolution, ps: tuple[float, ...],
+                  dens: RelativeDensities) -> list[DiagnosticsRecord]:
+    """``dissipation_total`` of ``states`` in one pass over the block, E_p for each p of ``ps``."""
+    d = profile.data
+    dens.fill(states, profile)
     entropies = ps if 0.5 in ps else (*ps, 0.5)
     k = len(entropies)
     table, totals = dens.table(k + (5 if d.alpha > d.beta else 3))
@@ -411,25 +441,28 @@ def dissipation_total(
     _mixed_integrand(dens, profile, table[k + 2])
     if d.alpha > d.beta:
         _split_integrands(dens, profile, table[k + 3:])
-    values = integrate(state.grid, table, out=totals).tolist()
-    E_p = dict(zip(ps, values))
-    I_F, D_re, I_L, *split = values[k:]
-    I_L1, I_L2 = split or (I_L, 0.0)  # the remainder part vanishes identically at equal orders
-    try:
-        total = I_F + 0.5 * E_p[1.0] - I_L + math.exp(state.tau) * D_re
-    except OverflowError:  # e^tau past the float range
-        total = math.inf
-    if not math.isfinite(total):
-        raise DomainError(f"D_B_total is not finite at tau = {state.tau} (D_react = {D_re})")
-    return DiagnosticsRecord(
-        tau=state.tau,
-        E_B=E_p[1.0],
-        E_p=E_p,
-        I_Fisher=I_F,
-        D_react=D_re,
-        I_Lambda=I_L,
-        I_Lambda_1=I_L1,
-        I_Lambda_2=I_L2,
-        hellinger_sq=0.5 * values[entropies.index(0.5)],
-        D_B_total=total,
-    )
+    integrate(dens.grid, table.reshape(-1, dens.grid.n), out=totals)
+    records = []
+    for state, values in zip(states, totals.reshape(-1, len(states)).T.tolist()):
+        E_p = dict(zip(ps, values))
+        I_F, D_re, I_L, *split = values[k:]
+        I_L1, I_L2 = split or (I_L, 0.0)  # the remainder part vanishes identically at equal orders
+        try:
+            total = I_F + 0.5 * E_p[1.0] - I_L + math.exp(state.tau) * D_re
+        except OverflowError:  # e^tau past the float range
+            total = math.inf
+        if not math.isfinite(total):
+            raise DomainError(f"D_B_total is not finite at tau = {state.tau} (D_react = {D_re})")
+        records.append(DiagnosticsRecord(
+            tau=state.tau,
+            E_B=E_p[1.0],
+            E_p=E_p,
+            I_Fisher=I_F,
+            D_react=D_re,
+            I_Lambda=I_L,
+            I_Lambda_1=I_L1,
+            I_Lambda_2=I_L2,
+            hellinger_sq=0.5 * values[entropies.index(0.5)],
+            D_B_total=total,
+        ))
+    return records

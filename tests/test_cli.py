@@ -731,6 +731,27 @@ def test_initial_condition_past_the_float_range_in_E_B_is_a_numerical_failure(tm
     assert not (out / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("p_list, values, label", [("1,1.0000001", "1.0 and 1.0000001", "1"),
+                                                    ("0.5,2,2.0000001", "2.0 and 2.0000001", "2")])
+def test_entropy_families_that_share_an_output_label_are_a_config_error(
+    tmp_path, capsys, p_list, values, label
+):
+    # every output names a family by {p:g}: p = 1.0000001 once wrote a second E_p_1
+    # column, kept one of the two final E_p values and a note "no certificate for p = 1"
+    out = tmp_path / "out"
+    cfg = _write(tmp_path, SMALL_SIM_CFG + f"entropy.p_list = {p_list}\n")
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        f"config error: config: entropy families {values} share the output label {label}"
+    ]
+    assert not (out / "diagnostics.csv").exists()
+    # families whose labels differ run, one column each
+    cfg = _write(tmp_path, SMALL_SIM_CFG + "entropy.p_list = 1,1.00001\n")
+    assert main(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == 0
+    header = (out / "diagnostics.csv").read_text().splitlines()[0].split(",")
+    assert [name for name in header if name.startswith("E_p_")] == ["E_p_1", "E_p_1.00001"]
+
+
 @pytest.mark.parametrize("command", ["profile", "simulate", "constants", "sweep"])
 def test_grid_of_fewer_than_five_points_is_a_config_error(tmp_path, capsys, command):
     text = "problem.alpha = 2\nproblem.beta = 1\nproblem.A_minus = 1\nproblem.A_plus = 2\n"

@@ -4,7 +4,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 from rdmix import (
@@ -12,6 +12,8 @@ from rdmix import (
     F_p_conjugate,
     Grid,
     ProblemData,
+    RelativeDensities,
+    SimConfig,
     State,
     dissipation_total,
     fisher_information,
@@ -25,8 +27,9 @@ from rdmix import (
     split_mixed_term,
 )
 from rdmix.conjugate import numeric_sup
-from rdmix.errors import DomainError
-from tests.conftest import flat_profile
+from rdmix.errors import DomainError, RdmixError
+from rdmix.simulate import _SAMPLE_BLOCK
+from tests.conftest import default_grid_problems, flat_profile
 
 
 # ---------------------------------------------------------------- scalars
@@ -479,7 +482,7 @@ def test_entropy_zero_iff_at_profile(equal_orders_profile, rng):
 def test_dissipation_total_assembly(equal_orders_profile):
     prof = equal_orders_profile
     state = _perturbed_state(prof, 0.1, -0.05)
-    rec = dissipation_total(state, prof, (1.0, 0.5))
+    rec = dissipation_total([state], prof, (1.0, 0.5))[0]
     reconstructed = rec.I_Fisher + 0.5 * rec.E_B - rec.I_Lambda + math.exp(rec.tau) * rec.D_react
     assert rec.D_B_total == reconstructed  # identity by construction
     assert rec.E_B >= 0 and rec.I_Fisher >= 0 and rec.D_react >= 0
@@ -493,7 +496,7 @@ def test_dissipation_total_equilibrium_zero():
     g = Grid(16.0, 801)
     prof = solve_profile(data, g)
     state = State(g, prof.U.copy(), prof.V.copy(), 0.0)
-    rec = dissipation_total(state, prof)
+    rec = dissipation_total([state], prof)[0]
     assert rec.E_B == 0.0 and rec.I_Fisher == 0.0
     assert abs(rec.D_react) <= 1e-12 and abs(rec.I_Lambda) <= 1e-12
 
@@ -509,7 +512,7 @@ def test_dissipation_mixed_vanishes_equal_diffusivities(rng):
         prof.V * (1 - 0.2 * np.exp(-(y**2))),
         0.0,
     )
-    rec = dissipation_total(state, prof)
+    rec = dissipation_total([state], prof)[0]
     assert abs(rec.I_Lambda) <= 1e-9  # Lambda vanishes when d1 = d2
 
 
@@ -518,10 +521,10 @@ def test_dissipation_total_hellinger_without_half():
     data = ProblemData(2, 1, 1, 2, 1, 1, 2)
     prof = solve_profile(data, Grid(16.0, 801))
     state = _perturbed_state(prof, 0.1, -0.05)
-    rec = dissipation_total(state, prof, (1.0, 2.0))
+    rec = dissipation_total([state], prof, (1.0, 2.0))[0]
     assert set(rec.E_p) == {1.0, 2.0}
     assert rec.hellinger_sq == hellinger_sq(state, prof)
-    with_half = dissipation_total(state, prof, (1.0, 0.5))
+    with_half = dissipation_total([state], prof, (1.0, 0.5))[0]
     assert with_half.hellinger_sq == 0.5 * with_half.E_p[0.5]
     assert with_half.hellinger_sq == rec.hellinger_sq
 
@@ -548,7 +551,7 @@ def test_dissipation_total_equals_its_functionals(case):
     v = prof.V * (1.0 - 0.15 * np.exp(-((y - 1.0) ** 2)))
     state = State(prof.grid, u, v, 0.7)
     p_list = (0.5, 1.0, 2.0, data.alpha - 1.0, 1.0)
-    rec = dissipation_total(state, prof, p_list)
+    rec = dissipation_total([state], prof, p_list)[0]
 
     fresh = dataclasses.replace(prof)  # no cached arrays yet
     dens = relative_densities(state, fresh)
@@ -613,7 +616,8 @@ def test_dissipation_total_record_pinned(case):
     y = prof.grid.nodes
     u = prof.U * (1.0 + 0.2 * np.exp(-(y**2)))
     v = prof.V * (1.0 - 0.15 * np.exp(-((y - 1.0) ** 2)))
-    rec = dissipation_total(State(prof.grid, u, v, 0.7), prof, (0.5, 1.0, 2.0, data.alpha - 1.0))
+    state = State(prof.grid, u, v, 0.7)
+    rec = dissipation_total([state], prof, (0.5, 1.0, 2.0, data.alpha - 1.0))[0]
     fields = dataclasses.asdict(rec)
     assert fields.pop("tau") == 0.7
     assert math.isnan(fields.pop("dissipation_residual"))
@@ -631,7 +635,7 @@ def test_dissipation_total_rejects_overflow_and_clamped_densities(value):
     u[1000] = value
     state = State(prof.grid, u, prof.V.copy(), 0.0)
     with pytest.raises(DomainError), np.errstate(over="ignore"):
-        dissipation_total(state, prof, (1.0, 0.5, 3.0))
+        dissipation_total([state], prof, (1.0, 0.5, 3.0))
 
 
 def test_dissipation_total_rejects_a_reaction_term_past_the_float_range():
@@ -641,9 +645,69 @@ def test_dissipation_total_rejects_a_reaction_term_past_the_float_range():
     prof = solve_profile(data, Grid(16.0, 401))
     u = prof.U * (1.0 + 2.0 * np.exp(-(prof.grid.nodes**2)))
     state = State(prof.grid, u, prof.V.copy(), 709.0)
-    assert dissipation_total(State(prof.grid, u, prof.V, 0.0), prof).D_react == pytest.approx(
+    assert dissipation_total([State(prof.grid, u, prof.V, 0.0)], prof)[0].D_react == pytest.approx(
         136.8, rel=1e-3)
     with pytest.raises(DomainError, match="D_B_total is not finite"):
-        dissipation_total(state, prof)
+        dissipation_total([state], prof)
     with pytest.raises(DomainError, match="D_B_total is not finite"):  # e^tau itself overflows
-        dissipation_total(State(prof.grid, u, prof.V, 710.0), prof)
+        dissipation_total([State(prof.grid, u, prof.V, 710.0)], prof)
+
+
+def _failing(state, kind):
+    """``state`` made to fail a diagnostics sample: a density under the clamp, one whose
+    integrals overflow (their error lists every total of the table), or a tau past
+    e^tau's float range."""
+    u = state.u.copy()
+    if kind == "tau":
+        return State(state.grid, u, state.v, 710.0)
+    u[len(u) // 2] *= 1e-305 if kind == "clamp" else 1e200
+    return State(state.grid, u, state.v, state.tau)
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=default_grid_problems(), draws=st.data())
+def test_a_block_of_samples_equals_its_one_state_samples(data, draws):
+    # 1 to 2B perturbed states at increasing tau, and one or two failing ones among them,
+    # sampled in blocks of every size up to B on one workspace: each record must be the
+    # one its state gives alone, and a block that holds a failing state must raise what
+    # its first failing state raises alone
+    try:
+        prof = solve_profile(data, SimConfig(data, 1.0).make_grid())
+    except RdmixError as exc:
+        event(f"raised {type(exc).__name__}")
+        return
+    y = prof.grid.nodes
+    count = draws.draw(st.integers(1, 2 * _SAMPLE_BLOCK))
+    taus = sorted(draws.draw(st.lists(st.floats(0.0, 30.0), min_size=count, max_size=count)))
+    states = []
+    for tau in taus:
+        a_u, a_v = draws.draw(st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 1.0)))
+        c, w = draws.draw(st.tuples(st.floats(-3.0, 3.0), st.floats(0.3, 3.0)))
+        bump = np.exp(-(((y - c) / w) ** 2))
+        states.append(State(prof.grid, prof.U * (1.0 + a_u * bump), prof.V * (1.0 + a_v * bump),
+                            tau))
+    kinds = st.sampled_from(["clamp", "overflow", "tau"])
+    failing = [_failing(states[draws.draw(st.integers(0, count - 1))], kind)
+               for kind in draws.draw(st.lists(kinds, min_size=1, max_size=2))]
+    for state in failing:
+        states.insert(draws.draw(st.integers(0, len(states))), state)
+    p_list = (0.5, 2.0, data.alpha - 1.0)
+    expected = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for state in states:
+            try:
+                expected[id(state)] = repr(dissipation_total([state], prof, p_list)[0])
+            except DomainError as exc:
+                expected[id(state)] = exc
+        workspace = RelativeDensities(prof.grid)
+        for size in range(1, _SAMPLE_BLOCK + 1):
+            for i in range(0, len(states), size):
+                block = states[i:i + size]
+                errors = [expected[id(s)] for s in block if isinstance(expected[id(s)], Exception)]
+                if errors:
+                    with pytest.raises(DomainError) as raised:
+                        dissipation_total(block, prof, p_list, workspace)
+                    assert str(raised.value) == str(errors[0])
+                else:
+                    records = dissipation_total(block, prof, p_list, workspace)
+                    assert [repr(r) for r in records] == [expected[id(s)] for s in block]

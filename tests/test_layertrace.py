@@ -3,6 +3,7 @@ traced run must reach the functions it names."""
 
 import importlib
 import importlib.util
+import math
 from pathlib import Path
 
 import pytest
@@ -43,13 +44,15 @@ def test_traced_run_counts_one_diffusion_solve_per_step():
     assert parents and set(parents) == {"simulate.step"}
 
 
-def test_traced_run_counts_one_sample_span_per_record():
-    # run samples through entropy.dissipation_total looked up on the module; a run that
-    # sampled any other way would read 0 samples while the target still resolves
+def test_traced_run_counts_one_sample_span_per_block():
+    # run samples through entropy.dissipation_total looked up on the module, one call
+    # per block of at most _SAMPLE_BLOCK instants; a run that sampled any other way
+    # would read 0 samples while the target still resolves
     cfg = simulate.SimConfig(ProblemData(2, 2, 1, 3, 1, 1, 2), tau_end=0.01, grid_n=201,
-                             grid_half_width=8.0, dtau_max=1e-3, sample_interval=0.005)
+                             grid_half_width=8.0, dtau_max=1e-3, sample_interval=0.0025)
     tracer = layertrace.Tracer()
     with tracer.installed():
         result = simulate.run(cfg)
     metrics = {k: v for k, (v, _) in layertrace.layer_metrics(tracer.spans, {-1}).items()}
-    assert metrics["entropy.samples"] == len(result.records) == 3
+    assert len(result.records) == 5
+    assert metrics["entropy.samples"] == math.ceil(5 / simulate._SAMPLE_BLOCK) == 2

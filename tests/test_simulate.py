@@ -384,7 +384,7 @@ def test_a_rejected_diffusion_half_leaves_its_input_untouched():
     cfg = _config(data, tau_end=0.01, grid_n=101, grid_half_width=8.0, dtau_min=1.25e-4)
     advance, attempts = _recorded_steps(data, _StepWorkspace(grid, data))
     with pytest.raises(PositivityLoss):  # at dtau_min
-        _march(cfg, state, advance, lambda st: st.tau)
+        _march(cfg, state, advance, lambda states: [s.tau for s in states])
     assert [dt for _, dt, _ in attempts] == [1e-3, 5e-4, 2.5e-4, 1.25e-4]
     assert all(st is state and seen == bits for st, _, seen in attempts)
 
@@ -409,7 +409,7 @@ def test_a_rejected_reaction_half_leaves_its_input_untouched(monkeypatch):
     monkeypatch.setattr(simulate, "_reaction_implicit", first_call_one_iteration)
     advance, attempts = _recorded_steps(data, _StepWorkspace(state.grid, data))
     _, _, counters = _march(_config(data, tau_end=4.01, sample_interval=4.01), state, advance,
-                            lambda st: st.tau)
+                            lambda states: [s.tau for s in states])
     assert counters["steps_rejected_by_cause"] == {"PositivityLoss": 0, "NewtonFailure": 1}
     assert scales[0] > 0.05
     assert [dt for _, dt, _ in attempts[:2]] == [1e-3, 5e-4]
@@ -777,7 +777,7 @@ def test_march_counts_rejections_by_cause():
         return State(grid, st.u, st.v, st.tau + dt)
 
     start = State(grid, np.ones(grid.n), np.ones(grid.n), 0.0)
-    _, end, counters = _march(cfg, start, advance, lambda st: st.tau)
+    _, end, counters = _march(cfg, start, advance, lambda states: [s.tau for s in states])
     assert counters["steps_rejected_by_cause"] == {"PositivityLoss": 1, "NewtonFailure": 2}
     assert counters["steps_rejected"] == 3
     assert end.tau == pytest.approx(0.01, abs=1e-12)
@@ -791,7 +791,7 @@ def test_march_to_tau_zero_takes_no_step_and_no_sample():
     cfg = _config(ProblemData(2, 2, 1, 1, 1, 1, 2), tau_end=0.0)
     grid = Grid(16.0, 11)
     start = State(grid, np.ones(grid.n), np.ones(grid.n), 0.0)
-    records, end, counters = _march(cfg, start, None, lambda st: st.tau)
+    records, end, counters = _march(cfg, start, None, lambda states: [s.tau for s in states])
     assert records == [] and end is start
     assert counters == {
         "steps_accepted": 0, "steps_rejected": 0,
@@ -799,11 +799,13 @@ def test_march_to_tau_zero_takes_no_step_and_no_sample():
     }
 
 
-def _stub_march(cfg, start_tau, fails=()):
+def _stub_march(cfg, start_tau, fails=(), blocks=None):
     """``_march`` from ``start_tau`` with a stub ``advance`` that rejects the attempts
     whose indices are in ``fails``.  Returns (records, final state, counters, attempts,
     None), each record a (tau, steps accepted before it) pair and each attempt a (dtau,
-    accepted) pair; if the march raises, (None, None, None, attempts, the error)."""
+    accepted) pair; if the march raises, (None, None, None, attempts, the error).  Each
+    state holds 1 + its count of accepted steps in u, as the sampler may see it later;
+    ``blocks``, a list, gets the records of each call of the sampler."""
     grid = Grid(16.0, 11)
     attempts = []
 
@@ -812,10 +814,14 @@ def _stub_march(cfg, start_tau, fails=()):
         attempts.append((dt, not rejected))
         if rejected:
             raise PositivityLoss("p") if len(attempts) % 2 else NewtonFailure(3, 1.0)
-        return State.trusted(grid, st.u, st.v, st.tau + dt)
+        accepted = sum(accepted for _, accepted in attempts)
+        return State.trusted(grid, np.full(grid.n, 1.0 + accepted), st.v, st.tau + dt)
 
-    def sample(st):
-        return st.tau, sum(accepted for _, accepted in attempts)
+    def sample(states):
+        records = [(st.tau, int(st.u[0]) - 1) for st in states]
+        if blocks is not None:
+            blocks.append(records)
+        return records
 
     start = State(grid, np.ones(grid.n), np.ones(grid.n), start_tau)
     try:
@@ -866,8 +872,13 @@ def test_march_steps_on_rungs_that_divide_the_sample_interval(
         return
     cfg = _config(ProblemData(2, 2, 1, 1, 1, 1, 2), tau_end=tau_end, sample_interval=interval,
                   dtau_min=dtau_min, dtau_initial=dtau_initial, dtau_max=dtau_max)
-    records, end, counters, attempts, error = _stub_march(cfg, tau0, fails)
+    blocks = []
+    records, end, counters, attempts, error = _stub_march(cfg, tau0, fails, blocks)
     assert attempts[0][0] <= dtau_initial
+    # the sampler gets full blocks of _SAMPLE_BLOCK states, then the rest, raised or not
+    B = simulate._SAMPLE_BLOCK
+    assert [len(block) for block in blocks[:-1]] == [B] * (len(blocks) - 1)
+    assert 1 <= len(blocks[-1]) <= B
     for (dt, accepted), (retry, _) in zip(attempts, attempts[1:]):
         if not accepted:  # a rung halves exactly, and a landing step at least halves
             assert retry == 0.5 * dt if _is_rung(dt, interval) else retry <= 0.5 * dt
@@ -875,6 +886,7 @@ def test_march_steps_on_rungs_that_divide_the_sample_interval(
         event("raised")
         assert not attempts[-1][1] and 0.5 * attempts[-1][0] < dtau_min
         return
+    assert [record for block in blocks for record in block] == records
     # records at the start, at every k I after it below tau_end, and at tau_end itself
     last = a + b + (end_frac > 0.0)
     assert [tau for tau, _ in records] == (
@@ -896,6 +908,36 @@ def test_march_steps_on_rungs_that_divide_the_sample_interval(
                 event("a landing step")
 
 
+@pytest.mark.parametrize("failing", [None, 0.05, 0.1])
+def test_march_samples_the_pending_instants_before_an_error_leaves(failing):
+    # a step rejection with a half step below dtau_min propagates; the states pending
+    # before it are sampled first, and a failing sample's error, at an earlier instant,
+    # is the one raised
+    cfg = _config(ProblemData(2, 2, 1, 1, 1, 1, 2), tau_end=1.0, sample_interval=0.05,
+                  dtau_initial=1e-2, dtau_max=1e-2, dtau_min=1e-2)
+    grid = Grid(16.0, 11)
+    calls = []
+
+    def advance(st, dt):
+        if st.tau + dt > 0.1 + 1e-9:
+            raise PositivityLoss("past tau 0.1")
+        return State.trusted(grid, st.u, st.v, st.tau + dt)
+
+    def sample(states):
+        calls.append([st.tau for st in states])
+        for st in states:
+            if failing is not None and abs(st.tau - failing) < 1e-9:
+                raise DomainError(f"sample at {st.tau}")
+        return [st.tau for st in states]
+
+    start = State(grid, np.ones(grid.n), np.ones(grid.n), 0.0)
+    expected = PositivityLoss if failing is None else DomainError
+    with pytest.raises(expected) as exc:
+        _march(cfg, start, advance, sample)
+    assert calls == [[0.0, 0.05, 0.1]]
+    assert failing is None or str(exc.value) == f"sample at {failing}"
+
+
 def test_each_rung_is_factored_once():
     # a step size is one cache key of the drift-diffusion solver only if every step on
     # a rung is the same float: rungs summed or differenced from the float sample
@@ -909,14 +951,14 @@ def test_each_rung_is_factored_once():
     assert counters["dtau_range"][2] == counters["diffusion_factorizations"] <= 6
 
 
-def test_run_samples_through_dissipation_total_once_per_record(monkeypatch):
+def test_run_samples_through_dissipation_total_once_per_block(monkeypatch):
     from rdmix import entropy
 
     calls = []
     total = entropy.dissipation_total
 
     def counting(*args, **kwargs):
-        calls.append(args[0].tau)
+        calls.append([st.tau for st in args[0]])
         return total(*args, **kwargs)
 
     monkeypatch.setattr(entropy, "dissipation_total", counting)
@@ -924,38 +966,43 @@ def test_run_samples_through_dissipation_total_once_per_record(monkeypatch):
     cfg = _config(data, tau_end=0.2, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
     result = run(cfg)
     assert len(result.records) == 5
-    assert calls == [r.tau for r in result.records]
+    # one call per block of at most _SAMPLE_BLOCK instants, covering every record in order
+    assert len(calls) == math.ceil(len(result.records) / simulate._SAMPLE_BLOCK) == 2
+    assert [tau for block in calls for tau in block] == [r.tau for r in result.records]
 
 
 @pytest.mark.parametrize("orders", [(1.5, 1.5), (2, 1)])
 def test_a_run_reuses_one_sample_workspace_without_changing_a_record(monkeypatch, orders):
-    # run refills one RelativeDensities per sample; each record must be the one a fresh
-    # sample gives on the same state, and must not move when a later sample refills it
+    # run refills one RelativeDensities per block of samples; each record must be the one
+    # a fresh sample of its state alone gives, and must not move when a later block
+    # refills the workspace
     from rdmix import entropy
 
     taken = []
     total = entropy.dissipation_total
 
-    def keeping(state, profile, p_list, workspace):
-        record = total(state, profile, p_list, workspace)
-        taken.append((state, profile, p_list, workspace, repr(record)))
-        return record
+    def keeping(states, profile, p_list, workspace):
+        records = total(states, profile, p_list, workspace)
+        taken.append((states, profile, p_list, workspace, [repr(r) for r in records]))
+        return records
 
     monkeypatch.setattr(entropy, "dissipation_total", keeping)
     data = ProblemData(*orders, 1, 2, 1, 1, 2)
     result = run(_config(data, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2)))
-    assert len(taken) == len(result.records) == 5
+    assert len(result.records) == 5 and len(taken) == 2  # blocks of 4 and 1
     assert len({id(workspace) for *_, workspace, _ in taken}) == 1
-    for record, (state, profile, p_list, _, seen) in zip(result.records, taken):
+    seen = [(state, profile, p_list, text) for states, profile, p_list, _, texts in taken
+            for state, text in zip(states, texts, strict=True)]
+    for record, (state, profile, p_list, text) in zip(result.records, seen, strict=True):
         # repr spells each float exactly; the run fills dissipation_residual afterwards
-        alone = repr(total(state, profile, p_list))
-        assert repr(dataclasses.replace(record, dissipation_residual=math.nan)) == seen == alone
-    state, profile, p_list, workspace, _ = taken[0]
+        alone = repr(total([state], profile, p_list)[0])
+        assert repr(dataclasses.replace(record, dissipation_residual=math.nan)) == text == alone
+    _, profile, p_list, workspace, _ = taken[0]
     other = solve_profile(data, Grid(16.0, 201))
     with pytest.raises(DomainError, match="share one grid"):
-        total(State(other.grid, other.U, other.V, 0.0), profile, p_list, workspace)
+        total([State(other.grid, other.U, other.V, 0.0)], profile, p_list, workspace)
     with pytest.raises(DomainError, match="share one grid"):
-        total(State(other.grid, other.U, other.V, 0.0), other, p_list, workspace)
+        total([State(other.grid, other.U, other.V, 0.0)], other, p_list, workspace)
 
 
 def test_the_step_has_no_E_B_floor_at_unequal_diffusivities():
