@@ -97,13 +97,12 @@ class RelativeDensities:
         """Overwrite every field with the densities of ``states`` over ``profile``, in order."""
         if not all(state.grid == profile.grid == self.grid for state in states):
             raise DomainError("state, profile and densities must share one grid")
-        size = 2 * len(states) * self.grid.n
-        if len(self._flat) < 5 * size:
-            self._flat = np.empty(5 * size)
-        shape = (2, len(states), self.grid.n)
-        self.both, self.log, self.excess = (
-            self._flat[i * size:(i + 1) * size].reshape(shape) for i in range(3))
-        self.scratch = self._flat[3 * size:5 * size].reshape((2, *shape))
+        shape = (5, 2, len(states), self.grid.n)
+        size = math.prod(shape)
+        if len(self._flat) < size:
+            self._flat = np.empty(size)
+        block = self._flat[:size].reshape(shape)
+        self.both, self.log, self.excess, self.scratch = block[0], block[1], block[2], block[3:]
         for i, state in enumerate(states):
             np.divide(state.u, profile.U, out=self.both[0, i])
             np.divide(state.v, profile.V, out=self.both[1, i])

@@ -112,9 +112,10 @@ class SimConfig:
             raise DomainError(f"entropy families must be finite, got {self.p_list}")
         labels: dict[str, float] = {}  # every output names a family by {p:g}
         for p in (1.0, *self.effective_p_list()):
-            if labels.setdefault(f"{p:g}", p) != p:
-                raise DomainError(f"entropy families {labels[f'{p:g}']!r} and {p!r} share the "
-                                  f"output label {p:g}")
+            other = labels.setdefault(f"{p:g}", p)
+            if other != p:
+                raise DomainError(
+                    f"entropy families {other!r} and {p!r} share the output label {p:g}")
         if self.profile_tol <= 0:
             raise DomainError(f"profile_tol must be positive, got {self.profile_tol}")
         self.make_grid()  # Grid checks the half-width and that the point count is odd and >= 5
