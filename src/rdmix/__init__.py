@@ -29,7 +29,6 @@ from .entropy import (
     hellinger_sq,
     mixed_term,
     reactive_dissipation,
-    relative_densities,
     relative_entropy,
     split_mixed_term,
 )

@@ -9,16 +9,18 @@ the dissipation is decomposed for the Boltzmann entropy (p = 1) alone.
 
 F_p is free of cancellation near z = 1 only at p = 1/2; elsewhere it loses
 digits like 1/|z - 1|, and near p = 1 it divides no cancelled difference by
-p - 1 (see its docstring).  Each integrand is written once, in place into a
-row given to it, and serves both its public functional and the diagnostics
-sample.  A ``RelativeDensities`` holds rho, zeta, their logarithm and their
-excess over 1 of a block of states, formed once per block: the entropies and
-the reaction pairing share the logarithm (log a - log b = alpha log rho - beta
-log zeta), and the Fisher information and the mixed term share the excess.  An
-integrand writes one row per state of the block.  One diagnostics sample
-(``dissipation_total``) of a block of states refills one such object per run,
-writes every integrand into the rows of its table and integrates the table in
-one call; a public functional takes a block of one.
+p - 1 (see its docstring).  A ``State`` holds its species as the rows of one
+(2, n) array, the format of every (u, v) pair in rdmix.  Each integrand is
+written once, in place into a row given to it, and serves both its public
+functional and the diagnostics sample.  A ``RelativeDensities`` holds rho, zeta,
+their logarithm and their excess over 1 of a block of states, formed once per
+block with one division per state: the entropies and the reaction pairing share
+the logarithm (log a - log b = alpha log rho - beta log zeta), and the Fisher
+information and the mixed term share the excess.  An integrand writes one row
+per state of the block.  One diagnostics sample (``dissipation_total``) of a
+block of states refills one such object per run, writes every integrand into the
+rows of its table and integrates the table in one call.  A public functional
+takes a state and a profile and evaluates its integrand on a block of one.
 The squared Hellinger distance has one definition, E_(1/2) / 2.
 """
 
@@ -40,29 +42,39 @@ from .profile import ProfileSolution
 _DENSITY_CLAMP = 1e-300
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class State:
-    """Concentrations (u, v) on a grid at scaled time tau."""
+    """Concentrations (u, v) on a grid at scaled time tau, the rows of one (2, n) array ``w``.
+
+    ``State(grid, u, v, tau)`` checks u and v finite and positive and stacks them
+    into a new ``w``, so the state shares no memory with the caller's arrays; ``u``
+    and ``v`` are views of ``w``'s rows.
+    """
 
     grid: Grid
-    u: np.ndarray
-    v: np.ndarray
+    w: np.ndarray
     tau: float
 
-    def __post_init__(self):
-        u = check_values(self.grid, self.u)
-        v = check_values(self.grid, self.v)
-        if u.min() <= 0 or v.min() <= 0:
+    def __init__(self, grid: Grid, u: np.ndarray, v: np.ndarray, tau: float):
+        w = np.array((check_values(grid, u), check_values(grid, v)))
+        if w.min() <= 0:
             raise DomainError("state concentrations must be positive nodewise")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
+        self.__dict__.update(grid=grid, w=w, tau=tau)
 
     @classmethod
-    def trusted(cls, grid: Grid, u: np.ndarray, v: np.ndarray, tau: float) -> State:
-        """A State of nodal float64 arrays that the caller has proven finite and positive."""
+    def trusted(cls, grid: Grid, w: np.ndarray, tau: float) -> State:
+        """A State of a (2, n) float64 array that the caller has proven finite and positive."""
         state = object.__new__(cls)
-        state.__dict__.update(grid=grid, u=u, v=v, tau=tau)
+        state.__dict__.update(grid=grid, w=w, tau=tau)
         return state
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.w[0]
+
+    @property
+    def v(self) -> np.ndarray:
+        return self.w[1]
 
 
 class RelativeDensities:
@@ -74,38 +86,37 @@ class RelativeDensities:
     excess over 1 into ``excess``.  A functional that treats the two species alike
     evaluates both species of every state in one pass, the profile's (2, n) arrays
     broadcast as (2, 1, n), and adds the species before its quadrature.  The
-    integrands write into ``scratch`` (two (2, m, n) arrays) and ``table`` rows,
-    never into those four.  Every array is a view of a flat buffer that the object
-    owns, sized for the largest block it has held, so one object refilled per block
-    serves every block of at most that many states without a new array.
+    integrands write into ``scratch`` (two (2, m, n) arrays) and the rows of
+    ``table``, a (k, m, n) array of k integrands of m states, never into those four;
+    ``totals`` holds the k m integrals of the table.  Every array is a view of one
+    flat buffer that the object owns, grown only when a block needs more, so one
+    object refilled per block serves every block of at most that size without a new
+    array.
     """
 
     def __init__(self, grid: Grid):
         self.grid = grid
         self.lowest = math.nan
-        self._flat, self._table, self._totals = np.empty(0), np.empty(0), np.empty(0)
+        self._flat = np.empty(0)
 
-    @property
-    def rho(self) -> np.ndarray:
-        return self.both[0]
+    def fill(self, states: Sequence[State], profile: ProfileSolution,
+             rows: int) -> RelativeDensities:
+        """Overwrite every field with the densities of ``states`` over ``profile``, in order.
 
-    @property
-    def zeta(self) -> np.ndarray:
-        return self.both[1]
-
-    def fill(self, states: Sequence[State], profile: ProfileSolution) -> RelativeDensities:
-        """Overwrite every field with the densities of ``states`` over ``profile``, in order."""
+        ``table`` gets ``rows`` rows and ``totals`` ``rows`` floats per state.
+        """
         if not all(state.grid == profile.grid == self.grid for state in states):
             raise DomainError("state, profile and densities must share one grid")
-        shape = (5, 2, len(states), self.grid.n)
-        size = math.prod(shape)
-        if len(self._flat) < size:
-            self._flat = np.empty(size)
-        block = self._flat[:size].reshape(shape)
+        m, n = len(states), self.grid.n
+        cut = (10 + rows) * m * n  # the densities, their log, excess and scratch, the table
+        if len(self._flat) < cut + rows * m:
+            self._flat = np.empty(cut + rows * m)
+        block = self._flat[:10 * m * n].reshape(5, 2, m, n)
         self.both, self.log, self.excess, self.scratch = block[0], block[1], block[2], block[3:]
+        self.table = self._flat[10 * m * n:cut].reshape(rows, m, n)
+        self.totals = self._flat[cut:cut + rows * m]
         for i, state in enumerate(states):
-            np.divide(state.u, profile.U, out=self.both[0, i])
-            np.divide(state.v, profile.V, out=self.both[1, i])
+            np.divide(state.w, profile.UV, out=self.both[:, i])
         self.lowest = float(self.both.min())
         if self.lowest > 0.0:
             np.log(self.both, out=self.log)
@@ -114,20 +125,10 @@ class RelativeDensities:
         np.subtract(self.both, 1.0, out=self.excess)
         return self
 
-    def table(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """A (k, m, n) table, one row per integrand and state, and k m floats for its integrals.
 
-        The buffers are reused while they are large enough.
-        """
-        _, m, n = self.both.shape
-        if len(self._totals) < k * m:
-            self._table, self._totals = np.empty(k * m * n), np.empty(k * m)
-        return self._table[:k * m * n].reshape(k, m, n), self._totals[:k * m]
-
-
-def relative_densities(state: State, profile: ProfileSolution) -> RelativeDensities:
-    """``state``'s densities over ``profile`` in a new ``RelativeDensities``, a block of one."""
-    return RelativeDensities(state.grid).fill((state,), profile)
+def _alone(state: State, profile: ProfileSolution, rows: int = 1) -> RelativeDensities:
+    """``state``'s densities over ``profile`` in a new workspace: a block of one."""
+    return RelativeDensities(state.grid).fill((state,), profile, rows)
 
 
 @dataclass
@@ -152,13 +153,11 @@ class DiagnosticsRecord:
     dissipation_residual: float = float("nan")
 
 
-def F_p(
-    z: float | np.ndarray, p: float, z_min: float | None = None, log_z: np.ndarray | None = None
-):
+def F_p(z: float | np.ndarray, p: float, z_min: float | None = None):
     """Power-family entropy generator; p = 1 is Boltzmann, p = 0 the dual log branch.
 
-    ``z`` is a float or an array (a float in gives a float out); ``z_min`` and
-    ``log_z`` may pass the minimum and the logarithm of ``z`` when they are known.
+    ``z`` is a float or an array (a float in gives a float out); ``z_min`` may pass
+    the minimum of ``z`` when it is known.
     p = 1/2 is 2 ((z - 1) / (sqrt z + 1))^2, free of cancellation.  Other p
     take p (p - 1) F_p = z^p - p z + p - 1 in one of two expm1 forms, l = log z:
     expm1(p l) - p expm1(l) below p = 1/2, z expm1((p-1) l) - (p-1) expm1(l)
@@ -175,8 +174,7 @@ def F_p(
     elif z_min == 0.0:  # F_p(0) = 1/p for p > 0; the forms below take log z elsewhere
         out = np.where(z > 0.0, F_p(np.where(z > 0.0, z, 1.0), p), 1.0 / p)
     else:
-        log_z = np.log(z) if log_z is None else log_z
-        out = _F_p_into(np.empty(z.shape), np.empty(z.shape), p, z, log_z, None)
+        out = _F_p_into(np.empty(z.shape), np.empty(z.shape), p, z, np.log(z), None)
     return out if out.ndim else float(out)
 
 
@@ -317,9 +315,13 @@ def _split_integrands(dens: RelativeDensities, profile: ProfileSolution,
         raise DomainError("mixed-term split requires alpha > beta")
     a, b = d.alpha, d.beta
     psi_z, t = dens.scratch[0]
-    np.copyto(psi_z, dens.zeta)
+    # Psi(zeta^beta) = alpha ((zeta^beta)^(1/alpha) - 1): two powers, as one of
+    # beta / alpha rounds differently
+    np.copyto(psi_z, dens.both[1])
     psi_z **= b
-    ramp(psi_z, a, out=psi_z)
+    psi_z **= 1.0 / a
+    psi_z -= 1.0
+    psi_z *= a
     np.subtract(psi_z, np.multiply(dens.excess[0], a, out=t), out=out[0])
     out[0] *= profile.Lambda
     np.subtract(dens.excess[1], np.divide(psi_z, b, out=t), out=out[1])
@@ -328,52 +330,31 @@ def _split_integrands(dens: RelativeDensities, profile: ProfileSolution,
     return out
 
 
-def relative_entropy(
-    state: State,
-    profile: ProfileSolution,
-    p: float = 1.0,
-    dens: RelativeDensities | None = None,
-) -> float:
-    """E_p = integral of U F_p(u/U) + V F_p(v/V); ``dens`` may pass the state's densities."""
-    if dens is None:
-        dens = relative_densities(state, profile)
-    F = _entropy_integrand(dens, profile, p, np.empty((1, dens.grid.n)))
-    return integrate(state.grid, F[0])
+def relative_entropy(state: State, profile: ProfileSolution, p: float = 1.0) -> float:
+    """E_p = integral of U F_p(u/U) + V F_p(v/V)."""
+    dens = _alone(state, profile)
+    return integrate(state.grid, _entropy_integrand(dens, profile, p, dens.table[0])[0])
 
 
-def fisher_information(dens: RelativeDensities, profile: ProfileSolution) -> float:
+def fisher_information(state: State, profile: ProfileSolution) -> float:
     """Gradient dissipation: integral of d1 U rho_y^2 / rho + d2 V zeta_y^2 / zeta."""
-    return integrate(dens.grid, _fisher_integrand(dens, profile, np.empty((1, dens.grid.n)))[0])
+    dens = _alone(state, profile)
+    return integrate(state.grid, _fisher_integrand(dens, profile, dens.table[0])[0])
 
 
-def reactive_dissipation(dens: RelativeDensities, profile: ProfileSolution) -> float:
+def reactive_dissipation(state: State, profile: ProfileSolution) -> float:
     """Reaction dissipation: integral of k U^alpha times the pairing of rho^alpha and zeta^beta."""
-    return integrate(dens.grid, _reaction_integrand(dens, profile, np.empty((1, dens.grid.n)))[0])
+    dens = _alone(state, profile)
+    return integrate(state.grid, _reaction_integrand(dens, profile, dens.table[0])[0])
 
 
-def mixed_term(dens: RelativeDensities, profile: ProfileSolution) -> float:
+def mixed_term(state: State, profile: ProfileSolution) -> float:
     """Signed multiplier term; the only dissipation contribution without a sign."""
-    return integrate(dens.grid, _mixed_integrand(dens, profile, np.empty((1, dens.grid.n)))[0])
+    dens = _alone(state, profile)
+    return integrate(state.grid, _mixed_integrand(dens, profile, dens.table[0])[0])
 
 
-def ramp(r: np.ndarray, alpha: float, out: np.ndarray | None = None) -> np.ndarray:
-    """Concave comparison map alpha (r^(1/alpha) - 1) used to split the mixed term.
-
-    ``out`` may pass an array of r's shape for the result, r itself included.
-    """
-    if out is None:
-        out = np.array(r, dtype=float)
-    elif out is not r:
-        np.copyto(out, r)
-    out **= 1.0 / alpha
-    out -= 1.0
-    out *= alpha
-    return out if out.ndim else float(out)
-
-
-def split_mixed_term(
-    dens: RelativeDensities, profile: ProfileSolution
-) -> tuple[float, float]:
+def split_mixed_term(state: State, profile: ProfileSolution) -> tuple[float, float]:
     """Split the mixed term into a reaction-controlled and an entropy-controlled part.
 
     With Psi(r) = alpha (r^(1/alpha) - 1) the first part pairs
@@ -382,8 +363,9 @@ def split_mixed_term(
     Psi(rho^alpha) is alpha (rho - 1), so the rho contribution of the
     remainder vanishes identically and is left out.
     """
-    parts = _split_integrands(dens, profile, np.empty((2, 1, dens.grid.n)))
-    return integrate(dens.grid, parts[0, 0]), integrate(dens.grid, parts[1, 0])
+    dens = _alone(state, profile, 2)
+    parts = _split_integrands(dens, profile, dens.table)
+    return integrate(state.grid, parts[0, 0]), integrate(state.grid, parts[1, 0])
 
 
 def hellinger_sq(state: State, profile: ProfileSolution) -> float:
@@ -429,10 +411,9 @@ def _sample_block(states: Sequence[State], profile: ProfileSolution, ps: tuple[f
                   dens: RelativeDensities) -> list[DiagnosticsRecord]:
     """``dissipation_total`` of ``states`` in one pass over the block, E_p for each p of ``ps``."""
     d = profile.data
-    dens.fill(states, profile)
     entropies = ps if 0.5 in ps else (*ps, 0.5)
     k = len(entropies)
-    table, totals = dens.table(k + (5 if d.alpha > d.beta else 3))
+    table = dens.fill(states, profile, k + (5 if d.alpha > d.beta else 3)).table
     for p, row in zip(entropies, table):
         _entropy_integrand(dens, profile, p, row)
     _fisher_integrand(dens, profile, table[k])
@@ -440,9 +421,9 @@ def _sample_block(states: Sequence[State], profile: ProfileSolution, ps: tuple[f
     _mixed_integrand(dens, profile, table[k + 2])
     if d.alpha > d.beta:
         _split_integrands(dens, profile, table[k + 3:])
-    integrate(dens.grid, table.reshape(-1, dens.grid.n), out=totals)
+    integrate(dens.grid, table.reshape(-1, dens.grid.n), out=dens.totals)
     records = []
-    for state, values in zip(states, totals.reshape(-1, len(states)).T.tolist()):
+    for state, values in zip(states, dens.totals.reshape(-1, len(states)).T.tolist()):
         E_p = dict(zip(ps, values))
         I_F, D_re, I_L, *split = values[k:]
         I_L1, I_L2 = split or (I_L, 0.0)  # the remainder part vanishes identically at equal orders

@@ -22,12 +22,12 @@ other orders a bracketed Newton iteration, warm-started within a run, solves it
 and stops on a proven error bound.
 
 Each half works on one (2, n) array, a row per species, and ``step`` checks
-it once: the state is copied into one array, checked finite, shifted by dtau c
-into a buffer, stepped in place by one ``DriftDiffusionSolver.step`` (which
-checks only its layout), shifted back and tested positive; the reaction writes
-x and v into the rows of a new array, which the stepped ``State`` holds, and
-the rate is updated in place from the three.  The input ``State`` is never
-written.
+it once: the state's own array ``w`` is read without a copy, checked finite,
+shifted by dtau c into a buffer, stepped in place by one
+``DriftDiffusionSolver.step`` (which checks only its layout), shifted back and
+tested positive; the reaction writes x and v into the rows of a new array, which
+the stepped ``State`` holds as its ``w``, and the rate is updated in place from
+the three.  The input ``State`` is never written.
 """
 
 from __future__ import annotations
@@ -136,8 +136,8 @@ class SimConfig:
         return tuple(dict.fromkeys(ps))
 
 
-def _read_ic_file(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The u and v columns of an n-row y,u,v CSV; a ParseError naming ``ic.path`` if at fault."""
+def _read_ic_file(path: str, n: int) -> np.ndarray:
+    """The u, v columns of an n-row y,u,v CSV as a (2, n) array, or a ParseError naming ic.path."""
     try:
         cols = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     except ValueError as exc:  # a cell that is not a number, or a ragged row
@@ -147,7 +147,7 @@ def _read_ic_file(path: str, n: int) -> tuple[np.ndarray, np.ndarray]:
     elif not (np.isfinite(cols[:, 1:]).all() and cols[:, 1:].min() > 0.0):
         fault = "u and v must be finite and positive"
     else:
-        return cols[:, 1].copy(), cols[:, 2].copy()
+        return cols[:, 1:].T.copy()
     raise ParseError(0, "ic.path", f"{path}: {fault}")
 
 
@@ -155,20 +155,18 @@ def build_initial_state(config: SimConfig, profile: ProfileSolution) -> State:
     grid, ic, d = profile.grid, config.ic, config.data
     y = grid.nodes
     if ic.kind == "profile_exact":
-        u, v = profile.U.copy(), profile.V.copy()
+        w = profile.UV.copy()
     elif ic.kind == "gaussian_bump":
         # a tiny width overflows the scaled distance to inf, where the Gaussian is 0
         with np.errstate(over="ignore"):
             bump = 1.0 + ic.amplitude * np.exp(-(((y - ic.center) / ic.width) ** 2))
-        u, v = profile.U * bump, profile.V * bump
+        w = profile.UV * bump
     elif ic.kind == "shifted_erf":
-        u = np.interp(y - ic.center, y, profile.U)
-        v = np.interp(y - ic.center, y, profile.V)
+        w = np.array([np.interp(y - ic.center, y, row) for row in profile.UV])
     else:  # file
-        u, v = _read_ic_file(ic.path, grid.n)
-    u[0], u[-1] = d.u_minus, d.u_plus
-    v[0], v[-1] = d.v_minus, d.v_plus
-    state = State(grid, u, v, 0.0)
+        w = _read_ic_file(ic.path, grid.n)
+    w[:, [0, -1]] = ((d.u_minus, d.u_plus), (d.v_minus, d.v_plus))
+    state = State(grid, w[0], w[1], 0.0)
     with np.errstate(over="ignore"):  # an E_B past the float range is integrate's DomainError
         entropy.relative_entropy(state, profile, 1.0)
     return state
@@ -331,8 +329,8 @@ def _balancing_rate(state: State, data: ProblemData) -> np.ndarray:
     each row with ``fdops.operators``' stencils.  Both ends are 0.  At a fixed
     point of the step c = R(w) = -D w, so the seed is exact there.
     """
-    w = np.array((state.u, state.v))
-    r = data.k * math.exp(state.tau) * (state.u**data.alpha - state.v**data.beta)
+    w = state.w
+    r = data.k * math.exp(state.tau) * (w[0]**data.alpha - w[1]**data.beta)
     rate = np.array((-data.alpha * r, data.beta * r))
     rate -= scalar_residual(state.grid, np.array((data.d1, data.d2))[:, None] * w, w)
     rate *= 0.5
@@ -345,12 +343,13 @@ def step(
 ) -> State:
     """Advance one rebalanced splitting step of size dtau: drift-diffusion, then reaction.
 
-    With w the state, h = dtau and c the workspace's balancing rate, the drift-diffusion
-    half solves (I - h D) w_A = w + h c, and the reaction half starts from w_A - h c.
-    The reaction root, exact at the orders that ``_reaction_exact`` names, elsewhere a
-    Newton solve started from its input plus the workspace's last increment x - u
-    (zero, a cold start, without a workspace or in a fresh one), fills the rows of the
-    stepped ``State`` w+.  Then c = ((w+ + w)/2 - (w_A - h c)) / h, zero at the ends.
+    With w the state's (2, n) array ``state.w``, read in place, h = dtau and c the
+    workspace's balancing rate, the drift-diffusion half solves (I - h D) w_A = w + h c,
+    and the reaction half starts from w_A - h c.  The reaction root, exact at the orders
+    that ``_reaction_exact`` names, elsewhere a Newton solve started from its input plus
+    the workspace's last increment x - u (zero, a cold start, without a workspace or in
+    a fresh one), fills the rows of a new array w+, which the stepped ``State`` holds
+    without a copy.  Then c = ((w+ + w)/2 - (w_A - h c)) / h, zero at the ends.
     Without a workspace, or in a fresh one, c = 0 and the step is a Lie step.
     Raises PositivityLoss (a reaction input w_A - h c that is not positive, one
     minimum over both rows) or NewtonFailure, on which callers should reject the step
@@ -362,7 +361,7 @@ def step(
     if not 0.0 < dtau < math.inf:
         raise DomainError(f"dtau must be positive and finite, got {dtau}")
     ws = workspace or _StepWorkspace(state.grid, data)
-    w = np.array((state.u, state.v))
+    w = state.w
     if not np.isfinite(w).all():
         raise DomainError("state concentrations must be finite nodewise")
     h_rate = dtau * ws.rate
@@ -388,7 +387,7 @@ def step(
     rate -= buf
     rate *= 0.5 / dtau
     rate[:, 0] = rate[:, -1] = 0.0
-    return State.trusted(state.grid, out[0], out[1], state.tau + dtau)
+    return State.trusted(state.grid, out, state.tau + dtau)
 
 
 def fill_dissipation_residuals(records: list[DiagnosticsRecord]) -> None:
@@ -501,7 +500,7 @@ def _march(config: SimConfig, state: State, advance, sample) -> tuple[list, Stat
                 coarser = max(-(-m // 2), m_min)
                 if streak >= _COARSEN_AFTER and coarser < m and j * coarser % m == 0:
                     m, j, streak = coarser, j * coarser // m, 0
-            state = State.trusted(state.grid, state.u, state.v, target)
+            state = State.trusted(state.grid, state.w, target)
             pending.append(state)
             if len(pending) == _SAMPLE_BLOCK:
                 block, pending = pending, []

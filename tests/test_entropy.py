@@ -21,7 +21,6 @@ from rdmix import (
     hellinger_sq,
     mixed_term,
     reactive_dissipation,
-    relative_densities,
     relative_entropy,
     solve_profile,
     split_mixed_term,
@@ -302,11 +301,22 @@ def test_state_rejects_values_that_are_not_positive_and_finite(value):
             State(g, u, v, 0.0)
 
 
+def test_a_state_holds_its_species_as_the_rows_of_one_array():
+    g = Grid(1.0, 11)
+    u, v = np.full(g.n, 2.0), np.full(g.n, 3.0)
+    state = State(g, u, v, 0.0)
+    assert state.w.shape == (2, g.n)
+    assert np.shares_memory(state.u, state.w) and np.shares_memory(state.v, state.w)
+    assert not np.shares_memory(state.w, u) and not np.shares_memory(state.w, v)
+    u[3] = v[4] = 7.0  # the caller's arrays are not the state's
+    assert (state.u == 2.0).all() and (state.v == 3.0).all()
+
+
 def test_relative_densities_need_one_grid():
     state = State(Grid(1.0, 11), np.ones(11), np.ones(11), 0.0)
     for grid in (Grid(2.0, 11), Grid(1.0, 13)):
         with pytest.raises(DomainError, match="must share one grid"):
-            relative_densities(state, flat_profile(grid))
+            RelativeDensities(state.grid).fill([state], flat_profile(grid), 1)
 
 
 def test_relative_entropy_zero_at_profile(equal_orders_profile):
@@ -328,6 +338,21 @@ def test_relative_entropy_scaled_state():
     assert relative_entropy(state, prof, 1.0) == pytest.approx(2.0, abs=1e-12)
 
 
+def test_relative_entropy_at_a_density_that_rounds_to_zero():
+    # u / U rounds to 0 at one node, where F_p(0) = 1/p; every other node is at the
+    # profile, where F_p is exactly 0, so E_p is h U / p there, exactly
+    prof = solve_profile(ProblemData(2, 2, 1, 1, 1, 1, 2), Grid(8.0, 201))
+    u = prof.U.copy()
+    u[150] = 5e-324
+    state = State(prof.grid, u, prof.V.copy(), 0.0)
+    for p in (1.0, 0.5, 2.0):
+        assert relative_entropy(state, prof, p) == prof.grid.h * prof.U[150] / p
+    assert relative_entropy(state, prof, 1.0) == 0.31943866537773563
+    assert hellinger_sq(state, prof) == relative_entropy(state, prof, 0.5) / 2
+    with pytest.raises(DomainError, match="a relative density fell below 1e-300"):
+        dissipation_total([state], prof)
+
+
 def test_relative_entropy_refinement_oracle():
     data = ProblemData(2, 2, 1, 3, 1, 1, 2)
     vals = []
@@ -341,16 +366,13 @@ def test_relative_entropy_refinement_oracle():
 
 
 def test_fisher_information_flat_density(equal_orders_profile):
-    dens = relative_densities(
-        State(
-            equal_orders_profile.grid,
-            equal_orders_profile.U.copy(),
-            equal_orders_profile.V.copy(),
-            0.0,
-        ),
-        equal_orders_profile,
+    state = State(
+        equal_orders_profile.grid,
+        equal_orders_profile.U.copy(),
+        equal_orders_profile.V.copy(),
+        0.0,
     )
-    assert fisher_information(dens, equal_orders_profile) == 0.0
+    assert fisher_information(state, equal_orders_profile) == 0.0
 
 
 @pytest.mark.parametrize("L, n", [(8.0, 32001), (16.0, 2001)])
@@ -361,8 +383,7 @@ def test_fisher_information_analytic_oracle(L, n):
     prof = flat_profile(g, data=ProblemData(1, 1, 1, 1, 1, 1, 1))
     y = g.nodes
     state = State(g, 1.0 + 0.1 * np.exp(-(y**2)), np.ones(g.n), 0.0)
-    dens = relative_densities(state, prof)
-    got = fisher_information(dens, prof)
+    got = fisher_information(state, prof)
     rho = 1.0 + 0.1 * np.exp(-(y**2))
     rho_y = -0.2 * y * np.exp(-(y**2))
     expected = np.trapezoid(rho_y**2 / rho, y)
@@ -376,8 +397,8 @@ def test_fisher_information_linear_in_diffusivity():
     one = flat_profile(g, data=ProblemData(1, 1, 1, 1, 1, 1, 1))
     two = flat_profile(g, data=ProblemData(1, 1, 2, 1, 1, 1, 1))
     dens_state = State(g, state_vals, np.ones(g.n), 0.0)
-    d1 = fisher_information(relative_densities(dens_state, one), one)
-    d2 = fisher_information(relative_densities(dens_state, two), two)
+    d1 = fisher_information(dens_state, one)
+    d2 = fisher_information(dens_state, two)
     assert d2 == pytest.approx(2.0 * d1, rel=1e-14)
 
 
@@ -385,9 +406,8 @@ def test_reactive_dissipation_constant_integrand():
     g = Grid(1.0, 1001)
     prof = flat_profile(g, data=ProblemData(2, 1, 1, 1, 1, 1, 1))
     state = State(g, np.full(g.n, 2.0), np.ones(g.n), 0.0)
-    dens = relative_densities(state, prof)
     expected = 2.0 * gamma_fn(4.0, 1.0)  # integrand Gamma(rho^2, zeta) over length 2
-    assert reactive_dissipation(dens, prof) == pytest.approx(expected, rel=1e-14)
+    assert reactive_dissipation(state, prof) == pytest.approx(expected, rel=1e-14)
 
 
 def test_reactive_dissipation_zero_on_manifold():
@@ -395,19 +415,17 @@ def test_reactive_dissipation_zero_on_manifold():
     prof = flat_profile(g, data=ProblemData(2, 1, 1, 1, 1, 1, 1))
     rho = np.full(g.n, 1.21)
     state = State(g, rho, rho**2, 0.0)  # zeta = rho^alpha/beta keeps rho^a = zeta^b
-    dens = relative_densities(state, prof)
-    assert reactive_dissipation(dens, prof) == pytest.approx(0.0, abs=1e-13)
+    assert reactive_dissipation(state, prof) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_mixed_term_zero_cases(equal_orders_profile):
     state = _perturbed_state(equal_orders_profile, 0.1, 0.1)
-    dens = relative_densities(state, equal_orders_profile)
     # rho = zeta and alpha = beta: the integrand vanishes nodewise
-    assert mixed_term(dens, equal_orders_profile) == pytest.approx(0.0, abs=1e-14)
+    assert mixed_term(state, equal_orders_profile) == pytest.approx(0.0, abs=1e-14)
     g = Grid(1.0, 101)
     flat = flat_profile(g)
     state2 = State(g, np.full(g.n, 1.3), np.full(g.n, 0.8), 0.0)
-    assert mixed_term(relative_densities(state2, flat), flat) == 0.0  # Lambda = 0
+    assert mixed_term(state2, flat) == 0.0  # Lambda = 0
 
 
 def test_split_mixed_term(unequal_orders_profile, rng):
@@ -416,21 +434,20 @@ def test_split_mixed_term(unequal_orders_profile, rng):
     u = prof.U * (1.0 + 0.2 * np.exp(-(y**2)))
     v = prof.V * (1.0 - 0.15 * np.exp(-((y - 1.0) ** 2)))
     state = State(prof.grid, u, v, 0.0)
-    dens = relative_densities(state, prof)
-    part1, part2 = split_mixed_term(dens, prof)
-    total = mixed_term(dens, prof)
+    part1, part2 = split_mixed_term(state, prof)
+    total = mixed_term(state, prof)
     assert part1 + part2 == pytest.approx(total, rel=1e-12, abs=1e-15)
     # the rho-side of the remainder vanishes identically
     a = prof.data.alpha
-    rho_side = a * (dens.rho - 1.0 - (a * (dens.rho**a) ** (1.0 / a) - a) / a)
+    rho = state.u / prof.U
+    rho_side = a * (rho - 1.0 - (a * (rho**a) ** (1.0 / a) - a) / a)
     assert np.max(np.abs(rho_side)) <= 1e-12
 
 
 def test_split_mixed_term_requires_unequal_orders(equal_orders_profile):
     state = _perturbed_state(equal_orders_profile)
-    dens = relative_densities(state, equal_orders_profile)
     with pytest.raises(DomainError):
-        split_mixed_term(dens, equal_orders_profile)
+        split_mixed_term(state, equal_orders_profile)
 
 
 def test_remainder_bound_random_states(unequal_orders_profile, rng):
@@ -445,8 +462,7 @@ def test_remainder_bound_random_states(unequal_orders_profile, rng):
         u = prof.U * (1.0 + au * np.exp(-((y / wu) ** 2)))
         v = prof.V * (1.0 + av * np.exp(-((y / wv) ** 2)))
         state = State(prof.grid, u, v, 0.0)
-        dens = relative_densities(state, prof)
-        _, part2 = split_mixed_term(dens, prof)
+        _, part2 = split_mixed_term(state, prof)
         E_B = relative_entropy(state, prof, 1.0)
         assert part2 <= theta * E_B + 1e-10
 
@@ -554,17 +570,16 @@ def test_dissipation_total_equals_its_functionals(case):
     rec = dissipation_total([state], prof, p_list)[0]
 
     fresh = dataclasses.replace(prof)  # no cached arrays yet
-    dens = relative_densities(state, fresh)
     assert rec.E_B == relative_entropy(state, fresh, 1.0)
     assert rec.E_p == {q: relative_entropy(state, fresh, q) for q in p_list}
     expected = {
-        "I_Fisher": fisher_information(dens, fresh),
-        "D_react": reactive_dissipation(dens, fresh),
-        "I_Lambda": mixed_term(dens, fresh),
+        "I_Fisher": fisher_information(state, fresh),
+        "D_react": reactive_dissipation(state, fresh),
+        "I_Lambda": mixed_term(state, fresh),
         "hellinger_sq": hellinger_sq(state, fresh),
     }
     if data.alpha > data.beta:
-        expected["I_Lambda_1"], expected["I_Lambda_2"] = split_mixed_term(dens, fresh)
+        expected["I_Lambda_1"], expected["I_Lambda_2"] = split_mixed_term(state, fresh)
     else:
         expected["I_Lambda_1"], expected["I_Lambda_2"] = expected["I_Lambda"], 0.0
     expected["D_B_total"] = (

@@ -70,26 +70,23 @@ def test_unequal_orders_regression_and_invariants():
     assert abs(sol.U[g.n // 2] - fine.U[fine.grid.n // 2]) <= 1e-9
 
 
-def test_default_grid_profile_passes_its_invariants():
+@settings(max_examples=60, deadline=None)
+@given(data=default_grid_problems())
+def test_default_grid_profile_passes_its_invariants(data):
     # on the draws of default_grid_problems the solve either passes every invariant
     # with flat ends or raises a typed error
-    @settings(max_examples=60, deadline=None)
-    @given(data=default_grid_problems())
-    def check(data):
-        grid = SimConfig(data, 1.0).make_grid()
-        try:
-            sol = solve_profile(data, grid)
-        except RdmixError as exc:
-            event(f"raised {type(exc).__name__}")
-            return
-        arrays = (sol.U, sol.V, sol.Lambda, sol.U1, sol.U2, sol.V1, sol.V2)
-        assert all(np.isfinite(a).all() for a in arrays)
-        checks = profile_invariants(sol)
-        assert all(checks.values()), checks
-        J = fdops.equilibrium_jump(((data.u_minus, data.u_plus), (data.v_minus, data.v_plus)))
-        assert max(np.abs(sol.U1[[0, -1]]).max(), np.abs(sol.V1[[0, -1]]).max()) <= 1e-9 * J
-
-    check()
+    grid = SimConfig(data, 1.0).make_grid()
+    try:
+        sol = solve_profile(data, grid)
+    except RdmixError as exc:
+        event(f"raised {type(exc).__name__}")
+        return
+    arrays = (sol.U, sol.V, sol.Lambda, sol.U1, sol.U2, sol.V1, sol.V2)
+    assert all(np.isfinite(a).all() for a in arrays)
+    checks = profile_invariants(sol)
+    assert all(checks.values()), checks
+    J = fdops.equilibrium_jump(((data.u_minus, data.u_plus), (data.v_minus, data.v_plus)))
+    assert max(np.abs(sol.U1[[0, -1]]).max(), np.abs(sol.V1[[0, -1]]).max()) <= 1e-9 * J
 
 
 def test_large_flat_end_dips_within_the_row_scaled_monotone_slack():

@@ -136,9 +136,25 @@ def test_step_rejects_a_state_that_is_not_finite(value):
     grid = Grid(16.0, 401)
     u = np.full(grid.n, 1.5)
     u[200] = value
-    state = State.trusted(grid, u, np.full(grid.n, 1.2), 0.0)
+    state = State.trusted(grid, np.array((u, np.full(grid.n, 1.2))), 0.0)
     with pytest.raises(DomainError, match="must be finite nodewise"):
         step(state, data, 1e-3)
+
+
+@pytest.mark.parametrize("orders", [(2, 1), (3, 3), (4, 3)])
+def test_a_step_returns_a_state_on_a_new_array(orders):
+    # the closed-form roots (a quadratic, a cubic) and the Newton solve each hold the
+    # stepped state in an array of their own, never in the input's w or the rate
+    data = ProblemData(*orders, 1, 2, 1, 1, 2)
+    cfg = _config(data, ic=InitialConditionSpec("gaussian_bump", amplitude=0.2))
+    state = build_initial_state(cfg, solve_profile(data, cfg.make_grid()))
+    ws = _StepWorkspace(state.grid, data)
+    for _ in range(2):
+        stepped = step(state, data, 1e-3, ws)
+        assert stepped.w.shape == (2, state.grid.n)
+        assert not np.shares_memory(stepped.w, state.w)
+        assert not np.shares_memory(stepped.w, ws.rate)
+        state = stepped
 
 
 def test_stiff_relaxation_onto_constraint_manifold():
@@ -815,7 +831,7 @@ def _stub_march(cfg, start_tau, fails=(), blocks=None):
         if rejected:
             raise PositivityLoss("p") if len(attempts) % 2 else NewtonFailure(3, 1.0)
         accepted = sum(accepted for _, accepted in attempts)
-        return State.trusted(grid, np.full(grid.n, 1.0 + accepted), st.v, st.tau + dt)
+        return State.trusted(grid, np.array((np.full(grid.n, 1.0 + accepted), st.v)), st.tau + dt)
 
     def sample(states):
         records = [(st.tau, int(st.u[0]) - 1) for st in states]
@@ -921,7 +937,7 @@ def test_march_samples_the_pending_instants_before_an_error_leaves(failing):
     def advance(st, dt):
         if st.tau + dt > 0.1 + 1e-9:
             raise PositivityLoss("past tau 0.1")
-        return State.trusted(grid, st.u, st.v, st.tau + dt)
+        return State.trusted(grid, np.array((st.u, st.v)), st.tau + dt)
 
     def sample(states):
         calls.append([st.tau for st in states])
